@@ -11,6 +11,10 @@ from .experiments import emit, run_n_scaling, run_ratio_scan, run_time_curve
 from .hamiltonians import (DriveParams, EffectiveMixed, FullDriven, OAT,
                            TATxz, TATyz, solve_drive_ratio)
 
+# Sweeps run serially: the work holds the GIL, so a thread pool made them
+# slower. --threads stays accepted so existing command lines keep working.
+_THREADS_HELP = "accepted for compatibility; has no effect (sweeps run serially)"
+
 _STATIC_VARIANTS = {
     "oat": OAT,
     "tat-xz": TATxz,
@@ -84,7 +88,7 @@ def build_parser():
                    help="g/omega for full templates (omega is set per N)")
     p.add_argument("--a", type=float, help="Bessel coefficient for mixed")
     p.add_argument("--axis", choices=["x", "y"], default="y")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     add_output(p)
 
     p = sub.add_parser("scan-ratio", help="optimal xi^2 vs drive ratio g/omega")
@@ -93,7 +97,7 @@ def build_parser():
     p.add_argument("--ratios", required=True, help="start:stop:step")
     p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--axis", choices=["x", "y"], default="y")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     add_output(p)
 
     p = sub.add_parser("solve-ratio", help="drive ratios r with J0(2r) = target")

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .hamiltonians import FullDriven, HamiltonianSpec
+from .hamiltonians import FullDriven, HamiltonianSpec, build_hamiltonian
 from .spin_core import CollectiveOperator, DickeState, _jz_diagonal, _raw_matrices
 
 
@@ -86,36 +86,42 @@ def _check_times(times):
     return times
 
 
-def propagate_static(hamiltonian, initial, times, spec=None):
-    """Exact evolution under a constant Hamiltonian via one eigendecomposition.
-
-    |psi(t)> = V exp(-i Lambda t) V^dag |psi(0)>.
-    """
+def _eigenbasis(hamiltonian, n_atoms):
+    """Eigenvalues and eigenvectors of a checked constant Hamiltonian."""
     if not isinstance(hamiltonian, CollectiveOperator):
         raise ValidationError("hamiltonian must be a CollectiveOperator")
-    if hamiltonian.n_atoms != initial.n_atoms:
+    if hamiltonian.n_atoms != n_atoms:
         raise ValidationError("Hamiltonian and initial state disagree on N")
     if not hamiltonian.is_hermitian(1e-12):
         raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-    times = _check_times(times)
-    evals, evecs = np.linalg.eigh(hamiltonian.matrix)
+    return np.linalg.eigh(hamiltonian.matrix)
+
+
+def _static_states(evals, evecs, initial, durations):
+    """exp(-i H dt)|initial> for each dt, as V exp(-i Lambda dt) V^dag |initial>."""
     coeffs = evecs.conj().T @ initial.amplitudes
-    states = []
-    for t in times:
-        psi = evecs @ (np.exp(-1j * evals * t) * coeffs)
+    for dt in durations:
+        psi = evecs @ (np.exp(-1j * evals * dt) * coeffs)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise IntegrationError(f"static propagation lost norm: drift {abs(norm - 1.0):g}")
-        states.append(DickeState(initial.n_atoms, psi / norm))
-    return Trajectory(times, tuple(states), spec)
+        yield DickeState(initial.n_atoms, psi / norm)
+
+
+def propagate_static(hamiltonian, initial, times, spec=None):
+    """Exact evolution under a constant Hamiltonian via one eigendecomposition."""
+    times = _check_times(times)
+    evals, evecs = _eigenbasis(hamiltonian, initial.n_atoms)
+    return Trajectory(times, tuple(_static_states(evals, evecs, initial, times)), spec)
 
 
 def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
     """March RK4 in the drive's rotating frame from (t_start, psi).
 
-    Yields (lab-frame state, norm drift since the previous yield) at each
-    requested absolute time. Absolute time enters only through
-    theta(t) = r sin(omega t), so restarts mid-trajectory are exact.
+    Yields the lab-frame state at each requested absolute time. Absolute
+    time enters only through theta(t) = r sin(omega t), so restarts
+    mid-trajectory are exact. Norm drift beyond the control's tolerance
+    between two yields raises IntegrationError.
     """
     jx = _raw_matrices(n_atoms)[0]
     jx2 = np.ascontiguousarray(jx @ jx)
@@ -144,9 +150,12 @@ def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
         t = t_next
         norm = np.linalg.norm(phi)
         drift = abs(norm - 1.0)
+        if drift > control.norm_tol:
+            raise IntegrationError(
+                f"norm drift {drift:g} exceeds tolerance {control.norm_tol:g} "
+                f"at t = {t:g} (N = {n_atoms}, step {dt:g}); tighten StepControl")
         phi = phi / norm
-        lab = np.exp(-1j * (r * np.sin(omega * t)) * mz) * phi
-        yield lab, drift
+        yield np.exp(-1j * (r * np.sin(omega * t)) * mz) * phi
 
 
 def propagate_driven(spec, initial, times, control=None):
@@ -161,13 +170,8 @@ def propagate_driven(spec, initial, times, control=None):
     control = control or StepControl()
     n = initial.n_atoms
     states = [initial]
-    stepper = _rk4_rotating_frame(spec, n, initial.amplitudes, times[0],
-                                  times[1:], control)
-    for lab, drift in stepper:
-        if drift > control.norm_tol:
-            raise IntegrationError(
-                f"norm drift {drift:g} exceeds tolerance {control.norm_tol:g}; "
-                "tighten StepControl")
+    for lab in _rk4_rotating_frame(spec, n, initial.amplitudes, times[0],
+                                   times[1:], control):
         states.append(DickeState(n, lab / np.linalg.norm(lab)))
     return Trajectory(times, tuple(states), spec)
 
@@ -175,8 +179,8 @@ def propagate_driven(spec, initial, times, control=None):
 def driven_state_at(spec, initial, t_start, t_end, control=None):
     """Single lab-frame state at t_end, starting from `initial` at t_start.
 
-    Used by optimum refinement; the drive phase is tied to absolute time, so
-    this is exactly the segment [t_start, t_end] of the full evolution.
+    The drive phase is tied to absolute time, so this is exactly the segment
+    [t_start, t_end] of the full evolution.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")
@@ -190,11 +194,37 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
     chunk = 500 * control.max_step(spec, initial.n_atoms)
     n_chunks = max(1, int(np.ceil((t_end - t_start) / chunk)))
     checkpoints = t_start + (t_end - t_start) * np.arange(1, n_chunks + 1) / n_chunks
-    lab = initial.amplitudes
-    for lab, drift in _rk4_rotating_frame(spec, initial.n_atoms,
-                                          initial.amplitudes, t_start,
-                                          checkpoints, control):
-        if drift > control.norm_tol:
-            raise IntegrationError(
-                f"norm drift {drift:g} exceeds tolerance {control.norm_tol:g}")
+    *_, lab = _rk4_rotating_frame(spec, initial.n_atoms, initial.amplitudes,
+                                  t_start, checkpoints, control)
     return DickeState(initial.n_atoms, lab / np.linalg.norm(lab))
+
+
+def state_sampler(traj, control=None):
+    """Function t -> |psi(t)> for any t in [0, traj.times[-1]].
+
+    The stored sample at or before t is advanced by the trajectory's own
+    propagator: one eigendecomposition shared by all calls for a constant
+    Hamiltonian, `driven_state_at` under `control` for the driven one. Both
+    restarts are exact, and each call spans at most one sample interval.
+    """
+    spec = traj.spec
+    if spec is None:
+        raise ValidationError(
+            "trajectory carries no Hamiltonian spec; propagate with spec= set")
+    times, states, n = traj.times, traj.states, traj.n_atoms
+    if isinstance(spec, FullDriven):
+        control = control or StepControl()
+
+        def advance(state, t_from, t_to):
+            return driven_state_at(spec, state, t_from, t_to, control)
+    else:
+        evals, evecs = _eigenbasis(build_hamiltonian(spec, n), n)
+
+        def advance(state, t_from, t_to):
+            return next(_static_states(evals, evecs, state, [t_to - t_from]))
+
+    def state_at(t):
+        i = int(np.searchsorted(times, t, side="right")) - 1
+        return advance(states[i], times[i], t)
+
+    return state_at

@@ -6,7 +6,6 @@ sweep bit-identically, and whose columns feed the csv/json/svg emitters.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
@@ -168,6 +167,8 @@ def run_n_scaling(specs, n_list, initial_axis="y", threads=1,
                   grid_samples=200, control=None):
     """Optimal xi^2 versus N for each spec template, plus a power-law fit.
 
+    Points run serially; `threads` is accepted and has no effect (the work
+    holds the GIL, so a thread pool only added overhead).
     Returns (SweepTable, {variant name: ScalingFit}).
     """
     n_list = [int(n) for n in n_list]
@@ -180,19 +181,9 @@ def run_n_scaling(specs, n_list, initial_axis="y", threads=1,
     if len(set(names)) != len(names):
         raise ValidationError("duplicate Hamiltonian variants in scaling sweep")
 
-    jobs = [(spec, n) for spec in specs for n in n_list]
-
-    def work(job):
-        template, n = job
-        spec_n = _spec_for_n(template, n)
-        t_max = default_t_max(n, template.chi)
-        return _optimal_point(spec_n, n, initial_axis, t_max, grid_samples, control)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    results = [_optimal_point(_spec_for_n(template, n), n, initial_axis,
+                              default_t_max(n, template.chi), grid_samples, control)
+               for template in specs for n in n_list]
 
     columns = {"n_atoms": np.array(n_list, dtype=float)}
     fits = {}
@@ -225,21 +216,16 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
     """Optimal xi^2 under the full driven Hamiltonian for each g/omega ratio.
 
     Metadata carries the two-axis-twisting reference optimum for this N.
+    Ratios run serially; `threads` is accepted and has no effect.
     """
     ratios = [float(r) for r in ratio_grid]
     if any(r < 0 for r in ratios):
         raise ValidationError("drive ratios must be >= 0")
     t_max = default_t_max(n_atoms, chi)
 
-    def work(ratio):
-        spec = FullDriven(DriveParams(ratio * omega, omega), chi)
-        return _optimal_point(spec, n_atoms, initial_axis, t_max, grid_samples, control)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, ratios))
-    else:
-        results = [work(r) for r in ratios]
+    results = [_optimal_point(FullDriven(DriveParams(r * omega, omega), chi),
+                              n_atoms, initial_axis, t_max, grid_samples, control)
+               for r in ratios]
 
     tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis,
                                       t_max, grid_samples, control)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 from .errors import ValidationError
 from .spin_core import CollectiveOperator, _check_n_atoms, _raw_matrices
@@ -115,81 +116,36 @@ def variant_name(spec):
 
 
 def bessel_j0(x):
-    """Bessel function of the first kind, order zero.
-
-    Power series for |x| <= 12 (converges fast there); Miller's downward
-    recurrence with the J0 + 2*sum J_{2k} = 1 normalization beyond.
-    Absolute accuracy well below 1e-10 for |x| <= 50.
-    """
+    """Bessel function of the first kind, order zero (scipy.special.j0)."""
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"bessel_j0 needs a finite argument, got {x!r}")
-    x = abs(x)  # J0 is even
-    if x <= 12.0:
-        q = -0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 80):
-            term *= q / (k * k)
-            total += term
-            if abs(term) < 1e-18 * max(1.0, abs(total)):
-                break
-        return total
-    # Miller: recurse J_{n-1} = (2n/x) J_n - J_{n+1} downward from a trial
-    # order comfortably above x, then normalize.
-    start = 2 * (int(x + 20 + 12 * math.sqrt(x)) // 2 + 1)
-    jp1 = 0.0
-    jn = 1e-30
-    even_sum = 0.0
-    j0_val = 0.0
-    for n in range(start, 0, -1):
-        jm1 = (2 * n / x) * jn - jp1
-        jp1, jn = jn, jm1
-        if n - 1 == 0:
-            j0_val = jn
-        elif (n - 1) % 2 == 0:
-            even_sum += jn
-        # rescale to dodge overflow of the unnormalized recurrence
-        if abs(jn) > 1e250:
-            jn *= 1e-250
-            jp1 *= 1e-250
-            even_sum *= 1e-250
-            j0_val *= 1e-250
-    return j0_val / (j0_val + 2 * even_sum)
+    return float(special.j0(x))
 
 
 def solve_drive_ratio(target_a, r_max=3.0, grid_step=0.01):
     """All roots r of J0(2r) = target_a in the open-left window (0, r_max].
 
-    Grid scan for sign changes, then bisection to 1e-6 in r. Returns an
-    empty list when no root exists (e.g. target below the J0 minimum).
+    Grid scan for sign changes, then Brent's method on each bracket.
+    Returns an empty list when no root exists (e.g. target below the J0
+    minimum).
     """
     if not math.isfinite(target_a):
         raise ValidationError(f"target_a must be finite, got {target_a!r}")
+    # imported here: scipy.optimize adds ~0.2 s to every CLI start otherwise
+    from scipy.optimize import brentq
 
     def f(r):
         return bessel_j0(2 * r) - target_a
 
     grid = np.arange(grid_step, r_max + grid_step / 2, grid_step)
+    values = special.j0(2 * grid) - target_a
     roots = []
-    prev_r, prev_f = None, None
-    for r in grid:
-        fr = f(r)
+    for i, (r, fr) in enumerate(zip(grid, values)):
         if fr == 0.0:
             roots.append(float(r))
-        elif prev_f is not None and prev_f * fr < 0:
-            a, b, fa = prev_r, r, prev_f
-            while b - a > 1e-9:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                elif fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(float(0.5 * (a + b)))
-        prev_r, prev_f = r, fr
+        elif i and values[i - 1] * fr < 0:
+            roots.append(float(brentq(f, grid[i - 1], r)))
     return roots
 
 

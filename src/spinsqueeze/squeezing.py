@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evolve import StepControl, driven_state_at, propagate_static
-from .hamiltonians import FullDriven, build_hamiltonian
+from .evolve import state_sampler
 from .spin_core import DickeState, _raw_matrices
 
 # Below this fraction of the maximal spin length J the mean-spin direction
@@ -101,40 +100,16 @@ def squeezing_curve(traj):
     return [xi_squared(s, t) for s, t in zip(traj.states, traj.times)]
 
 
-def _static_evaluator(spec, traj):
-    ham = build_hamiltonian(spec, traj.n_atoms)
-    times = traj.times
-
-    def evaluate(t):
-        # restart from the nearest stored state at or before t (exact either way)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        seg = propagate_static(ham, traj.states[idx], [0.0, t - times[idx]])
-        return xi_squared(seg.states[-1], t)
-
-    return evaluate
-
-
-def _driven_evaluator(spec, traj, control):
-    initial = traj.states[0]
-
-    def evaluate(t):
-        state = driven_state_at(spec, initial, 0.0, t, control)
-        return xi_squared(state, t)
-
-    return evaluate
-
-
 def optimal_squeezing(traj, control=None, time_tol=1e-4):
     """Record at the minimum of xi^2(t), grid minimum refined by golden section.
 
-    Degenerate (over-squeezed) samples are excluded; if nothing is left the
-    trajectory has no usable optimum.
+    Off-grid states come from `evolve.state_sampler` (driven steps under
+    `control`). Degenerate (over-squeezed) samples are excluded; if nothing
+    is left the trajectory has no usable optimum.
     """
     if len(traj.times) < 3:
         raise ValidationError("optimal_squeezing needs at least 3 samples")
-    if traj.spec is None:
-        raise ValidationError(
-            "trajectory carries no Hamiltonian spec; propagate with spec= set")
+    state_at = state_sampler(traj, control)
     records = squeezing_curve(traj)
     usable = [i for i, r in enumerate(records) if not r.degenerate_flag]
     if not usable:
@@ -142,10 +117,8 @@ def optimal_squeezing(traj, control=None, time_tol=1e-4):
     i_min = min(usable, key=lambda i: records[i].xi_squared)
     best = records[i_min]
 
-    if isinstance(traj.spec, FullDriven):
-        evaluate = _driven_evaluator(traj.spec, traj, control or StepControl())
-    else:
-        evaluate = _static_evaluator(traj.spec, traj)
+    def evaluate(t):
+        return xi_squared(state_at(t), t)
 
     a = traj.times[max(i_min - 1, 0)]
     b = traj.times[min(i_min + 1, len(traj.times) - 1)]

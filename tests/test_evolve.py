@@ -129,7 +129,8 @@ class TestPropagateDriven:
 
     def test_drift_guard_trips_on_reckless_steps(self):
         control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError,
+                           match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100),
                              np.linspace(0, 0.3, 4), control)
 

@@ -3,7 +3,7 @@ import pytest
 
 from spinsqueeze import (DickeState, DriveParams, FullDriven, OAT, TATxz,
                          Trajectory, ValidationError, build_hamiltonian,
-                         coherent_spin_state, optimal_squeezing,
+                         coherent_spin_state, default_t_max, optimal_squeezing,
                          propagate_static, propagate_driven, xi_squared)
 
 import oracles
@@ -127,6 +127,37 @@ class TestOptimalSqueezing:
         traj = propagate_driven(spec, css(10), np.linspace(0, 0.6, 80))
         record = optimal_squeezing(traj)
         assert record.xi_squared == pytest.approx(0.1381, rel=0.05)
+
+    def test_driven_refinement_within_drift_guard(self):
+        # the trajectory meets the drift guard here, so refinement between
+        # its samples must too
+        spec = FullDriven(DriveParams(1200.0, 1000.0))
+        traj = propagate_driven(spec, css(24),
+                                np.linspace(0, default_t_max(24), 200))
+        record = optimal_squeezing(traj)
+        assert not record.degenerate_flag
+        assert 0 < record.xi_squared < 1
+
+    @pytest.mark.parametrize("spec,n,t_max,samples,tol", [
+        (TATxz(), 100, default_t_max(100), 200, 1e-10),
+        (FullDriven(DriveParams(0.906 * 300, 300.0)), 10, 0.6, 80, 1e-6),
+    ])
+    def test_refined_optimum_matches_propagation_from_zero(
+            self, spec, n, t_max, samples, tol):
+        # refinement restarts from stored samples; the state it measures
+        # must be the one a single run from t = 0 reaches
+        if isinstance(spec, FullDriven):
+            def propagate(times):
+                return propagate_driven(spec, css(n), times)
+        else:
+            def propagate(times):
+                return propagate_static(build_hamiltonian(spec, n), css(n),
+                                        times, spec=spec)
+        grid = np.linspace(0, t_max, samples)
+        record = optimal_squeezing(propagate(grid))
+        assert np.min(np.abs(grid - record.time)) > 0  # a restarted, off-grid state
+        direct = xi_squared(propagate([0.0, record.time]).states[-1])
+        assert direct.xi_squared == pytest.approx(record.xi_squared, abs=tol)
 
     def test_needs_three_samples(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
