@@ -7,14 +7,19 @@ track the co-rotated twisting term. States are mapped back to the lab frame
 at every sample point, so trajectories always contain genuine psi(t).
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import cmath
+import math
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .hamiltonians import FullDriven, HamiltonianSpec, build_hamiltonian
+from .hamiltonians import FullDriven, HamiltonianSpec
 from .spin_core import CollectiveOperator, DickeState, _jz_diagonal, _raw_matrices
+
+NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,6 @@ class StepControl:
 
     substeps_per_period: int = 64
     twist_step_scale: float = 0.015
-    norm_tol: float = 1e-8
 
     def __post_init__(self):
         if self.substeps_per_period < 20:
@@ -42,8 +46,7 @@ class StepControl:
     def refined(self, factor=2):
         """Same policy with the step cut by `factor` (for convergence checks)."""
         return StepControl(self.substeps_per_period * factor,
-                           self.twist_step_scale / factor,
-                           self.norm_tol)
+                           self.twist_step_scale / factor)
 
     def max_step(self, spec, n_atoms):
         j = n_atoms / 2
@@ -54,11 +57,18 @@ class StepControl:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states |psi(t_i)>, all unit norm, t_0 = 0."""
+    """Sampled states |psi(t_i)>, all unit norm, t_0 = 0.
+
+    `advance(state, t_from, t_to)` continues the evolution with the
+    propagator (eigenbasis, or RK4 under its StepControl) that made it.
+    It is None when assembled by hand or by `propagate_static` without spec.
+    """
 
     times: np.ndarray
     states: Tuple[DickeState, ...]
     spec: Optional[HamiltonianSpec] = None
+    advance: Optional[Callable[[DickeState, float, float], DickeState]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -72,10 +82,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
 
-    @property
-    def n_atoms(self):
-        return self.states[0].n_atoms
-
 
 def _check_times(times):
     times = np.asarray(times, dtype=float)
@@ -84,17 +90,6 @@ def _check_times(times):
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValidationError("sample times must start at 0 and increase strictly")
     return times
-
-
-def _eigenbasis(hamiltonian, n_atoms):
-    """Eigenvalues and eigenvectors of a checked constant Hamiltonian."""
-    if not isinstance(hamiltonian, CollectiveOperator):
-        raise ValidationError("hamiltonian must be a CollectiveOperator")
-    if hamiltonian.n_atoms != n_atoms:
-        raise ValidationError("Hamiltonian and initial state disagree on N")
-    if not hamiltonian.is_hermitian(1e-12):
-        raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-    return np.linalg.eigh(hamiltonian.matrix)
 
 
 def _static_states(evals, evecs, initial, durations):
@@ -109,10 +104,24 @@ def _static_states(evals, evecs, initial, durations):
 
 
 def propagate_static(hamiltonian, initial, times, spec=None):
-    """Exact evolution under a constant Hamiltonian via one eigendecomposition."""
+    """Exact evolution under a constant Hamiltonian via one eigendecomposition.
+
+    With `spec` set, the trajectory's `advance` reuses that eigendecomposition.
+    """
     times = _check_times(times)
-    evals, evecs = _eigenbasis(hamiltonian, initial.n_atoms)
-    return Trajectory(times, tuple(_static_states(evals, evecs, initial, times)), spec)
+    if not isinstance(hamiltonian, CollectiveOperator):
+        raise ValidationError("hamiltonian must be a CollectiveOperator")
+    if hamiltonian.n_atoms != initial.n_atoms:
+        raise ValidationError("Hamiltonian and initial state disagree on N")
+    if not hamiltonian.is_hermitian(1e-12):
+        raise ValidationError("static propagation requires a Hermitian Hamiltonian")
+    evals, evecs = np.linalg.eigh(hamiltonian.matrix)
+    advance = None
+    if spec is not None:
+        def advance(state, t_from, t_to):
+            return next(_static_states(evals, evecs, state, [t_to - t_from]))
+    return Trajectory(times, tuple(_static_states(evals, evecs, initial, times)),
+                      spec, advance)
 
 
 def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
@@ -120,20 +129,26 @@ def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
 
     Yields the lab-frame state at each requested absolute time. Absolute
     time enters only through theta(t) = r sin(omega t), so restarts
-    mid-trajectory are exact. Norm drift beyond the control's tolerance
-    between two yields raises IntegrationError.
+    mid-trajectory are exact. Norm drift beyond NORM_TOL between two
+    yields raises IntegrationError. Jx^2 is real with only the 0 and +-2
+    diagonals, and m falls by one per index, so co-rotating multiplies its
+    upper band by exp(2i theta) and its lower band by the conjugate.
     """
     jx = _raw_matrices(n_atoms)[0]
-    jx2 = np.ascontiguousarray(jx @ jx)
+    jx2 = (jx @ jx).real
     mz = _jz_diagonal(n_atoms)
-    chi = spec.chi
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     dt_max = control.max_step(spec, n_atoms)
+    diag = -1j * spec.chi * np.diagonal(jx2)
+    band = -1j * spec.chi * np.diagonal(jx2, 2)
 
     def deriv(t, phi):
-        rot = np.exp(1j * (r * np.sin(omega * t)) * mz)
-        return -1j * chi * (rot * (jx2 @ (rot.conj() * phi)))
+        phase = cmath.exp(2j * r * math.sin(omega * t))
+        out = diag * phi
+        out[:-2] += (phase * band) * phi[2:]
+        out[2:] += (phase.conjugate() * band) * phi[:-2]
+        return out
 
     t = t_start
     phi = np.exp(1j * (r * np.sin(omega * t)) * mz) * psi
@@ -150,9 +165,9 @@ def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
         t = t_next
         norm = np.linalg.norm(phi)
         drift = abs(norm - 1.0)
-        if drift > control.norm_tol:
+        if drift > NORM_TOL:
             raise IntegrationError(
-                f"norm drift {drift:g} exceeds tolerance {control.norm_tol:g} "
+                f"norm drift {drift:g} exceeds tolerance {NORM_TOL:g} "
                 f"at t = {t:g} (N = {n_atoms}, step {dt:g}); tighten StepControl")
         phi = phi / norm
         yield np.exp(-1j * (r * np.sin(omega * t)) * mz) * phi
@@ -161,8 +176,9 @@ def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
 def propagate_driven(spec, initial, times, control=None):
     """Integrate the time-dependent driven Hamiltonian with fixed-step RK4.
 
-    States are renormalized at each sample point; drift beyond the control's
-    norm tolerance since the previous sample is treated as a failure.
+    States are renormalized at each sample point; drift beyond NORM_TOL
+    since the previous sample is a failure. The trajectory's `advance` is
+    `driven_state_at` under the same `control`.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
@@ -173,7 +189,8 @@ def propagate_driven(spec, initial, times, control=None):
     for lab in _rk4_rotating_frame(spec, n, initial.amplitudes, times[0],
                                    times[1:], control):
         states.append(DickeState(n, lab / np.linalg.norm(lab)))
-    return Trajectory(times, tuple(states), spec)
+    return Trajectory(times, tuple(states), spec,
+                      partial(driven_state_at, spec, control=control))
 
 
 def driven_state_at(spec, initial, t_start, t_end, control=None):
@@ -198,33 +215,3 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
                                   t_start, checkpoints, control)
     return DickeState(initial.n_atoms, lab / np.linalg.norm(lab))
 
-
-def state_sampler(traj, control=None):
-    """Function t -> |psi(t)> for any t in [0, traj.times[-1]].
-
-    The stored sample at or before t is advanced by the trajectory's own
-    propagator: one eigendecomposition shared by all calls for a constant
-    Hamiltonian, `driven_state_at` under `control` for the driven one. Both
-    restarts are exact, and each call spans at most one sample interval.
-    """
-    spec = traj.spec
-    if spec is None:
-        raise ValidationError(
-            "trajectory carries no Hamiltonian spec; propagate with spec= set")
-    times, states, n = traj.times, traj.states, traj.n_atoms
-    if isinstance(spec, FullDriven):
-        control = control or StepControl()
-
-        def advance(state, t_from, t_to):
-            return driven_state_at(spec, state, t_from, t_to, control)
-    else:
-        evals, evecs = _eigenbasis(build_hamiltonian(spec, n), n)
-
-        def advance(state, t_from, t_to):
-            return next(_static_states(evals, evecs, state, [t_to - t_from]))
-
-    def state_at(t):
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        return advance(states[i], times[i], t)
-
-    return state_at

@@ -159,7 +159,7 @@ def _spec_for_n(template, n_atoms):
 def _optimal_point(spec, n_atoms, axis, t_max, grid_samples, control):
     times = np.linspace(0.0, t_max, grid_samples)
     traj = _run_trajectory(spec, n_atoms, axis, times, control)
-    record = optimal_squeezing(traj, control=control)
+    record = optimal_squeezing(traj)
     return record.xi_squared, record.time
 
 

@@ -24,6 +24,9 @@ from .spin_core import CollectiveOperator, _check_n_atoms, _raw_matrices
 # Global minimum of J0, attained at x ~ 3.8317
 BESSEL_J0_MIN = -0.4027593957661289
 
+# solve_drive_ratio brackets roots on this grid of g/omega in (0, RATIO_MAX]
+RATIO_MAX, RATIO_GRID_STEP = 3.0, 0.01
+
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -123,8 +126,8 @@ def bessel_j0(x):
     return float(special.j0(x))
 
 
-def solve_drive_ratio(target_a, r_max=3.0, grid_step=0.01):
-    """All roots r of J0(2r) = target_a in the open-left window (0, r_max].
+def solve_drive_ratio(target_a):
+    """All roots r of J0(2r) = target_a in the open-left window (0, RATIO_MAX].
 
     Grid scan for sign changes, then Brent's method on each bracket.
     Returns an empty list when no root exists (e.g. target below the J0
@@ -138,7 +141,7 @@ def solve_drive_ratio(target_a, r_max=3.0, grid_step=0.01):
     def f(r):
         return bessel_j0(2 * r) - target_a
 
-    grid = np.arange(grid_step, r_max + grid_step / 2, grid_step)
+    grid = np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2, RATIO_GRID_STEP)
     values = special.j0(2 * grid) - target_a
     roots = []
     for i, (r, fr) in enumerate(zip(grid, values)):

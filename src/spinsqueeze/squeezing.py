@@ -11,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evolve import state_sampler
 from .spin_core import DickeState, _raw_matrices
 
 # Below this fraction of the maximal spin length J the mean-spin direction
 # is numerically meaningless (over-squeezed regime); results get flagged
 # instead of raising because optima always occur well before this point.
 DEGENERATE_SPIN_FRACTION = 1e-6
+
+REFINE_TIME_TOL = 1e-4  # golden-section search stops at this bracket width
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -100,32 +101,35 @@ def squeezing_curve(traj):
     return [xi_squared(s, t) for s, t in zip(traj.states, traj.times)]
 
 
-def optimal_squeezing(traj, control=None, time_tol=1e-4):
+def optimal_squeezing(traj):
     """Record at the minimum of xi^2(t), grid minimum refined by golden section.
 
-    Off-grid states come from `evolve.state_sampler` (driven steps under
-    `control`). Degenerate (over-squeezed) samples are excluded; if nothing
-    is left the trajectory has no usable optimum.
+    Off-grid states continue the stored sample at or before them with the
+    trajectory's own `advance`. Degenerate (over-squeezed) samples are
+    excluded; if nothing is left the trajectory has no usable optimum.
     """
     if len(traj.times) < 3:
         raise ValidationError("optimal_squeezing needs at least 3 samples")
-    state_at = state_sampler(traj, control)
     records = squeezing_curve(traj)
     usable = [i for i, r in enumerate(records) if not r.degenerate_flag]
     if not usable:
         raise ValidationError("over-squeezed trajectory: mean spin degenerate everywhere")
+    if traj.advance is None:
+        raise ValidationError(
+            "trajectory carries no propagator to refine with; propagate with spec= set")
     i_min = min(usable, key=lambda i: records[i].xi_squared)
     best = records[i_min]
 
     def evaluate(t):
-        return xi_squared(state_at(t), t)
+        i = int(np.searchsorted(traj.times, t, side="right")) - 1
+        return xi_squared(traj.advance(traj.states[i], traj.times[i], t), t)
 
     a = traj.times[max(i_min - 1, 0)]
     b = traj.times[min(i_min + 1, len(traj.times) - 1)]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     r1, r2 = evaluate(x1), evaluate(x2)
-    while b - a > time_tol:
+    while b - a > REFINE_TIME_TOL:
         if r1.xi_squared < r2.xi_squared:
             b, x2, r2 = x2, x1, r1
             x1 = b - _GOLDEN * (b - a)

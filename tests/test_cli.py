@@ -84,6 +84,12 @@ class TestScanN:
         assert len(payload["columns"]["optimal_xi2_tat-xz"]) == 5
         assert payload["metadata"]["fits"]["tat-xz"]["r_squared"] > 0.98
 
+    def test_threads_flag_accepted(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "scan-n", "--hamiltonians", "oat",
+                         "--n-list", "4,5,6,7,8", "--threads", "2",
+                         "--out", str(tmp_path / "scaling.csv"))
+        assert code == 0
+
 
 class TestScanRatio:
     def test_scan_with_range(self, tmp_path, capsys):
@@ -95,6 +101,12 @@ class TestScanRatio:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "ratio,optimal_xi2,optimal_time"
         assert len(lines) == 4  # 0, 0.45, 0.9
+
+    def test_threads_flag_accepted(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "scan-ratio", "--n", "4", "--omega", "300",
+                         "--ratios", "0.0:0.4:0.4", "--threads", "2",
+                         "--out", str(tmp_path / "scan.csv"))
+        assert code == 0
 
     def test_bad_range_is_exit_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "scan-ratio", "--n", "10", "--omega", "300",

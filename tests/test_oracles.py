@@ -50,8 +50,9 @@ def test_drive_averaged_optimum_matches_library_effective_mixed():
     assert t_opt == pytest.approx(expected.time, abs=2e-4)
 
 
-def test_magnus_oracle_matches_driven_rk4():
-    n, omega, t = 10, 100.0, 0.5
+@pytest.mark.parametrize("n", [1, 2, 10])  # +-2 band of Jx^2 empty, one entry, full
+def test_magnus_oracle_matches_driven_rk4(n):
+    omega, t = 100.0, 0.5
     css_y = oracles.rotation(n, [1.0, 0.0, 0.0], -np.pi / 2)[:, 0]
     psi = oracles.evolve_driven_magnus(n, 0.4 * omega, omega, css_y, t, 2000)
     traj = propagate_driven(FullDriven(DriveParams(0.4 * omega, omega)),

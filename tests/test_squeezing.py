@@ -5,6 +5,7 @@ from spinsqueeze import (DickeState, DriveParams, FullDriven, OAT, TATxz,
                          Trajectory, ValidationError, build_hamiltonian,
                          coherent_spin_state, default_t_max, optimal_squeezing,
                          propagate_static, propagate_driven, xi_squared)
+from spinsqueeze import StepControl, evolve
 
 import oracles
 
@@ -158,6 +159,37 @@ class TestOptimalSqueezing:
         assert np.min(np.abs(grid - record.time)) > 0  # a restarted, off-grid state
         direct = xi_squared(propagate([0.0, record.time]).states[-1])
         assert direct.xi_squared == pytest.approx(record.xi_squared, abs=tol)
+
+    def test_driven_refinement_uses_trajectory_control(self, monkeypatch):
+        seen = []
+        real = evolve.driven_state_at
+
+        def spy(spec, initial, t_start, t_end, control=None):
+            seen.append(control)
+            return real(spec, initial, t_start, t_end, control)
+
+        monkeypatch.setattr(evolve, "driven_state_at", spy)
+        spec = FullDriven(DriveParams(0.906 * 300, 300.0))
+        control = StepControl().refined(2)
+        traj = propagate_driven(spec, css(10), np.linspace(0, 0.6, 40), control)
+        optimal_squeezing(traj)
+        assert seen
+        assert all(c == control for c in seen)
+
+    def test_static_refinement_reuses_eigenbasis(self, monkeypatch):
+        spec = TATxz()
+        traj = propagate_static(build_hamiltonian(spec, 20), css(20),
+                                np.linspace(0, 0.4, 30), spec=spec)
+        calls = []
+        real = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        optimal_squeezing(traj)
+        assert calls == []
 
     def test_needs_three_samples(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
