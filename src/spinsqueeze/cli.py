@@ -4,22 +4,17 @@ Exit codes: 0 success, 1 physics/validation error, 2 I/O error.
 """
 
 import argparse
+import math
 import sys
 
 from .errors import IntegrationError, ValidationError
 from .experiments import emit, run_n_scaling, run_ratio_scan, run_time_curve
-from .hamiltonians import (DriveParams, EffectiveMixed, FullDriven, OAT,
-                           TATxz, TATyz, solve_drive_ratio)
+from .hamiltonians import (VARIANTS, DriveParams, EffectiveMixed, FullDriven,
+                           solve_drive_ratio)
 
 # Sweeps run serially: the work holds the GIL, so a thread pool made them
 # slower. --threads stays accepted so existing command lines keep working.
 _THREADS_HELP = "accepted for compatibility; has no effect (sweeps run serially)"
-
-_STATIC_VARIANTS = {
-    "oat": OAT,
-    "tat-xz": TATxz,
-    "tat-yz": TATyz,
-}
 
 
 def _make_spec(name, chi, g=None, omega=None, a=None):
@@ -31,9 +26,9 @@ def _make_spec(name, chi, g=None, omega=None, a=None):
         if a is None:
             raise ValidationError("the mixed Hamiltonian needs --a")
         return EffectiveMixed(a, chi)
-    if name in _STATIC_VARIANTS:
-        return _STATIC_VARIANTS[name](chi)
-    raise ValidationError(f"unknown Hamiltonian {name!r}")
+    if name not in VARIANTS:
+        raise ValidationError(f"unknown Hamiltonian {name!r}")
+    return VARIANTS[name](chi)
 
 
 def _parse_range(text):
@@ -42,7 +37,7 @@ def _parse_range(text):
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValidationError(f"ratio range must be start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(f"bad ratio range {text!r}")
     grid = []
     k = 0
@@ -68,7 +63,7 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="xi^2(t) time curve for one Hamiltonian")
     p.add_argument("--hamiltonian", required=True,
-                   choices=["full", "oat", "tat-xz", "tat-yz", "mixed"])
+                   choices=list(VARIANTS))
     p.add_argument("--n", type=int, required=True, help="number of atoms")
     p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--g", type=float, help="drive amplitude (full only)")
@@ -81,7 +76,7 @@ def build_parser():
 
     p = sub.add_parser("scan-n", help="optimal xi^2 vs atom number, with power-law fit")
     p.add_argument("--hamiltonians", required=True,
-                   help="comma list of full,oat,tat-xz,tat-yz,mixed")
+                   help="comma list of " + ",".join(VARIANTS))
     p.add_argument("--n-list", required=True, help="comma list of atom numbers")
     p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--ratio", type=float, default=0.906,
@@ -115,13 +110,9 @@ def _cmd_evolve(args):
 
 def _cmd_scan_n(args):
     names = [s.strip() for s in args.hamiltonians.split(",") if s.strip()]
-    specs = []
-    for name in names:
-        if name == "full":
-            # template ratio; the per-N frequency is assigned inside the sweep
-            specs.append(FullDriven(DriveParams(args.ratio, 1.0), args.chi))
-        else:
-            specs.append(_make_spec(name, args.chi, a=args.a))
+    # full templates carry the ratio as g at omega = 1; the sweep sets omega per N
+    specs = [_make_spec(name, args.chi, g=args.ratio, omega=1.0, a=args.a)
+             for name in names]
     n_list = [int(s) for s in args.n_list.split(",") if s.strip()]
     table, fits = run_n_scaling(specs, n_list, args.axis, threads=args.threads)
     emit(table, args.format, args.out)

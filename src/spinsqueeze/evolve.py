@@ -76,7 +76,7 @@ class Trajectory:
             raise ValidationError("times and states must be 1-d and equal length")
         if len(times) and times[0] != 0.0:
             raise ValidationError("trajectories start at t = 0")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValidationError("sample times must be strictly increasing")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -87,7 +87,7 @@ def _check_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValidationError("need a non-empty 1-d vector of sample times")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    if times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise ValidationError("sample times must start at 0 and increase strictly")
     return times
 
@@ -98,7 +98,7 @@ def _static_states(evals, evecs, initial, durations):
     for dt in durations:
         psi = evecs @ (np.exp(-1j * evals * dt) * coeffs)
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise IntegrationError(f"static propagation lost norm: drift {abs(norm - 1.0):g}")
         yield DickeState(initial.n_atoms, psi / norm)
 
@@ -165,7 +165,7 @@ def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
         t = t_next
         norm = np.linalg.norm(phi)
         drift = abs(norm - 1.0)
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:  # NaN drift fails too
             raise IntegrationError(
                 f"norm drift {drift:g} exceeds tolerance {NORM_TOL:g} "
                 f"at t = {t:g} (N = {n_atoms}, step {dt:g}); tighten StepControl")

@@ -6,16 +6,16 @@ sweep bit-identically, and whose columns feed the csv/json/svg emitters.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .evolve import StepControl, propagate_driven, propagate_static
-from .hamiltonians import (DriveParams, FullDriven, HamiltonianSpec, OAT,
-                           TATxz, build_hamiltonian, rwa_validity, variant_name)
+from .evolve import propagate_driven, propagate_static
+from .hamiltonians import (DriveParams, FullDriven, TATxz, build_hamiltonian,
+                           rwa_validity, variant_name)
 from .spin_core import coherent_spin_state
 from .squeezing import optimal_squeezing, squeezing_curve
 
@@ -94,10 +94,10 @@ def _initial_state(n_atoms, axis):
 
 def _spec_metadata(spec):
     meta = {"hamiltonian": variant_name(spec), "chi": spec.chi}
-    if isinstance(spec, FullDriven):
+    if spec.drive is not None:
         meta["g"] = spec.drive.amplitude_g
         meta["omega"] = spec.drive.frequency_omega
-    elif hasattr(spec, "bessel_coeff"):
+    if spec.bessel_coeff is not None:
         meta["bessel_coeff"] = spec.bessel_coeff
     return meta
 
@@ -151,8 +151,8 @@ def _spec_for_n(template, n_atoms):
     """
     if isinstance(template, FullDriven):
         omega = SCALING_OMEGA_PER_ATOM * n_atoms * template.chi
-        drive = DriveParams(template.drive.ratio * omega, omega)
-        return replace(template, drive=drive)
+        return FullDriven(DriveParams(template.drive.ratio * omega, omega),
+                          template.chi)
     return template
 
 

@@ -1,11 +1,17 @@
 """Hamiltonians for the driven one-axis-twisting model.
 
-Variants:
-  FullDriven      H(t) = chi Jx^2 + g cos(omega t) Jz
-  OAT             chi Jx^2
-  EffectiveMixed  (chi/2) [(A+1) Jx^2 + (1-A) Jy^2], A = J0(2 g/omega)
-  TATxz           (chi/3) (Jx^2 - Jz^2)
-  TATyz           (chi/3) (Jy^2 - Jz^2)
+Every variant is one quadratic form with an optional drive,
+
+  H(t) = chi (wx Jx^2 + wy Jy^2 + wz Jz^2) [+ g cos(omega t) Jz],
+
+and the named constructors only fix the weights:
+
+  name    constructor     (wx, wy, wz)                 drive
+  full    FullDriven      (1, 0, 0)                    g cos(omega t) Jz
+  oat     OAT             (1, 0, 0)                    -
+  mixed   EffectiveMixed  ((1+A)/2, (1-A)/2, 0)        -   A = J0(2 g/omega)
+  tat-xz  TATxz           (1/3, 0, -1/3)               -
+  tat-yz  TATyz           (0, 1/3, -1/3)               -
 
 Energies are in units of chi, time in 1/chi (chi kept as an explicit
 parameter, default 1, so unit scaling stays testable).
@@ -13,7 +19,7 @@ parameter, default 1, so unit scaling stays testable).
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -49,73 +55,72 @@ class DriveParams:
         return self.amplitude_g / self.frequency_omega
 
 
-def _check_chi(chi):
-    if not (math.isfinite(chi) and chi > 0):
-        raise ValidationError(f"chi must be finite and > 0, got {chi!r}")
-
-
 @dataclass(frozen=True)
-class FullDriven:
-    drive: DriveParams
+class HamiltonianSpec:
+    """chi (wx Jx^2 + wy Jy^2 + wz Jz^2), plus g cos(omega t) Jz if driven.
+
+    Built by the named constructors in VARIANTS; `bessel_coeff` is the A
+    an EffectiveMixed spec was made from, kept for output metadata.
+    """
+
+    name: str
+    weights: Tuple[float, float, float]
     chi: float = 1.0
+    drive: Optional[DriveParams] = None
+    bessel_coeff: Optional[float] = None
 
     def __post_init__(self):
-        _check_chi(self.chi)
-
-
-@dataclass(frozen=True)
-class OAT:
-    chi: float = 1.0
-
-    def __post_init__(self):
-        _check_chi(self.chi)
-
-
-@dataclass(frozen=True)
-class EffectiveMixed:
-    bessel_coeff: float  # A = J0(2 g/omega)
-    chi: float = 1.0
-
-    def __post_init__(self):
-        _check_chi(self.chi)
-        if not (BESSEL_J0_MIN - 1e-12 <= self.bessel_coeff <= 1.0):
+        if not (math.isfinite(self.chi) and self.chi > 0):
+            raise ValidationError(f"chi must be finite and > 0, got {self.chi!r}")
+        if self.drive is not None and not isinstance(self, FullDriven):
+            raise ValidationError("only a FullDriven spec carries a drive")
+        a = self.bessel_coeff
+        if a is not None and not (BESSEL_J0_MIN - 1e-12 <= a <= 1.0):
             raise ValidationError(
-                f"Bessel coefficient {self.bessel_coeff!r} is outside the "
+                f"Bessel coefficient {a!r} is outside the "
                 f"reachable range [{BESSEL_J0_MIN}, 1]")
 
 
-@dataclass(frozen=True)
-class TATxz:
-    chi: float = 1.0
+class FullDriven(HamiltonianSpec):
+    """chi Jx^2 + g cos(omega t) Jz, the one drive the rotating-frame RK4 handles."""
 
-    def __post_init__(self):
-        _check_chi(self.chi)
-
-
-@dataclass(frozen=True)
-class TATyz:
-    chi: float = 1.0
-
-    def __post_init__(self):
-        _check_chi(self.chi)
+    def __init__(self, drive, chi=1.0):
+        super().__init__("full", (1.0, 0.0, 0.0), chi, drive)
 
 
-HamiltonianSpec = Union[FullDriven, OAT, EffectiveMixed, TATxz, TATyz]
+def OAT(chi=1.0):
+    return HamiltonianSpec("oat", (1.0, 0.0, 0.0), chi)
 
-_VARIANT_NAMES = {
-    FullDriven: "full",
-    OAT: "oat",
-    EffectiveMixed: "mixed",
-    TATxz: "tat-xz",
-    TATyz: "tat-yz",
+
+def EffectiveMixed(bessel_coeff, chi=1.0):
+    """Drive-averaged twisting for A = bessel_coeff = J0(2 g/omega)."""
+    a = bessel_coeff
+    return HamiltonianSpec("mixed", ((1 + a) / 2, (1 - a) / 2, 0.0), chi,
+                           bessel_coeff=a)
+
+
+def TATxz(chi=1.0):
+    return HamiltonianSpec("tat-xz", (1 / 3, 0.0, -1 / 3), chi)
+
+
+def TATyz(chi=1.0):
+    return HamiltonianSpec("tat-yz", (0.0, 1 / 3, -1 / 3), chi)
+
+
+# Variant name -> constructor; the one place that lists the variants.
+VARIANTS = {
+    "full": FullDriven,
+    "oat": OAT,
+    "tat-xz": TATxz,
+    "tat-yz": TATyz,
+    "mixed": EffectiveMixed,
 }
 
 
 def variant_name(spec):
-    try:
-        return _VARIANT_NAMES[type(spec)]
-    except KeyError:
-        raise ValidationError(f"unknown Hamiltonian spec {spec!r}") from None
+    if not isinstance(spec, HamiltonianSpec):
+        raise ValidationError(f"unknown Hamiltonian spec {spec!r}")
+    return spec.name
 
 
 def bessel_j0(x):
@@ -155,26 +160,17 @@ def solve_drive_ratio(target_a):
 def build_hamiltonian(spec, n_atoms, time=0.0):
     """Materialize a Hamiltonian spec as a dense Hermitian operator.
 
-    `time` only matters for FullDriven, whose drive term carries cos(omega t).
+    `time` only matters for a driven spec, whose drive term carries cos(omega t).
     """
     _check_n_atoms(n_atoms)
     jx, jy, jz, _, _ = _raw_matrices(n_atoms)
-    chi = spec.chi
-    if isinstance(spec, FullDriven):
-        g = spec.drive.amplitude_g
-        omega = spec.drive.frequency_omega
-        mat = chi * (jx @ jx) + g * np.cos(omega * time) * jz
-    elif isinstance(spec, OAT):
-        mat = chi * (jx @ jx)
-    elif isinstance(spec, EffectiveMixed):
-        a = spec.bessel_coeff
-        mat = 0.5 * chi * ((a + 1) * (jx @ jx) + (1 - a) * (jy @ jy))
-    elif isinstance(spec, TATxz):
-        mat = (chi / 3) * (jx @ jx - jz @ jz)
-    elif isinstance(spec, TATyz):
-        mat = (chi / 3) * (jy @ jy - jz @ jz)
-    else:
-        raise ValidationError(f"unknown Hamiltonian spec {spec!r}")
+    mat = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
+    for w, j in zip(spec.weights, (jx, jy, jz)):
+        if w:  # zero weights cost no dense product
+            mat += (spec.chi * w) * (j @ j)
+    if spec.drive is not None:
+        g, omega = spec.drive.amplitude_g, spec.drive.frequency_omega
+        mat += g * np.cos(omega * time) * jz
     return CollectiveOperator(n_atoms, mat, "Hamiltonian")
 
 

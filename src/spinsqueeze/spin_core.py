@@ -51,7 +51,7 @@ class DickeState:
             raise ValidationError(
                 f"amplitude vector has shape {amp.shape}, expected ({n + 1},)")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "n_atoms", n)
         object.__setattr__(self, "amplitudes", _frozen(amp))

@@ -47,6 +47,13 @@ class TestEvolve:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    def test_unknown_hamiltonian_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--hamiltonian", "bogus", "--n", "4", "--tmax", "0.1",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_physics_error_is_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "evolve", "--hamiltonian", "oat",
                            "--n", "0", "--tmax", "0.1",
@@ -84,6 +91,13 @@ class TestScanN:
         assert len(payload["columns"]["optimal_xi2_tat-xz"]) == 5
         assert payload["metadata"]["fits"]["tat-xz"]["r_squared"] > 0.98
 
+    def test_unknown_hamiltonian_is_exit_1(self, tmp_path, capsys):
+        code, _, err = run(capsys, "scan-n", "--hamiltonians", "oat,bogus",
+                           "--n-list", "4,5,6,7,8",
+                           "--out", str(tmp_path / "scaling.csv"))
+        assert code == 1
+        assert err.startswith("error:") and "'bogus'" in err
+
     def test_threads_flag_accepted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "scan-n", "--hamiltonians", "oat",
                          "--n-list", "4,5,6,7,8", "--threads", "2",
@@ -108,7 +122,9 @@ class TestScanRatio:
                          "--out", str(tmp_path / "scan.csv"))
         assert code == 0
 
-    def test_bad_range_is_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ratios", ["1:0:-1", "0:nan:0.1", "0:inf:0.1",
+                                        "0:1:nan"])
+    def test_bad_range_is_exit_1(self, tmp_path, capsys, ratios):
         code, _, _ = run(capsys, "scan-ratio", "--n", "10", "--omega", "300",
-                         "--ratios", "1:0:-1", "--out", str(tmp_path / "x.csv"))
+                         "--ratios", ratios, "--out", str(tmp_path / "x.csv"))
         assert code == 1

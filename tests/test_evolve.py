@@ -58,6 +58,8 @@ class TestPropagateStatic:
             propagate_static(h, css(4), [0.1, 0.2])
         with pytest.raises(ValidationError):
             propagate_static(h, css(4), [0.0, 0.2, 0.2])
+        with pytest.raises(ValidationError):
+            propagate_static(h, css(4), [0.0, np.nan, 1.0], spec=OAT())
 
     def test_energy_conserved(self):
         n = 20
@@ -133,6 +135,13 @@ class TestPropagateDriven:
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100),
                              np.linspace(0, 0.3, 4), control)
+
+    def test_drift_guard_trips_on_nan(self):
+        # steps this long overflow the state to NaN, whose drift compares False
+        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
+            propagate_driven(FullDriven(DriveParams(0.0, 0.001)), css(100),
+                             [0.0, 5000.0, 10000.0], control)
 
     def test_rejects_wrong_variant(self):
         with pytest.raises(ValidationError):

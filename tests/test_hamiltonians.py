@@ -3,9 +3,13 @@ import pytest
 from scipy.special import j0 as scipy_j0
 
 from spinsqueeze import (BESSEL_J0_MIN, DriveParams, EffectiveMixed,
-                         FullDriven, OAT, TATxz, TATyz, ValidationError,
-                         bessel_j0, build_hamiltonian, casimir, rwa_validity,
-                         solve_drive_ratio)
+                         FullDriven, HamiltonianSpec, OAT, TATxz, TATyz,
+                         ValidationError, bessel_j0, build_hamiltonian,
+                         casimir, rwa_validity, solve_drive_ratio,
+                         variant_name)
+from spinsqueeze.hamiltonians import VARIANTS
+
+import oracles
 
 
 ALL_STATIC = [OAT(), EffectiveMixed(1 / 3), EffectiveMixed(-1 / 3),
@@ -103,6 +107,37 @@ class TestBuildHamiltonian:
         assert np.allclose(three, 3 * one, atol=1e-13)
 
 
+DRIVE, T_DRIVE = DriveParams(9.0, 10.0), 0.3
+
+# (variant name, constructor arguments before chi, documented H / chi)
+DOCUMENTED = [
+    pytest.param("oat", (), lambda x, y, z: x @ x, id="oat"),
+    pytest.param("tat-xz", (), lambda x, y, z: (x @ x - z @ z) / 3, id="tat-xz"),
+    pytest.param("tat-yz", (), lambda x, y, z: (y @ y - z @ z) / 3, id="tat-yz"),
+] + [
+    pytest.param("mixed", (a,),
+                 lambda x, y, z, a=a: ((1 + a) * x @ x + (1 - a) * y @ y) / 2,
+                 id=f"mixed-{a:.3g}")
+    for a in (BESSEL_J0_MIN, 1 / 3, 0.7)
+] + [
+    pytest.param("full", (DRIVE,), lambda x, y, z: x @ x, id="full"),
+]
+
+
+@pytest.mark.parametrize("chi", [1.0, 2.5])
+@pytest.mark.parametrize("name, args, formula", DOCUMENTED)
+def test_variant_matches_documented_formula(name, args, formula, chi):
+    n = 7
+    x, y, z = oracles.raw_spin_matrices(n)
+    expected = chi * formula(x, y, z)
+    if name == "full":
+        expected = expected + DRIVE.amplitude_g * np.cos(DRIVE.frequency_omega * T_DRIVE) * z
+    spec = VARIANTS[name](*args, chi=chi)
+    assert variant_name(spec) == name
+    h = build_hamiltonian(spec, n, time=T_DRIVE).matrix
+    assert np.max(np.abs(h - expected)) < 1e-13
+
+
 class TestParamValidation:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValidationError):
@@ -122,6 +157,12 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             EffectiveMixed(1.2)
         EffectiveMixed(BESSEL_J0_MIN)  # boundary is allowed
+
+    def test_drive_only_on_full_driven(self):
+        # the driven propagator integrates chi Jx^2 only; other weights
+        # with a drive would be propagated as if static
+        with pytest.raises(ValidationError):
+            HamiltonianSpec("tat-yz", (0.0, 1 / 3, -1 / 3), drive=DriveParams(1.0, 2.0))
 
     def test_ratio(self):
         assert DriveParams(4.0, 8.0).ratio == 0.5

@@ -158,6 +158,8 @@ class TestDickeState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             DickeState(1, np.array([1.0, 1.0]))
+        with pytest.raises(ValidationError):
+            DickeState(1, np.array([np.nan, 0.0]))
 
     def test_amplitudes_immutable(self):
         state = coherent_spin_state(3, "+x")
