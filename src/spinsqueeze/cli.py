@@ -16,6 +16,10 @@ from .hamiltonians import (VARIANTS, DriveParams, EffectiveMixed, FullDriven,
 # slower. --threads stays accepted so existing command lines keep working.
 _THREADS_HELP = "accepted for compatibility; has no effect (sweeps run serially)"
 
+# Each ratio costs a driven trajectory plus its refinement (about 0.5 s at
+# N = 32), so longer grids are refused before they are built.
+RATIO_GRID_MAX = 10_000
+
 
 def _make_spec(name, chi, g=None, omega=None, a=None):
     if name == "full":
@@ -39,6 +43,9 @@ def _parse_range(text):
         raise ValidationError(f"ratio range must be start:stop:step, got {text!r}") from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(f"bad ratio range {text!r}")
+    if (stop - start) / step + 1 > RATIO_GRID_MAX:
+        raise ValidationError(
+            f"ratio range {text!r} has more than {RATIO_GRID_MAX} points")
     grid = []
     k = 0
     while True:
@@ -114,7 +121,7 @@ def _cmd_scan_n(args):
     specs = [_make_spec(name, args.chi, g=args.ratio, omega=1.0, a=args.a)
              for name in names]
     n_list = [int(s) for s in args.n_list.split(",") if s.strip()]
-    table, fits = run_n_scaling(specs, n_list, args.axis, threads=args.threads)
+    table, fits = run_n_scaling(specs, n_list, args.axis)
     emit(table, args.format, args.out)
     for name, fit in fits.items():
         print(f"fit {name}: exponent={fit.exponent:.6g} "
@@ -124,8 +131,7 @@ def _cmd_scan_n(args):
 
 def _cmd_scan_ratio(args):
     grid = _parse_range(args.ratios)
-    table = run_ratio_scan(args.n, args.axis, grid, args.omega, chi=args.chi,
-                           threads=args.threads)
+    table = run_ratio_scan(args.n, args.axis, grid, args.omega, chi=args.chi)
     emit(table, args.format, args.out)
     print(f"wrote {table.n_rows()} rows to {args.out}")
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .hamiltonians import FullDriven, HamiltonianSpec
+from .hamiltonians import FullDriven
 from .spin_core import CollectiveOperator, DickeState, _jz_diagonal, _raw_matrices
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
@@ -55,34 +55,6 @@ class StepControl:
         return min(dt_drive, dt_twist)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled states |psi(t_i)>, all unit norm, t_0 = 0.
-
-    `advance(state, t_from, t_to)` continues the evolution with the
-    propagator (eigenbasis, or RK4 under its StepControl) that made it.
-    It is None when assembled by hand or by `propagate_static` without spec.
-    """
-
-    times: np.ndarray
-    states: Tuple[DickeState, ...]
-    spec: Optional[HamiltonianSpec] = None
-    advance: Optional[Callable[[DickeState, float, float], DickeState]] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) != len(self.states):
-            raise ValidationError("times and states must be 1-d and equal length")
-        if len(times) and times[0] != 0.0:
-            raise ValidationError("trajectories start at t = 0")
-        if not np.all(np.diff(times) > 0):
-            raise ValidationError("sample times must be strictly increasing")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-
-
 def _check_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -90,6 +62,29 @@ def _check_times(times):
     if times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise ValidationError("sample times must start at 0 and increase strictly")
     return times
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Sampled states |psi(t_i)>, all unit norm, t_0 = 0.
+
+    `advance(state, t_from, t_to)` continues the evolution with the
+    propagator (eigenbasis, or RK4 under its StepControl) that made it.
+    Every propagator sets it; it is None only on hand-built trajectories.
+    """
+
+    times: np.ndarray
+    states: Tuple[DickeState, ...]
+    advance: Optional[Callable[[DickeState, float, float], DickeState]] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        times = _check_times(self.times)
+        if len(times) != len(self.states):
+            raise ValidationError("times and states must have equal length")
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", tuple(self.states))
 
 
 def _static_states(evals, evecs, initial, durations):
@@ -103,10 +98,10 @@ def _static_states(evals, evecs, initial, durations):
         yield DickeState(initial.n_atoms, psi / norm)
 
 
-def propagate_static(hamiltonian, initial, times, spec=None):
+def propagate_static(hamiltonian, initial, times):
     """Exact evolution under a constant Hamiltonian via one eigendecomposition.
 
-    With `spec` set, the trajectory's `advance` reuses that eigendecomposition.
+    The trajectory's `advance` reuses that eigendecomposition.
     """
     times = _check_times(times)
     if not isinstance(hamiltonian, CollectiveOperator):
@@ -116,12 +111,12 @@ def propagate_static(hamiltonian, initial, times, spec=None):
     if not hamiltonian.is_hermitian(1e-12):
         raise ValidationError("static propagation requires a Hermitian Hamiltonian")
     evals, evecs = np.linalg.eigh(hamiltonian.matrix)
-    advance = None
-    if spec is not None:
-        def advance(state, t_from, t_to):
-            return next(_static_states(evals, evecs, state, [t_to - t_from]))
+
+    def advance(state, t_from, t_to):
+        return next(_static_states(evals, evecs, state, [t_to - t_from]))
+
     return Trajectory(times, tuple(_static_states(evals, evecs, initial, times)),
-                      spec, advance)
+                      advance)
 
 
 def _rk4_rotating_frame(spec, n_atoms, psi, t_start, sample_times, control):
@@ -189,7 +184,7 @@ def propagate_driven(spec, initial, times, control=None):
     for lab in _rk4_rotating_frame(spec, n, initial.amplitudes, times[0],
                                    times[1:], control):
         states.append(DickeState(n, lab / np.linalg.norm(lab)))
-    return Trajectory(times, tuple(states), spec,
+    return Trajectory(times, tuple(states),
                       partial(driven_state_at, spec, control=control))
 
 

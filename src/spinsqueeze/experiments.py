@@ -85,13 +85,6 @@ def default_t_max(n_atoms, chi=1.0):
     return min(max(3 * estimate, 0.05), 2.0) / chi
 
 
-def _initial_state(n_atoms, axis):
-    axis = axis.lstrip("+")
-    if axis not in ("x", "y"):
-        raise ValidationError(f"initial axis must be 'x' or 'y', got {axis!r}")
-    return coherent_spin_state(n_atoms, "+" + axis)
-
-
 def _spec_metadata(spec):
     meta = {"hamiltonian": variant_name(spec), "chi": spec.chi}
     if spec.drive is not None:
@@ -102,12 +95,11 @@ def _spec_metadata(spec):
     return meta
 
 
-def _run_trajectory(spec, n_atoms, axis, times, control):
-    initial = _initial_state(n_atoms, axis)
+def _run_trajectory(spec, n_atoms, axis, times, control=None):
+    initial = coherent_spin_state(n_atoms, axis)
     if isinstance(spec, FullDriven):
         return propagate_driven(spec, initial, times, control)
-    ham = build_hamiltonian(spec, n_atoms)
-    return propagate_static(ham, initial, times, spec=spec)
+    return propagate_static(build_hamiltonian(spec, n_atoms), initial, times)
 
 
 def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
@@ -156,19 +148,16 @@ def _spec_for_n(template, n_atoms):
     return template
 
 
-def _optimal_point(spec, n_atoms, axis, t_max, grid_samples, control):
+def _optimal_point(spec, n_atoms, axis, t_max, grid_samples):
     times = np.linspace(0.0, t_max, grid_samples)
-    traj = _run_trajectory(spec, n_atoms, axis, times, control)
+    traj = _run_trajectory(spec, n_atoms, axis, times)
     record = optimal_squeezing(traj)
     return record.xi_squared, record.time
 
 
-def run_n_scaling(specs, n_list, initial_axis="y", threads=1,
-                  grid_samples=200, control=None):
+def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     """Optimal xi^2 versus N for each spec template, plus a power-law fit.
 
-    Points run serially; `threads` is accepted and has no effect (the work
-    holds the GIL, so a thread pool only added overhead).
     Returns (SweepTable, {variant name: ScalingFit}).
     """
     n_list = [int(n) for n in n_list]
@@ -182,7 +171,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", threads=1,
         raise ValidationError("duplicate Hamiltonian variants in scaling sweep")
 
     results = [_optimal_point(_spec_for_n(template, n), n, initial_axis,
-                              default_t_max(n, template.chi), grid_samples, control)
+                              default_t_max(n, template.chi), grid_samples)
                for template in specs for n in n_list]
 
     columns = {"n_atoms": np.array(n_list, dtype=float)}
@@ -212,11 +201,10 @@ def run_n_scaling(specs, n_list, initial_axis="y", threads=1,
 
 
 def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
-                   threads=1, grid_samples=200, control=None):
+                   grid_samples=200):
     """Optimal xi^2 under the full driven Hamiltonian for each g/omega ratio.
 
     Metadata carries the two-axis-twisting reference optimum for this N.
-    Ratios run serially; `threads` is accepted and has no effect.
     """
     ratios = [float(r) for r in ratio_grid]
     if any(r < 0 for r in ratios):
@@ -224,11 +212,11 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
     t_max = default_t_max(n_atoms, chi)
 
     results = [_optimal_point(FullDriven(DriveParams(r * omega, omega), chi),
-                              n_atoms, initial_axis, t_max, grid_samples, control)
+                              n_atoms, initial_axis, t_max, grid_samples)
                for r in ratios]
 
     tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis,
-                                      t_max, grid_samples, control)
+                                      t_max, grid_samples)
     diag = rwa_validity(FullDriven(DriveParams(0.0, omega), chi), n_atoms)
     metadata = {
         "tool": "spinsqueeze",

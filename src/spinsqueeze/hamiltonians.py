@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .spin_core import CollectiveOperator, _check_n_atoms, _raw_matrices
@@ -128,7 +127,8 @@ def bessel_j0(x):
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"bessel_j0 needs a finite argument, got {x!r}")
-    return float(special.j0(x))
+    from scipy.special import j0  # imported here, as in solve_drive_ratio
+    return float(j0(x))
 
 
 def solve_drive_ratio(target_a):
@@ -140,14 +140,15 @@ def solve_drive_ratio(target_a):
     """
     if not math.isfinite(target_a):
         raise ValidationError(f"target_a must be finite, got {target_a!r}")
-    # imported here: scipy.optimize adds ~0.2 s to every CLI start otherwise
+    # imported here: scipy adds ~0.3 s to every CLI start otherwise
     from scipy.optimize import brentq
+    from scipy.special import j0
 
     def f(r):
         return bessel_j0(2 * r) - target_a
 
     grid = np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2, RATIO_GRID_STEP)
-    values = special.j0(2 * grid) - target_a
+    values = j0(2 * grid) - target_a
     roots = []
     for i, (r, fr) in enumerate(zip(grid, values)):
         if fr == 0.0:

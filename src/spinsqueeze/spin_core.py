@@ -6,11 +6,11 @@ i.e. k = 0 is the top of the ladder (m = +J) and k = N the bottom (m = -J).
 All matrices are dense complex; hbar = 1.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
 
@@ -55,10 +55,6 @@ class DickeState:
             raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "n_atoms", n)
         object.__setattr__(self, "amplitudes", _frozen(amp))
-
-    @property
-    def total_spin(self):
-        return self.n_atoms / 2
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,8 @@ def coherent_spin_state(n_atoms, direction):
         raise ValidationError(f"direction must be '+x' or '+y', got {direction!r}")
     j = n / 2
     k = np.arange(n + 1)
-    ln_amp = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) \
-        - j * np.log(2.0)
+    ln_fact = np.array([math.lgamma(i + 1) for i in k])  # ln k!
+    ln_amp = 0.5 * (ln_fact[n] - ln_fact - ln_fact[::-1]) - j * math.log(2.0)
     amp = np.exp(ln_amp).astype(complex)
     if axis == "y":
         amp *= 1j ** k

@@ -116,7 +116,8 @@ def optimal_squeezing(traj):
         raise ValidationError("over-squeezed trajectory: mean spin degenerate everywhere")
     if traj.advance is None:
         raise ValidationError(
-            "trajectory carries no propagator to refine with; propagate with spec= set")
+            "trajectory carries no propagator to refine with; build it with "
+            "propagate_static or propagate_driven")
     i_min = min(usable, key=lambda i: records[i].xi_squared)
     best = records[i_min]
 

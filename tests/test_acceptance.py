@@ -27,7 +27,7 @@ def css(n, axis="+y"):
 
 def optimal_static(spec, n, axis="+y", samples=200):
     traj = propagate_static(build_hamiltonian(spec, n), css(n, axis),
-                            np.linspace(0, default_t_max(n), samples), spec=spec)
+                            np.linspace(0, default_t_max(n), samples))
     return optimal_squeezing(traj)
 
 
@@ -120,7 +120,7 @@ def test_c07_oscillation_period():
 def test_c08_scaling_exponents():
     n_list = [10, 20, 40, 80, 160]
     specs = [TATxz(), OAT(), FullDriven(DriveParams(0.906, 1.0))]
-    _, fits = run_n_scaling(specs, n_list, threads=2)
+    _, fits = run_n_scaling(specs, n_list)
     tat, oat, full = (fits[k].exponent for k in ("tat-xz", "oat", "full"))
     ok = (abs(tat + 1.0) <= 0.1 and abs(oat + 2 / 3) <= 0.1
           and abs(full - tat) <= 0.1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinsqueeze
 from spinsqueeze.cli import main
 
 
@@ -9,6 +14,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_scipy():
+    # scipy costs ~0.3 s of start-up; only solve-ratio and bessel_j0 need it
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    code = ("import sys, spinsqueeze.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSolveRatio:
@@ -123,7 +138,7 @@ class TestScanRatio:
         assert code == 0
 
     @pytest.mark.parametrize("ratios", ["1:0:-1", "0:nan:0.1", "0:inf:0.1",
-                                        "0:1:nan"])
+                                        "0:1:nan", "0:1e9:1e-3"])
     def test_bad_range_is_exit_1(self, tmp_path, capsys, ratios):
         code, _, _ = run(capsys, "scan-ratio", "--n", "10", "--omega", "300",
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))

@@ -40,7 +40,7 @@ class TestPropagateStatic:
     def test_tat_minimum_matches_reference(self):
         n = 10
         traj = propagate_static(build_hamiltonian(TATxz(), n), css(n),
-                                np.linspace(0, 0.6, 400), spec=TATxz())
+                                np.linspace(0, 0.6, 400))
         xs = [r.xi_squared for r in squeezing_curve(traj)]
         assert min(xs) == pytest.approx(0.1381, rel=0.02)
 
@@ -59,7 +59,7 @@ class TestPropagateStatic:
         with pytest.raises(ValidationError):
             propagate_static(h, css(4), [0.0, 0.2, 0.2])
         with pytest.raises(ValidationError):
-            propagate_static(h, css(4), [0.0, np.nan, 1.0], spec=OAT())
+            propagate_static(h, css(4), [0.0, np.nan, 1.0])
 
     def test_energy_conserved(self):
         n = 20
@@ -173,3 +173,7 @@ class TestTrajectory:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             Trajectory(np.array([0.0, 1.0]), (css(2),))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError):
+            Trajectory(np.array([]), ())

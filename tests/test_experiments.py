@@ -55,14 +55,6 @@ class TestRunNScaling:
         assert fits["tat-xz"].r_squared > 0.98
         assert table.metadata["fits"]["oat"]["exponent"] == fits["oat"].exponent
 
-    def test_threads_preserve_order(self):
-        serial, _ = run_n_scaling([TATxz()], [10, 12, 14, 16, 20],
-                                  grid_samples=80, threads=1)
-        parallel, _ = run_n_scaling([TATxz()], [10, 12, 14, 16, 20],
-                                    grid_samples=80, threads=4)
-        assert np.array_equal(serial.columns["optimal_xi2_tat-xz"],
-                              parallel.columns["optimal_xi2_tat-xz"])
-
     def test_rejects_short_or_unsorted_lists(self):
         with pytest.raises(ValidationError):
             run_n_scaling([OAT()], [10, 20, 40, 80])

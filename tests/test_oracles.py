@@ -43,7 +43,7 @@ def test_drive_averaged_optimum_matches_library_effective_mixed():
     spec = EffectiveMixed(bessel_j0(2 * ratio))
     traj = propagate_static(build_hamiltonian(spec, n),
                             coherent_spin_state(n, "+y"),
-                            np.linspace(0, t_max, 200), spec=spec)
+                            np.linspace(0, t_max, 200))
     expected = optimal_squeezing(traj)
     t_opt, value = oracles.drive_averaged_optimum(n, ratio, t_max)
     assert value == pytest.approx(expected.xi_squared, abs=1e-4)

@@ -104,20 +104,20 @@ class TestXiSquared:
 class TestOptimalSqueezing:
     def test_tat_n10(self):
         traj = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
-                                np.linspace(0, 0.6, 200), spec=TATxz())
+                                np.linspace(0, 0.6, 200))
         record = optimal_squeezing(traj)
         assert record.xi_squared == pytest.approx(0.1381, rel=0.02)
         assert record.time == pytest.approx(0.4238, abs=5e-3)
 
     def test_oat_n100(self):
         traj = propagate_static(build_hamiltonian(OAT(), 100), css(100),
-                                np.linspace(0, 0.27, 200), spec=OAT())
+                                np.linspace(0, 0.27, 200))
         assert optimal_squeezing(traj).xi_squared == pytest.approx(0.0479, rel=0.02)
 
     def test_refinement_beats_coarse_grid(self):
         spec = TATxz()
         coarse = propagate_static(build_hamiltonian(spec, 10), css(10),
-                                  np.linspace(0, 0.6, 12), spec=spec)
+                                  np.linspace(0, 0.6, 12))
         record = optimal_squeezing(coarse)
         grid_best = min(xi_squared(s).xi_squared for s in coarse.states)
         assert record.xi_squared <= grid_best
@@ -153,7 +153,7 @@ class TestOptimalSqueezing:
         else:
             def propagate(times):
                 return propagate_static(build_hamiltonian(spec, n), css(n),
-                                        times, spec=spec)
+                                        times)
         grid = np.linspace(0, t_max, samples)
         record = optimal_squeezing(propagate(grid))
         assert np.min(np.abs(grid - record.time)) > 0  # a restarted, off-grid state
@@ -179,7 +179,7 @@ class TestOptimalSqueezing:
     def test_static_refinement_reuses_eigenbasis(self, monkeypatch):
         spec = TATxz()
         traj = propagate_static(build_hamiltonian(spec, 20), css(20),
-                                np.linspace(0, 0.4, 30), spec=spec)
+                                np.linspace(0, 0.4, 30))
         calls = []
         real = np.linalg.eigh
 
@@ -193,22 +193,31 @@ class TestOptimalSqueezing:
 
     def test_needs_three_samples(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
-                                [0.0, 0.1], spec=OAT())
+                                [0.0, 0.1])
         with pytest.raises(ValidationError):
             optimal_squeezing(traj)
 
-    def test_needs_spec(self):
+    def test_static_trajectory_refines_without_spec(self):
+        # reference: the same optimum, refined with spec= set before
+        # propagate_static always attached its eigenbasis
+        traj = propagate_static(build_hamiltonian(OAT(), 20), css(20),
+                                np.linspace(0, default_t_max(20), 40))
+        record = optimal_squeezing(traj)
+        assert record.xi_squared == pytest.approx(0.13227635921395303, abs=1e-12)
+        assert record.time == pytest.approx(0.15754092175374856, abs=1e-12)
+
+    def test_hand_built_trajectory_has_no_propagator(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
                                 [0.0, 0.1, 0.2])
-        with pytest.raises(ValidationError):
-            optimal_squeezing(traj)
+        hand_built = Trajectory(traj.times, traj.states)
+        with pytest.raises(ValidationError, match="no propagator"):
+            optimal_squeezing(hand_built)
 
     def test_all_degenerate_raises(self):
         n = 4
         amp = np.zeros(n + 1)
         amp[n // 2] = 1.0
         state = DickeState(n, amp)
-        traj = Trajectory(np.array([0.0, 0.1, 0.2]), (state, state, state),
-                          spec=OAT())
+        traj = Trajectory(np.array([0.0, 0.1, 0.2]), (state, state, state))
         with pytest.raises(ValidationError, match="over-squeezed"):
             optimal_squeezing(traj)
