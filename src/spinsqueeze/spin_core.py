@@ -104,6 +104,20 @@ def _raw_matrices(n_atoms):
     return tuple(map(_frozen, (jx, jy, jz, jp, jm)))
 
 
+def _jx2_bands(n_atoms):
+    """Main and +2 diagonals of the real Jx^2, in O(N); the -2 mirrors the +2.
+
+    With c_k = J+[k-1, k] and c_0 = c_{N+1} = 0, Jx^2 = (J+ + J-)^2 / 4 has
+    diagonal (c_k^2 + c_{k+1}^2) / 4 and (k, k+2) entry c_{k+1} c_{k+2} / 4.
+    """
+    j = n_atoms / 2
+    m = _jz_diagonal(n_atoms)[1:]
+    c = np.zeros(n_atoms + 2)
+    c[1:-1] = np.sqrt(j * (j + 1) - m * (m + 1))
+    c2 = c * c
+    return (c2[:-1] + c2[1:]) / 4, c[1:-2] * c[2:-1] / 4
+
+
 def build_angular_momentum(n_atoms, component):
     """Collective J operator for the given component label.
 

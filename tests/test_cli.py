@@ -26,6 +26,21 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_driven_evolve_loads_no_scipy(tmp_path):
+    # scipy on the driven path would cost ~27 MB of memory and ~0.35 s
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    out_file = tmp_path / "driven.csv"
+    code = ("import sys; from spinsqueeze.cli import main; "
+            "assert main(['evolve', '--hamiltonian', 'full', '--n', '8', "
+            "'--g', '181.2', '--omega', '200', '--tmax', '0.2', "
+            f"'--samples', '20', '--out', {str(out_file)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert out_file.exists()
+
+
 class TestSolveRatio:
     def test_prints_first_root(self, capsys):
         code, out, _ = run(capsys, "solve-ratio", "--target-a", "0.3333333333")

@@ -4,9 +4,9 @@ import pytest
 from spinsqueeze import (CollectiveOperator, DriveParams, FullDriven,
                          IntegrationError, OAT, StepControl, TATxz,
                          Trajectory, ValidationError, build_hamiltonian,
-                         casimir, coherent_spin_state, expectation,
-                         DickeState, propagate_driven, propagate_static,
-                         squeezing_curve, xi_squared)
+                         casimir, coherent_spin_state, driven_state_at,
+                         evolve, expectation, DickeState, propagate_driven,
+                         propagate_static, squeezing_curve, xi_squared)
 
 import oracles
 
@@ -150,6 +150,87 @@ class TestPropagateDriven:
     def test_rejects_empty_times(self):
         with pytest.raises(ValidationError):
             propagate_driven(driven_spec(4, 50.0), css(4), [])
+
+
+def chained(spec, n, times, control=None):
+    """Reference: one-column marches from sample to sample, each hop at most
+    half a drive period, so no hop spans a whole period."""
+    half = np.pi / spec.drive.frequency_omega
+    state, t, states = css(n), 0.0, [css(n)]
+    for target in times[1:]:
+        while t < target:
+            hop = min(target, t + half)
+            state = driven_state_at(spec, state, t, hop, control)
+            t = hop
+        states.append(state)
+    return states
+
+
+def period_of(omega):
+    return 2 * np.pi / omega
+
+
+def multiples_of_period(omega):
+    # k T as rounded: the remainder t - floor(t/T) T comes out 0, T - ulp,
+    # +ulp or -ulp; the last sample's phase T - 1e-15 is beyond rounding
+    t = period_of(omega)
+    return np.array([0.0, t, np.nextafter(2 * t, 0), 3 * t, np.nextafter(4 * t, 1),
+                     np.nextafter(7 * t, 0), 8 * t, 9 * t - 1e-15])
+
+
+class TestPeriodJumps:
+    """The one-period propagator W_T and the jumps it makes between periods."""
+
+    def test_multiples_of_period_hit_every_rounding_case(self):
+        times = multiples_of_period(200.0)[1:]
+        period = period_of(200.0)
+        raw = times - np.floor(times / period) * period
+        assert np.any(raw == 0) and np.any(raw < 0)
+        assert np.any((raw > period - 1e-15) & (raw < period))
+        count, phase = evolve._period_split(times, 0.0, period)
+        assert list(count) == [1, 2, 3, 4, 7, 8, 8]
+        assert list(phase[:-1]) == [0.0] * 6
+        assert period - 1e-14 < phase[-1] < period
+
+    @pytest.mark.parametrize("n,omega,times,jumps", [
+        (6, 200.0, multiples_of_period(200.0), True),
+        # one phase in several periods
+        (6, 200.0, np.r_[0.0, (0.3 + np.array([0, 2, 3, 7])) * period_of(200.0)],
+         True),
+        (6, 200.0, np.linspace(0, 0.9, 7) * period_of(200.0), False),  # < 1 period
+        # N = 40 crosses over to jumps between 2 and 3 whole periods
+        (40, 2800.0, np.linspace(0, 2.5, 9) * period_of(2800.0), False),
+        (40, 2800.0, np.linspace(0, 6.5, 9) * period_of(2800.0), True),
+    ])
+    def test_matches_chain_of_single_column_marches(self, n, omega, times, jumps):
+        spec = driven_spec(n, omega)
+        count, _ = evolve._period_split(times[1:], 0.0, period_of(omega))
+        assert evolve._jumps_pay(n, count[-1]) == jumps
+        traj = propagate_driven(spec, css(n), times)
+        for got, want in zip(traj.states, chained(spec, n, times)):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    def test_long_horizon_matches_magnus_oracle(self):
+        n, omega, periods = 10, 100.0, 50.3
+        t = periods * period_of(omega)
+        traj = propagate_driven(FullDriven(DriveParams(0.4 * omega, omega)),
+                                css(n), np.linspace(0, t, 41))
+        css_y = oracles.rotation(n, [1.0, 0.0, 0.0], -np.pi / 2)[:, 0]
+        psi = oracles.evolve_driven_magnus(n, 0.4 * omega, omega, css_y, t,
+                                           int(400 * periods))
+        assert 1 - abs(np.vdot(psi, traj.states[-1].amplitudes)) <= 1e-8
+
+    def test_guard_sees_non_unitary_period_propagator(self):
+        # every sample sits on a whole period, so no step follows a jump and
+        # only the check on W_T itself can see the reckless steps' drift
+        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        period = period_of(150.0)
+        times = np.concatenate([[0.0], period * np.arange(2, 9)])
+        count, phase = evolve._period_split(times[1:], 0.0, period)
+        assert not phase.any() and evolve._jumps_pay(100, count[-1])
+        with pytest.raises(IntegrationError,
+                           match=r"drift .* at t = .*N = 100, step .*"):
+            propagate_driven(driven_spec(100, 150.0), css(100), times, control)
 
 
 class TestStepControl:

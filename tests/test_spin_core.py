@@ -5,6 +5,7 @@ from spinsqueeze import (DickeState, ValidationError, build_angular_momentum,
                          build_hamiltonian, casimir, coherent_spin_state,
                          expectation, OAT, propagate_static,
                          symmetrized_covariance)
+from spinsqueeze.spin_core import _jx2_bands
 
 import oracles
 
@@ -64,6 +65,15 @@ class TestAngularMomentum:
     def test_hermiticity(self, n):
         for label in ("Jx", "Jy", "Jz"):
             assert op(n, label).is_hermitian(1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])  # +-2 band empty, one entry, full
+    def test_jx2_bands_match_dense_product(self, n):
+        jx = op(n, "Jx").matrix
+        jx2 = jx @ jx
+        diag, upper = _jx2_bands(n)
+        banded = np.diag(diag) + np.diag(upper, 2) + np.diag(upper, -2)
+        assert len(upper) == n - 1
+        assert np.max(np.abs(banded - jx2)) <= 1e-12 * n * n
 
 
 class TestCoherentSpinState:
