@@ -57,6 +57,20 @@ def _parse_range(text):
     return grid
 
 
+def _parse_n_list(text):
+    """Comma list of atom numbers; a token that is not an integer is refused."""
+    n_list = []
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            continue
+        try:
+            n_list.append(int(token))
+        except ValueError:
+            raise ValidationError(
+                f"--n-list entries must be integers, got {token!r}") from None
+    return n_list
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinsqueeze",
@@ -120,8 +134,7 @@ def _cmd_scan_n(args):
     # full templates carry the ratio as g at omega = 1; the sweep sets omega per N
     specs = [_make_spec(name, args.chi, g=args.ratio, omega=1.0, a=args.a)
              for name in names]
-    n_list = [int(s) for s in args.n_list.split(",") if s.strip()]
-    table, fits = run_n_scaling(specs, n_list, args.axis)
+    table, fits = run_n_scaling(specs, _parse_n_list(args.n_list), args.axis)
     emit(table, args.format, args.out)
     for name, fit in fits.items():
         print(f"fit {name}: exponent={fit.exponent:.6g} "

@@ -1,5 +1,9 @@
 """State propagation: exact for constant Hamiltonians, RK4 for the driven one.
 
+A constant Hamiltonian is eigendecomposed once, on its two index-parity
+blocks when it never couples even to odd indices (every variant here), in
+real arithmetic when a block is real.
+
 The driven integrator works in the exact rotating frame of the drive term:
 psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
 so the stiff diagonal piece is handled analytically and RK4 only has to
@@ -91,21 +95,62 @@ class Trajectory:
         object.__setattr__(self, "states", tuple(self.states))
 
 
-def _static_states(evals, evecs, initial, durations):
-    """exp(-i H dt)|initial> for each dt, as V exp(-i Lambda dt) V^dag |initial>."""
-    coeffs = evecs.conj().T @ initial.amplitudes
-    for dt in durations:
-        psi = evecs @ (np.exp(-1j * evals * dt) * coeffs)
-        norm = np.linalg.norm(psi)
-        if not abs(norm - 1.0) <= 1e-10:
-            raise IntegrationError(f"static propagation lost norm: drift {abs(norm - 1.0):g}")
-        yield DickeState(initial.n_atoms, psi / norm)
+def _eigen_blocks(matrix):
+    """(rows, evals, evecs) for each block of H that evolves on its own.
+
+    An H with no entry between even and odd indices (every quadratic form
+    in J, drive included) splits into its two index-parity blocks; any
+    other H is one block. A block with zero imaginary part is
+    eigendecomposed in real arithmetic.
+    """
+    if np.any(matrix[0::2, 1::2]) or np.any(matrix[1::2, 0::2]):
+        parts = [slice(None)]
+    else:
+        parts = [slice(0, None, 2), slice(1, None, 2)]
+    blocks = []
+    for rows in parts:
+        block = matrix[rows, rows]
+        if not np.any(block.imag):
+            block = block.real
+        blocks.append((rows, *np.linalg.eigh(block)))
+    return blocks
+
+
+def _apply(matrix, vectors):
+    """matrix @ vectors for complex column vectors (d, T).
+
+    A real matrix acts on the (d, 2T) float view, one real product.
+    """
+    vectors = np.ascontiguousarray(vectors)
+    if np.isrealobj(matrix):
+        return (matrix @ vectors.view(float)).view(complex)
+    return matrix @ vectors
+
+
+def _static_states(blocks, psi, durations):
+    """Rows exp(-i H dt)|psi> for each dt, as V exp(-i Lambda dt) V^dag |psi>.
+
+    Two products per block make every row. A row whose norm drifts beyond
+    1e-10 (NaN too) raises IntegrationError.
+    """
+    out = np.empty((len(durations), len(psi)), dtype=complex)
+    for rows, evals, evecs in blocks:
+        coeffs = _apply(evecs.conj().T, psi[rows, None])
+        phased = np.exp(np.multiply.outer(-1j * evals, durations)) * coeffs
+        out[:, rows] = _apply(evecs, phased).T
+    norms = np.linalg.norm(out, axis=1)
+    drift = np.abs(norms - 1.0)
+    bad = np.flatnonzero(~(drift <= 1e-10))
+    if len(bad):
+        raise IntegrationError(f"static propagation lost norm: drift {drift[bad[0]]:g}")
+    return out / norms[:, None]
 
 
 def propagate_static(hamiltonian, initial, times):
     """Exact evolution under a constant Hamiltonian via one eigendecomposition.
 
-    The trajectory's `advance` reuses that eigendecomposition.
+    H is decomposed block by block (`_eigen_blocks`); the trajectory's
+    `advance` reuses those blocks.
     """
     times = _check_times(times)
     if not isinstance(hamiltonian, CollectiveOperator):
@@ -114,13 +159,15 @@ def propagate_static(hamiltonian, initial, times):
         raise ValidationError("Hamiltonian and initial state disagree on N")
     if not hamiltonian.is_hermitian(1e-12):
         raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-    evals, evecs = np.linalg.eigh(hamiltonian.matrix)
+    blocks = _eigen_blocks(hamiltonian.matrix)
+    n = initial.n_atoms
 
     def advance(state, t_from, t_to):
-        return next(_static_states(evals, evecs, state, [t_to - t_from]))
+        psi, = _static_states(blocks, state.amplitudes, [t_to - t_from])
+        return DickeState(n, psi)
 
-    return Trajectory(times, tuple(_static_states(evals, evecs, initial, times)),
-                      advance)
+    rows = _static_states(blocks, initial.amplitudes, times)
+    return Trajectory(times, tuple(DickeState(n, psi) for psi in rows), advance)
 
 
 def _rk4_march(spec, n_atoms, block, t, stops, dt_max):

@@ -105,6 +105,8 @@ def _run_trajectory(spec, n_atoms, axis, times, control=None):
 def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
                    control=None):
     """xi^2(t) on a uniform grid; columns time, xi_squared."""
+    if not math.isfinite(t_max):
+        raise ValidationError(f"t_max must be finite, got {t_max!r}")
     if t_max < 0 or n_samples < 1:
         raise ValidationError("need t_max >= 0 and n_samples >= 1")
     if n_samples == 1 or t_max == 0:

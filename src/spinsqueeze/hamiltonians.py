@@ -24,7 +24,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import CollectiveOperator, _check_n_atoms, _raw_matrices
+from .spin_core import (CollectiveOperator, _check_n_atoms, _jz_diagonal,
+                        _quadratic_bands)
 
 # Global minimum of J0, attained at x ~ 3.8317
 BESSEL_J0_MIN = -0.4027593957661289
@@ -161,18 +162,21 @@ def solve_drive_ratio(target_a):
 def build_hamiltonian(spec, n_atoms, time=0.0):
     """Materialize a Hamiltonian spec as a dense Hermitian operator.
 
-    `time` only matters for a driven spec, whose drive term carries cos(omega t).
+    The operator is filled from the quadratic form's main and +-2 bands,
+    plus the drive's diagonal; `time` only matters for a driven spec, whose
+    drive term carries cos(omega t).
     """
-    _check_n_atoms(n_atoms)
-    jx, jy, jz, _, _ = _raw_matrices(n_atoms)
-    mat = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
-    for w, j in zip(spec.weights, (jx, jy, jz)):
-        if w:  # zero weights cost no dense product
-            mat += (spec.chi * w) * (j @ j)
+    n = _check_n_atoms(n_atoms)
+    diag, upper = _quadratic_bands(n, [spec.chi * w for w in spec.weights])
     if spec.drive is not None:
         g, omega = spec.drive.amplitude_g, spec.drive.frequency_omega
-        mat += g * np.cos(omega * time) * jz
-    return CollectiveOperator(n_atoms, mat, "Hamiltonian")
+        diag = diag + g * np.cos(omega * time) * _jz_diagonal(n)
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    idx = np.arange(n + 1)
+    mat[idx, idx] = diag
+    mat[idx[:-2], idx[2:]] = upper
+    mat[idx[2:], idx[:-2]] = upper
+    return CollectiveOperator(n, mat, "Hamiltonian")
 
 
 # The cosine-drive average only survives when omega outruns the collective

@@ -3,7 +3,10 @@
 For N spin-1/2 atoms the fully symmetric sector has total spin J = N/2 and
 dimension N+1. Basis index k in [0, N] labels the Jz eigenstate |J, J-k>,
 i.e. k = 0 is the top of the ladder (m = +J) and k = N the bottom (m = -J).
-All matrices are dense complex; hbar = 1.
+The public operators are dense complex matrices. The numerical paths never
+build them: every quadratic form in Jx, Jy, Jz is real with only the main
+and +-2 diagonals, and its bands come in O(N) from the J+ coefficients and
+the Jz diagonal. hbar = 1.
 """
 
 import math
@@ -14,8 +17,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Dense (N+1)^2 matrices stay tiny well past any physically interesting N
-# here, but eigendecompositions get slow; refuse absurd sizes loudly.
+# A Hamiltonian is still built as a dense complex (N+1)^2 operator, 64 MB at
+# N = 2000, and the static path eigendecomposes it (as two half-size blocks)
+# in O(N^3); refuse larger sizes loudly.
 N_ATOMS_MAX = 2000
 
 NORM_TOL = 1e-10
@@ -88,34 +92,46 @@ def _jz_diagonal(n_atoms):
 
 
 @lru_cache(maxsize=None)
-def _raw_matrices(n_atoms):
-    """Raw (Jx, Jy, Jz, Jplus, Jminus) arrays, cached and read-only."""
-    n = n_atoms
-    j = n / 2
-    m = _jz_diagonal(n)
-    jz = np.diag(m).astype(complex)
-    # J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>; m+1 lives at index k-1
-    jp = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(1, n + 1):
-        jp[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    jm = jp.conj().T
-    jx = (jp + jm) / 2
-    jy = (jp - jm) / 2j
-    return tuple(map(_frozen, (jx, jy, jz, jp, jm)))
+def _jplus_coeffs(n_atoms):
+    """c_k = J+[k-1, k] for k = 1..N, padded with c_0 = c_(N+1) = 0; read-only.
 
-
-def _jx2_bands(n_atoms):
-    """Main and +2 diagonals of the real Jx^2, in O(N); the -2 mirrors the +2.
-
-    With c_k = J+[k-1, k] and c_0 = c_{N+1} = 0, Jx^2 = (J+ + J-)^2 / 4 has
-    diagonal (c_k^2 + c_{k+1}^2) / 4 and (k, k+2) entry c_{k+1} c_{k+2} / 4.
+    J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, and m+1 lives at index k-1.
     """
     j = n_atoms / 2
     m = _jz_diagonal(n_atoms)[1:]
     c = np.zeros(n_atoms + 2)
     c[1:-1] = np.sqrt(j * (j + 1) - m * (m + 1))
+    return _frozen(c)
+
+
+def _raw_matrices(n_atoms):
+    """Dense (Jx, Jy, Jz, Jplus, Jminus), built afresh for the public operators."""
+    jp = np.diag(_jplus_coeffs(n_atoms)[1:-1], 1).astype(complex)
+    jm = jp.conj().T
+    jz = np.diag(_jz_diagonal(n_atoms)).astype(complex)
+    return (jp + jm) / 2, (jp - jm) / 2j, jz, jp, jm
+
+
+def _quadratic_bands(n_atoms, weights):
+    """Main and +2 diagonals of the real wx Jx^2 + wy Jy^2 + wz Jz^2, in O(N).
+
+    With c_k = J+[k-1, k], Jx^2 and Jy^2 share the diagonal
+    (c_k^2 + c_(k+1)^2) / 4 (from J+J- + J-J+), and their (k, k+2) entries
+    are +c_(k+1) c_(k+2) / 4 and its negative (from J+^2); Jz^2 is diag(m^2).
+    The -2 band mirrors the +2.
+    """
+    wx, wy, wz = weights
+    c = _jplus_coeffs(n_atoms)
     c2 = c * c
-    return (c2[:-1] + c2[1:]) / 4, c[1:-2] * c[2:-1] / 4
+    side = (c2[:-1] + c2[1:]) / 4
+    upper = c[1:-2] * c[2:-1] / 4
+    m = _jz_diagonal(n_atoms)
+    return wx * side + wy * side + wz * (m * m), wx * upper - wy * upper
+
+
+def _jx2_bands(n_atoms):
+    """Main and +2 diagonals of Jx^2, the bands of the driven twisting term."""
+    return _quadratic_bands(n_atoms, (1.0, 0.0, 0.0))
 
 
 def build_angular_momentum(n_atoms, component):

@@ -3,6 +3,10 @@
 xi_s^2 = 4 min Var(J_n) / N, minimized over directions n perpendicular to
 the mean spin. The 2x2 transverse covariance matrix gives the minimum in
 closed form; the minimizing direction comes from its eigenvector.
+
+The mean spin and the symmetrized second moments come from |psi|^2 and the
+J+, J+^2 and J+ Jz bands: each is an O(N) reduction, made for all samples
+of a trajectory at once.
 """
 
 import math
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import DickeState, _raw_matrices
+from .spin_core import DickeState, _jplus_coeffs, _jz_diagonal
 
 # Below this fraction of the maximal spin length J the mean-spin direction
 # is numerically meaningless (over-squeezed regime); results get flagged
@@ -38,67 +42,107 @@ class SqueezingRecord:
         object.__setattr__(self, "mean_spin", vec)
 
 
+def _moments(n_atoms, psi):
+    """Mean spin (T, 3) and symmetrized second moments (T, 3, 3) of the rows of psi.
+
+    With c_k = J+[k-1, k] and J+ = Jx + i Jy:
+      <J+> = <Jx> + i <Jy>,
+      <Jx^2>, <Jy^2> = (<J+J- + J-J+> +- 2 Re<J+^2>) / 4,
+      <JxJy + JyJx> / 2 = Im<J+^2> / 2,
+      <JxJz + JzJx> / 2 + i <JyJz + JzJy> / 2 = <J+ (2 Jz + 1)> / 2,
+    and J+ (2 Jz + 1) has the (k-1, k) entry c_k (m_(k-1) + m_k).
+    Sums are einsum or element-wise: a `@` here would hand each row's
+    reduction to threaded BLAS.
+    """
+    c = _jplus_coeffs(n_atoms)
+    m = _jz_diagonal(n_atoms)
+    prob = psi.real ** 2 + psi.imag ** 2
+    hop1 = psi[:, :-1].conj() * psi[:, 1:]
+    hop2 = psi[:, :-2].conj() * psi[:, 2:]
+    jp = np.einsum("tk,k->t", hop1, c[1:-1])
+    jpz = np.einsum("tk,k->t", hop1, c[1:-1] * (m[:-1] + m[1:]))
+    jp2 = np.einsum("tk,k->t", hop2, c[1:-2] * c[2:-1])
+    ladder = np.einsum("tk,k->t", prob, c[:-1] ** 2 + c[1:] ** 2)
+    mean = np.stack([jp.real, jp.imag, np.einsum("tk,k->t", prob, m)], axis=1)
+    second = np.empty((len(psi), 3, 3))
+    second[:, 0, 0] = (ladder + 2 * jp2.real) / 4
+    second[:, 1, 1] = (ladder - 2 * jp2.real) / 4
+    second[:, 2, 2] = np.einsum("tk,k->t", prob, m * m)
+    second[:, 0, 1] = second[:, 1, 0] = jp2.imag / 2
+    second[:, 0, 2] = second[:, 2, 0] = jpz.real / 2
+    second[:, 1, 2] = second[:, 2, 1] = jpz.imag / 2
+    return mean, second
+
+
 def _transverse_frame(n0):
-    """Deterministic orthonormal pair perpendicular to the unit vector n0."""
-    n1 = np.cross(n0, [0.0, 0.0, 1.0])
-    if np.linalg.norm(n1) < 1e-8:
-        n1 = np.cross(n0, [1.0, 0.0, 0.0])
-    n1 /= np.linalg.norm(n1)
-    n2 = np.cross(n0, n1)
-    return n1, n2
+    """Deterministic orthonormal pair perpendicular to each unit row of n0 (T, 3).
+
+    n1 is n0 x z (n0 x x where that is shorter than 1e-8), normalized, and
+    n2 = n0 x n1, written out for 3-vectors.
+    """
+    x, y, z = n0.T
+    zero = np.zeros_like(x)
+    n1 = np.stack([y, -x, zero], axis=1)
+    along_z = np.hypot(x, y) < 1e-8
+    n1[along_z] = np.stack([zero, z, -y], axis=1)[along_z]
+    n1 /= np.sqrt(np.einsum("ti,ti->t", n1, n1))[:, None]
+    a, b, c = n1.T
+    return n1, np.stack([y * c - z * b, z * a - x * c, x * b - y * a], axis=1)
+
+
+def _records(n_atoms, psi, times):
+    """Squeezing records for the rows of psi (T, N+1) at `times`."""
+    mean, second = _moments(n_atoms, psi)
+    length = np.sqrt(np.einsum("ti,ti->t", mean, mean))
+    degenerate = length < DEGENERATE_SPIN_FRACTION * (n_atoms / 2)
+    n0 = np.tile([0.0, 0.0, 1.0], (len(mean), 1))
+    np.divide(mean, length[:, None], out=n0, where=length[:, None] > 0)
+    n1, n2 = _transverse_frame(n0)
+    m1 = np.einsum("ti,ti->t", n1, mean)
+    m2 = np.einsum("ti,ti->t", n2, mean)
+    if np.any(~degenerate & (np.maximum(abs(m1), abs(m2)) > 1e-8)):
+        raise ValidationError(
+            "transverse mean spin did not vanish; inconsistent moments")
+    v11 = np.einsum("ti,tij,tj->t", n1, second, n1) - m1 * m1
+    v22 = np.einsum("ti,tij,tj->t", n2, second, n2) - m2 * m2
+    v12 = np.einsum("ti,tij,tj->t", n1, second, n2) - m1 * m2
+
+    half_gap = np.sqrt((v11 - v22) ** 2 + 4 * v12 ** 2)
+    lam_min = 0.5 * (v11 + v22 - half_gap)
+    xi2 = 4 * lam_min / n_atoms
+
+    records = []
+    for i, t in enumerate(times):
+        # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi)
+        if half_gap[i] < 1e-14:
+            angle = 0.0
+        elif abs(v12[i]) < 1e-14:
+            angle = 0.0 if v11[i] <= v22[i] else math.pi / 2
+        else:
+            angle = math.atan2(lam_min[i] - v11[i], v12[i]) % math.pi
+        records.append(SqueezingRecord(
+            time=float(t),
+            xi_squared=float(xi2[i]),
+            mean_spin=mean[i],
+            mean_spin_length=float(length[i]),
+            optimal_angle=float(angle),
+            degenerate_flag=bool(degenerate[i]),
+        ))
+    return records
 
 
 def xi_squared(state, time=0.0):
     """Squeezing record for a single state."""
     if not isinstance(state, DickeState):
         raise ValidationError("xi_squared expects a DickeState")
-    n = state.n_atoms
-    jx, jy, jz, _, _ = _raw_matrices(n)
-    psi = state.amplitudes
-    jpsi = [jx @ psi, jy @ psi, jz @ psi]
-    mean = np.array([np.vdot(psi, v).real for v in jpsi])
-    length = float(np.linalg.norm(mean))
-    degenerate = length < DEGENERATE_SPIN_FRACTION * (n / 2)
-    n0 = mean / length if length > 0 else np.array([0.0, 0.0, 1.0])
-    n1, n2 = _transverse_frame(n0)
-
-    # J_n psi for the two transverse directions
-    p1 = sum(c * v for c, v in zip(n1, jpsi))
-    p2 = sum(c * v for c, v in zip(n2, jpsi))
-    m1 = np.vdot(psi, p1).real
-    m2 = np.vdot(psi, p2).real
-    if not degenerate and max(abs(m1), abs(m2)) > 1e-8:
-        raise ValidationError(
-            "transverse mean spin did not vanish; inconsistent moments")
-    v11 = np.vdot(p1, p1).real - m1 * m1
-    v22 = np.vdot(p2, p2).real - m2 * m2
-    v12 = np.vdot(p1, p2).real - m1 * m2  # Re<J1 J2> = symmetrized product
-
-    half_gap = math.sqrt((v11 - v22) ** 2 + 4 * v12 ** 2)
-    lam_min = 0.5 * (v11 + v22 - half_gap)
-    xi2 = 4 * lam_min / n
-
-    # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi)
-    if half_gap < 1e-14:
-        angle = 0.0
-    elif abs(v12) < 1e-14:
-        angle = 0.0 if v11 <= v22 else math.pi / 2
-    else:
-        angle = math.atan2(lam_min - v11, v12) % math.pi
-
-    return SqueezingRecord(
-        time=float(time),
-        xi_squared=float(xi2),
-        mean_spin=mean,
-        mean_spin_length=length,
-        optimal_angle=float(angle),
-        degenerate_flag=bool(degenerate),
-    )
+    record, = _records(state.n_atoms, state.amplitudes[None, :], [time])
+    return record
 
 
 def squeezing_curve(traj):
     """Squeezing records for every sample of a trajectory."""
-    return [xi_squared(s, t) for s, t in zip(traj.states, traj.times)]
+    psi = np.array([s.amplitudes for s in traj.states])
+    return _records(traj.states[0].n_atoms, psi, traj.times)
 
 
 def optimal_squeezing(traj):

@@ -41,6 +41,17 @@ def test_driven_evolve_loads_no_scipy(tmp_path):
     assert out_file.exists()
 
 
+def test_static_scan_loads_no_scipy():
+    # scipy.linalg alone costs 0.22-0.27 s of import on the static path
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    code = ("import sys; from spinsqueeze import TATxz, run_n_scaling; "
+            "run_n_scaling([TATxz()], [4, 6, 8, 10, 12]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 class TestSolveRatio:
     def test_prints_first_root(self, capsys):
         code, out, _ = run(capsys, "solve-ratio", "--target-a", "0.3333333333")
@@ -97,6 +108,14 @@ class TestEvolve:
                            "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_non_finite_tmax_is_exit_1(self, tmp_path, capsys, tmax):
+        code, _, err = run(capsys, "evolve", "--hamiltonian", "oat",
+                           "--n", "4", "--tmax", tmax,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err == f"error: t_max must be finite, got {tmax}\n"
+
     def test_deterministic_output(self, tmp_path, capsys):
         args = ["evolve", "--hamiltonian", "mixed", "--a", "0.3333333333",
                 "--n", "8", "--tmax", "0.5", "--samples", "40",
@@ -127,6 +146,14 @@ class TestScanN:
                            "--out", str(tmp_path / "scaling.csv"))
         assert code == 1
         assert err.startswith("error:") and "'bogus'" in err
+
+    @pytest.mark.parametrize("token", ["8.5", "x"])
+    def test_bad_n_list_entry_is_exit_1(self, tmp_path, capsys, token):
+        code, _, err = run(capsys, "scan-n", "--hamiltonians", "oat",
+                           "--n-list", f"4,6,{token},10,12",
+                           "--out", str(tmp_path / "scaling.csv"))
+        assert code == 1
+        assert err == f"error: --n-list entries must be integers, got '{token}'\n"
 
     def test_threads_flag_accepted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "scan-n", "--hamiltonians", "oat",

@@ -61,6 +61,32 @@ class TestPropagateStatic:
         with pytest.raises(ValidationError):
             propagate_static(h, css(4), [0.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize("couplings", ["odd", "complex-even"])
+    def test_non_variant_operator_matches_expm_oracle(self, couplings):
+        # odd couplings keep H one block; complex even couplings give two
+        # complex parity blocks
+        n, t = 7, 0.41
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        idx = np.arange(n + 1)
+        if couplings == "odd":
+            a[idx[:-1], idx[1:]] += 0.5
+        else:
+            a[(idx[:, None] - idx[None, :]) % 2 == 1] = 0.0
+        h = (a + a.conj().T) / 2
+        traj = propagate_static(CollectiveOperator(n, h, "Hamiltonian"), css(n),
+                                [0.0, 0.2, t])
+        want = oracles.evolve_expm(h, css(n).amplitudes, t)
+        assert np.allclose(traj.states[-1].amplitudes, want, atol=1e-10)
+        again = traj.advance(traj.states[1], 0.2, t)
+        assert np.allclose(again.amplitudes, want, atol=1e-10)
+
+    def test_norm_guard_fails_on_nan(self):
+        h = build_hamiltonian(TATxz(), 6)
+        with pytest.raises(IntegrationError, match="lost norm"), \
+                np.errstate(invalid="ignore"):
+            propagate_static(h, css(6), [0.0, np.inf])
+
     def test_energy_conserved(self):
         n = 20
         h = build_hamiltonian(TATxz(), n)

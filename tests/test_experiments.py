@@ -29,6 +29,11 @@ class TestRunTimeCurve:
         with pytest.raises(ValidationError):
             run_time_curve(OAT(), 8, "z", 0.1, 5)
 
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_rejects_non_finite_t_max(self, t_max):
+        with pytest.raises(ValidationError, match="t_max must be finite"):
+            run_time_curve(OAT(), 8, "y", t_max, 5)
+
 
 class TestScalingFit:
     def test_recovers_synthetic_power_law(self):

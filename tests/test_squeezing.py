@@ -5,7 +5,8 @@ from spinsqueeze import (DickeState, DriveParams, FullDriven, OAT, TATxz,
                          Trajectory, ValidationError, build_hamiltonian,
                          coherent_spin_state, default_t_max, optimal_squeezing,
                          propagate_static, propagate_driven, xi_squared)
-from spinsqueeze import StepControl, evolve
+from spinsqueeze import StepControl, evolve, squeezing_curve
+from spinsqueeze.squeezing import _moments
 
 import oracles
 
@@ -99,6 +100,42 @@ class TestXiSquared:
         for n in (2, 20):
             record = xi_squared(css(n))
             assert 0 < record.xi_squared <= 1 + 1e-12
+
+
+class TestBandedMoments:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_match_dense_operators_on_random_states(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=(5, n + 1)) + 1j * rng.normal(size=(5, n + 1))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        mean, second = _moments(n, psi)
+        ops = oracles.raw_spin_matrices(n)
+        tol = 1e-12 * n ** 2
+        for row, mu, m2 in zip(psi, mean, second):
+            want_mean = [np.vdot(row, a @ row).real for a in ops]
+            want_second = [[0.5 * np.vdot(row, (a @ b + b @ a) @ row).real
+                            for b in ops] for a in ops]
+            assert np.max(np.abs(mu - want_mean)) <= tol
+            assert np.max(np.abs(m2 - want_second)) <= tol
+
+    @pytest.mark.parametrize("kind", ["static", "driven"])
+    def test_curve_matches_per_state_records(self, kind):
+        if kind == "static":
+            traj = propagate_static(build_hamiltonian(TATxz(), 20), css(20),
+                                    np.linspace(0, 0.5, 30))
+        else:
+            traj = propagate_driven(FullDriven(DriveParams(0.906 * 300, 300.0)),
+                                    css(10), np.linspace(0, 0.3, 12))
+        curve = squeezing_curve(traj)
+        assert len(curve) == len(traj.states)
+        for got, state, t in zip(curve, traj.states, traj.times):
+            want = xi_squared(state, t)
+            assert got.time == want.time
+            assert got.xi_squared == pytest.approx(want.xi_squared, abs=1e-13)
+            assert np.max(np.abs(got.mean_spin - want.mean_spin)) <= 1e-13
+            assert got.mean_spin_length == pytest.approx(want.mean_spin_length, abs=1e-13)
+            assert got.optimal_angle == pytest.approx(want.optimal_angle, abs=1e-13)
+            assert got.degenerate_flag == want.degenerate_flag
 
 
 class TestOptimalSqueezing:
