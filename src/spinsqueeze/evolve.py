@@ -9,10 +9,11 @@ psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
 so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods integrates one period's
-propagator W_T once and jumps from period to period by matvecs; each sample
-is then at most one period of RK4 steps from a period start. States are
-mapped back to the lab frame at every sample point, so trajectories always
-contain genuine psi(t).
+propagator W_T once and jumps from period to period by matvecs. One more
+march over at most one period, of the needed period starts or of the
+identity (giving W(tau), applied to each start), then reaches every sample
+phase tau. States are mapped back to the lab frame at every sample point,
+so trajectories always contain genuine psi(t).
 """
 
 import cmath
@@ -67,6 +68,8 @@ def _check_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValidationError("need a non-empty 1-d vector of sample times")
+    if not math.isfinite(times[-1]):  # then increasing from 0 bounds the rest
+        raise ValidationError("sample times must be finite")
     if times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise ValidationError("sample times must start at 0 and increase strictly")
     return times
@@ -259,20 +262,34 @@ def _jumps_pay(n_atoms, periods):
     return periods >= 2 + ((n_atoms + 1) / 52) ** 2
 
 
-def _period_propagator(spec, n_atoms, t_start, period, dt_max):
-    """Rotating-frame propagator W_T over [t_start, t_start + T], checked.
+def _parity_identity(n_atoms):
+    """Identity on both index parities as one (N+1, (N+2)//2) block.
 
-    Jx^2 couples index k only to k +- 2, so W_T is zero between even and odd
-    indices, and it is returned as its even-index and odd-index blocks. The
-    column started at e_2j + e_2j+1 carries W e_2j on its even rows and
-    W e_2j+1 on its odd ones, so (N+2)//2 columns give both blocks.
+    Jx^2 couples index k only to k +- 2, so the propagator W is zero between
+    even and odd indices. The column started at e_2j + e_2j+1 carries W e_2j
+    on its even rows and W e_2j+1 on its odd ones; `_parity_blocks` reads
+    the two blocks back out of the marched block.
     """
     dim = n_atoms + 1
     idx = np.arange(dim)
     block = np.zeros((dim, (dim + 1) // 2), dtype=complex)
     block[idx, idx // 2] = 1.0
+    return block
+
+
+def _parity_blocks(block):
+    """(W_even, W_odd) from a block marched from `_parity_identity`."""
+    return block[0::2], block[1::2, :len(block) // 2]
+
+
+def _period_propagator(spec, n_atoms, t_start, period, dt_max):
+    """Rotating-frame propagator W_T over [t_start, t_start + T], checked.
+
+    Returned as its even-index and odd-index blocks (`_parity_blocks`).
+    """
+    block = _parity_identity(n_atoms)
     dt, = _rk4_march(spec, n_atoms, block, t_start, [t_start + period], dt_max)
-    jump = (block[0::2], block[1::2, :dim // 2])
+    jump = _parity_blocks(block)
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
     # stage 2 renormalizes every period, so only this sees a non-unitary W.
     # einsum, not @: on a 2-vCPU host threaded OpenBLAS took 10-16 ms for
@@ -287,12 +304,6 @@ def _period_propagator(spec, n_atoms, t_start, period, dt_max):
     return jump
 
 
-# Stage 3 marches at most this many amplitudes at once, in blocks of 64 KB.
-# At N = 100 that is 40 columns, within 15% of the time taken marching all
-# 96 period starts of driven-curve's run at once.
-_CHUNK_AMPLITUDES = 4096
-
-
 def _driven_states(spec, n_atoms, psi, t_start, times, control):
     """Yield the lab-frame state at each of `times` (increasing, > t_start).
 
@@ -301,10 +312,13 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     propagator from t_start. When enough whole periods are spanned
     (`_jumps_pay`), three stages replace the march through every period:
     1. integrate W_T once (`_period_propagator`);
-    2. reach each period-start state v_n = W_T v_(n-1) by one matvec;
-    3. march the v_n that samples need over at most one period together,
-       `_CHUNK_AMPLITUDES` amplitudes at a time, and copy each sample's
-       column out at its phase tau.
+    2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
+       keep the v_n that samples need;
+    3. march over at most one period, stopping at each distinct sample
+       phase tau, whichever block is narrower: the kept v_n themselves,
+       or the (N+2)//2-column identity (`_parity_identity`), which gives
+       W(tau) and each sample as W(tau) v_n. RK4 is linear, so both are
+       the same states.
     Otherwise one column is marched from sample to sample. Either way every
     state is RK4 at a step of at most `control.max_step`, and drift beyond
     NORM_TOL since the last renormalized state raises IntegrationError.
@@ -327,32 +341,33 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
         return
     jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
     needed = count[np.diff(count, prepend=-1) > 0]  # count never decreases
-    chunk = max(1, _CHUNK_AMPLITUDES // (n_atoms + 1))
+    starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
     n = 0  # phi holds v_n
-    for first in range(0, len(needed), chunk):
-        periods = needed[first:first + chunk]
-        block = np.empty((n_atoms + 1, len(periods)), dtype=complex)
-        for col, target in enumerate(periods):
-            for _ in range(target - n):
-                for parity, w in enumerate(jump):
-                    phi[parity::2] = w @ phi[parity::2]
-                phi /= np.linalg.norm(phi)
-            n = target
-            block[:, col] = phi
-        lo, hi = np.searchsorted(count, [periods[0], periods[-1] + 1])
-        cols = np.searchsorted(periods, count[lo:hi])
-        tau = phase[lo:hi]
-        states = block[:, cols].T  # a copy; right already where tau = 0
-        stops = np.sort(tau[tau > 0])
-        stops = stops[np.diff(stops, prepend=0.0) > 0]
-        marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops,
-                              dt_max)
-        for stop, dt in zip(stops, marching):
-            hit = np.flatnonzero(tau == stop)
-            states[hit] = _normalize(block[:, cols[hit]], times[lo + hit],
-                                     n_atoms, dt).T
-        for state, t in zip(states, times[lo:hi]):
-            yield lab(state, t)
+    for col, target in enumerate(needed):
+        for _ in range(target - n):
+            for parity, w in enumerate(jump):
+                phi[parity::2] = w @ phi[parity::2]
+            phi /= np.linalg.norm(phi)
+        n = target
+        starts[:, col] = phi
+    cols = np.searchsorted(needed, count)
+    states = starts[:, cols]  # a copy; right already where phase is 0
+    stops = np.unique(phase[phase > 0])
+    narrow = len(needed) <= (n_atoms + 2) // 2
+    block = starts if narrow else _parity_identity(n_atoms)
+    marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
+    for stop, dt in zip(stops, marching):
+        hit = np.flatnonzero(phase == stop)
+        if narrow:  # the starts themselves were marched
+            reached = starts[:, cols[hit]]
+        else:  # einsum, not @ (see _period_propagator)
+            reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
+            for parity, w in enumerate(_parity_blocks(block)):
+                reached[parity::2] = np.einsum(
+                    "ij,jk->ik", w, starts[parity::2, cols[hit]])
+        states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+    for state, t in zip(states.T, times):
+        yield lab(state, t)
 
 
 def propagate_driven(spec, initial, times, control=None):
@@ -383,6 +398,9 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValidationError(
+            f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end < t_start:
         raise ValidationError("t_end must be >= t_start")
     control = control or StepControl()

@@ -127,6 +127,19 @@ class TestEvolve:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
+    def test_deterministic_driven_output(self, tmp_path, capsys):
+        # about 16 drive periods and 40 samples: period jumps, and more period
+        # starts than (N+2)//2, so the samples are read out of W(tau)
+        args = ["evolve", "--hamiltonian", "full", "--n", "8", "--g", "181.2",
+                "--omega", "200", "--tmax", "0.5", "--samples", "40",
+                "--format", "json"]
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
+        assert main(args + ["--out", str(first)]) == 0
+        assert main(args + ["--out", str(second)]) == 0
+        capsys.readouterr()
+        assert first.read_bytes() == second.read_bytes()
+
 
 class TestScanN:
     def test_emits_table_and_fit_block(self, tmp_path, capsys):

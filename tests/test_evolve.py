@@ -60,6 +60,8 @@ class TestPropagateStatic:
             propagate_static(h, css(4), [0.0, 0.2, 0.2])
         with pytest.raises(ValidationError):
             propagate_static(h, css(4), [0.0, np.nan, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            propagate_static(h, css(4), [0.0, 1.0, np.inf])
 
     @pytest.mark.parametrize("couplings", ["odd", "complex-even"])
     def test_non_variant_operator_matches_expm_oracle(self, couplings):
@@ -82,10 +84,12 @@ class TestPropagateStatic:
         assert np.allclose(again.amplitudes, want, atol=1e-10)
 
     def test_norm_guard_fails_on_nan(self):
-        h = build_hamiltonian(TATxz(), 6)
+        # an infinite duration makes NaN phases; the public entry points
+        # reject it up front (test_rejects_bad_times)
+        blocks = evolve._eigen_blocks(build_hamiltonian(TATxz(), 6).matrix)
         with pytest.raises(IntegrationError, match="lost norm"), \
                 np.errstate(invalid="ignore"):
-            propagate_static(h, css(6), [0.0, np.inf])
+            evolve._static_states(blocks, css(6).amplitudes, [0.0, np.inf])
 
     def test_energy_conserved(self):
         n = 20
@@ -177,6 +181,16 @@ class TestPropagateDriven:
         with pytest.raises(ValidationError):
             propagate_driven(driven_spec(4, 50.0), css(4), [])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_times(self, bad):
+        spec = driven_spec(4, 50.0)
+        with pytest.raises(ValidationError, match="finite"):
+            driven_state_at(spec, css(4), 0.0, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            driven_state_at(spec, css(4), bad, 0.1)
+        with pytest.raises(ValidationError, match="finite"):
+            propagate_driven(spec, css(4), [0.0, 0.1, bad])
+
 
 def chained(spec, n, times, control=None):
     """Reference: one-column marches from sample to sample, each hop at most
@@ -190,6 +204,19 @@ def chained(spec, n, times, control=None):
             t = hop
         states.append(state)
     return states
+
+
+def march_widths(monkeypatch):
+    """Columns of every block evolve._rk4_march is handed, in call order."""
+    widths = []
+    march = evolve._rk4_march
+
+    def spy(spec, n_atoms, block, *args):
+        widths.append(1 if block.ndim == 1 else block.shape[1])
+        return march(spec, n_atoms, block, *args)
+
+    monkeypatch.setattr(evolve, "_rk4_march", spy)
+    return widths
 
 
 def period_of(omega):
@@ -235,6 +262,37 @@ class TestPeriodJumps:
         traj = propagate_driven(spec, css(n), times)
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    def test_identity_readout_matches_chain(self, monkeypatch):
+        # more period starts than (N+2)//2 = 4, so stage 3 marches the
+        # identity and reads each sample out as W(tau) v_n; T = 1/64 exactly,
+        # so the phase T/2 repeats bit for bit in three periods
+        n, omega = 6, 128 * np.pi
+        t = period_of(omega)
+        times = np.array([0.0, 0.5 * t, t, 2.5 * t, 3 * t, 3.5 * t,
+                          np.nextafter(5 * t, 0),  # phase one ulp short of T
+                          6 * t - 1e-15, 7.25 * t])
+        count, phase = evolve._period_split(times[1:], 0.0, t)
+        assert len(np.unique(count)) > (n + 2) // 2
+        assert list(count) == [0, 1, 2, 3, 3, 5, 5, 7]
+        assert phase[5] == 0.0 and np.sum(phase == t / 2) == 3
+        widths = march_widths(monkeypatch)
+        spec = driven_spec(n, omega)
+        traj = propagate_driven(spec, css(n), times)
+        assert widths == [4, 4]
+        for got, want in zip(traj.states, chained(spec, n, times)):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("samples,width", [
+        (400, 51),  # driven-curve: 96 period starts, the identity is narrower
+        (2, 2),     # two period starts in about 95 periods
+    ])
+    def test_march_is_never_wider_than_parity_block(self, monkeypatch, samples,
+                                                    width):
+        widths = march_widths(monkeypatch)
+        propagate_driven(driven_spec(100, 2000.0), css(100),
+                         np.linspace(0, 0.3, samples + 1))
+        assert widths == [51, width]
 
     def test_long_horizon_matches_magnus_oracle(self):
         n, omega, periods = 10, 100.0, 50.3
