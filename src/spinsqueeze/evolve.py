@@ -20,13 +20,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .hamiltonians import FullDriven
-from .spin_core import CollectiveOperator, DickeState, _jx2_bands, _jz_diagonal
+from .spin_core import (CollectiveOperator, DickeState, _frozen, _jx2_bands,
+                        _jz_diagonal, _unit_rows)
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
 
@@ -46,7 +47,7 @@ class StepControl:
     twist_step_scale: float = 0.015
 
     def __post_init__(self):
-        if self.substeps_per_period < 20:
+        if not self.substeps_per_period >= 20:  # NaN fails too
             raise ValidationError(
                 f"substeps_per_period must be >= 20, got {self.substeps_per_period}")
         if not self.twist_step_scale > 0:
@@ -77,25 +78,31 @@ def _check_times(times):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states |psi(t_i)>, all unit norm, t_0 = 0.
+    """Sampled states |psi(t_i)> as the rows of `amplitudes` (T, N+1), t_0 = 0.
 
+    Both arrays are read-only; every row has unit norm, checked once here.
     `advance(state, t_from, t_to)` continues the evolution with the
     propagator (eigenbasis, or RK4 under its StepControl) that made it.
     Every propagator sets it; it is None only on hand-built trajectories.
     """
 
     times: np.ndarray
-    states: Tuple[DickeState, ...]
+    amplitudes: np.ndarray
     advance: Optional[Callable[[DickeState, float, float], DickeState]] = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        times = _check_times(self.times)
-        if len(times) != len(self.states):
-            raise ValidationError("times and states must have equal length")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "times", _frozen(_check_times(self.times)))
+        object.__setattr__(self, "amplitudes", _unit_rows(self.amplitudes, len(self.times)))
+
+    @property
+    def n_atoms(self):
+        return self.amplitudes.shape[1] - 1
+
+    @property
+    def states(self):
+        """The samples as DickeStates, built anew on each access."""
+        return tuple(DickeState(self.n_atoms, row) for row in self.amplitudes)
 
 
 def _eigen_blocks(matrix):
@@ -163,14 +170,12 @@ def propagate_static(hamiltonian, initial, times):
     if not hamiltonian.is_hermitian(1e-12):
         raise ValidationError("static propagation requires a Hermitian Hamiltonian")
     blocks = _eigen_blocks(hamiltonian.matrix)
-    n = initial.n_atoms
 
     def advance(state, t_from, t_to):
         psi, = _static_states(blocks, state.amplitudes, [t_to - t_from])
-        return DickeState(n, psi)
+        return DickeState(initial.n_atoms, psi)
 
-    rows = _static_states(blocks, initial.amplitudes, times)
-    return Trajectory(times, tuple(DickeState(n, psi) for psi in rows), advance)
+    return Trajectory(times, _static_states(blocks, initial.amplitudes, times), advance)
 
 
 def _rk4_march(spec, n_atoms, block, t, stops, dt_max):
@@ -305,7 +310,7 @@ def _period_propagator(spec, n_atoms, t_start, period, dt_max):
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control):
-    """Yield the lab-frame state at each of `times` (increasing, > t_start).
+    """Lab-frame states at `times` (increasing, > t_start) as rows (T, N+1).
 
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
@@ -329,45 +334,40 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     dt_max = control.max_step(spec, n_atoms)
     period = 2 * math.pi / omega
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
-
-    def lab(state, t):
-        return np.exp(-1j * (r * math.sin(omega * t)) * mz) * state
-
     count, phase = _period_split(times, t_start, period)
     if not _jumps_pay(n_atoms, count.max(initial=0)):
-        marching = _rk4_march(spec, n_atoms, phi, t_start, times, dt_max)
-        for t, dt in zip(times, marching):
-            yield lab(_normalize(phi, (t,), n_atoms, dt), t)
-        return
-    jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
-    needed = count[np.diff(count, prepend=-1) > 0]  # count never decreases
-    starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
-    n = 0  # phi holds v_n
-    for col, target in enumerate(needed):
-        for _ in range(target - n):
-            for parity, w in enumerate(jump):
-                phi[parity::2] = w @ phi[parity::2]
-            phi /= np.linalg.norm(phi)
-        n = target
-        starts[:, col] = phi
-    cols = np.searchsorted(needed, count)
-    states = starts[:, cols]  # a copy; right already where phase is 0
-    stops = np.unique(phase[phase > 0])
-    narrow = len(needed) <= (n_atoms + 2) // 2
-    block = starts if narrow else _parity_identity(n_atoms)
-    marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
-    for stop, dt in zip(stops, marching):
-        hit = np.flatnonzero(phase == stop)
-        if narrow:  # the starts themselves were marched
-            reached = starts[:, cols[hit]]
-        else:  # einsum, not @ (see _period_propagator)
-            reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
-            for parity, w in enumerate(_parity_blocks(block)):
-                reached[parity::2] = np.einsum(
-                    "ij,jk->ik", w, starts[parity::2, cols[hit]])
-        states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
-    for state, t in zip(states.T, times):
-        yield lab(state, t)
+        states = np.empty((n_atoms + 1, len(times)), dtype=complex)
+        for col, dt in enumerate(_rk4_march(spec, n_atoms, phi, t_start, times, dt_max)):
+            states[:, col] = _normalize(phi, times[col:col + 1], n_atoms, dt)
+    else:
+        jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
+        needed = count[np.diff(count, prepend=-1) > 0]  # count never decreases
+        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
+        n = 0  # phi holds v_n
+        for col, target in enumerate(needed):
+            for _ in range(target - n):
+                for parity, w in enumerate(jump):
+                    phi[parity::2] = w @ phi[parity::2]
+                phi /= np.linalg.norm(phi)
+            n = target
+            starts[:, col] = phi
+        cols = np.searchsorted(needed, count)
+        states = starts[:, cols]  # a copy; right already where phase is 0
+        stops = np.unique(phase[phase > 0])
+        narrow = len(needed) <= (n_atoms + 2) // 2
+        block = starts if narrow else _parity_identity(n_atoms)
+        marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
+        for stop, dt in zip(stops, marching):
+            hit = np.flatnonzero(phase == stop)
+            if narrow:  # the starts themselves were marched
+                reached = starts[:, cols[hit]]
+            else:  # einsum, not @ (see _period_propagator)
+                reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
+                for parity, w in enumerate(_parity_blocks(block)):
+                    reached[parity::2] = np.einsum(
+                        "ij,jk->ik", w, starts[parity::2, cols[hit]])
+            states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+    return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 
 def propagate_driven(spec, initial, times, control=None):
@@ -381,12 +381,9 @@ def propagate_driven(spec, initial, times, control=None):
         raise ValidationError("propagate_driven requires a FullDriven spec")
     times = _check_times(times)
     control = control or StepControl()
-    n = initial.n_atoms
-    states = [initial]
-    for lab in _driven_states(spec, n, initial.amplitudes, times[0], times[1:],
-                              control):
-        states.append(DickeState(n, lab / np.linalg.norm(lab)))
-    return Trajectory(times, tuple(states),
+    rows = _driven_states(spec, initial.n_atoms, initial.amplitudes, times[0],
+                          times[1:], control)
+    return Trajectory(times, np.vstack([initial.amplitudes, rows]),
                       partial(driven_state_at, spec, control=control))
 
 
@@ -408,4 +405,4 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
         return initial
     lab, = _driven_states(spec, initial.n_atoms, initial.amplitudes, t_start,
                           np.array([t_end], dtype=float), control)
-    return DickeState(initial.n_atoms, lab / np.linalg.norm(lab))
+    return DickeState(initial.n_atoms, lab)

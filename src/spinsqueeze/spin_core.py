@@ -22,7 +22,7 @@ from .errors import ValidationError
 # in O(N^3); refuse larger sizes loudly.
 N_ATOMS_MAX = 2000
 
-NORM_TOL = 1e-10
+NORM_TOL = 1e-10  # every stored state's unit norm (evolve.NORM_TOL: RK4 drift allowance)
 
 OPERATOR_LABELS = ("Jx", "Jy", "Jz", "Jplus", "Jminus")
 
@@ -41,6 +41,26 @@ def _frozen(array):
     return out
 
 
+def _unit_rows(amplitudes, count=None, n_atoms=None):
+    """Read-only complex copy of one state (N+1,), or of `count` states as rows.
+
+    N is `n_atoms`, else read off the rows; each must have unit norm (NaN fails).
+    """
+    try:
+        amp = np.array(amplitudes, dtype=complex, ndmin=1)
+    except (TypeError, ValueError):
+        raise ValidationError("amplitudes must form one complex array") from None
+    n = _check_n_atoms(amp.shape[-1] - 1 if n_atoms is None else n_atoms)
+    shape = (n + 1,) if count is None else (count, n + 1)
+    if amp.shape != shape:
+        raise ValidationError(f"amplitudes have shape {amp.shape}, expected {shape}")
+    drift = abs(np.linalg.norm(amp, axis=-1) - 1.0).max()
+    if not drift <= NORM_TOL:  # NaN fails too
+        raise ValidationError(f"state norm deviates from 1 by {drift!r}, beyond {NORM_TOL}")
+    amp.flags.writeable = False
+    return amp
+
+
 @dataclass(frozen=True)
 class DickeState:
     """Normalized pure state over the |J, J-k> basis, k = 0..N."""
@@ -49,16 +69,9 @@ class DickeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_atoms(self.n_atoms)
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (n + 1,):
-            raise ValidationError(
-                f"amplitude vector has shape {amp.shape}, expected ({n + 1},)")
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "n_atoms", n)
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        amp = _unit_rows(self.amplitudes, n_atoms=self.n_atoms)
+        object.__setattr__(self, "n_atoms", len(amp) - 1)
+        object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True)

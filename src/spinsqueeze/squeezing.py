@@ -141,8 +141,7 @@ def xi_squared(state, time=0.0):
 
 def squeezing_curve(traj):
     """Squeezing records for every sample of a trajectory."""
-    psi = np.array([s.amplitudes for s in traj.states])
-    return _records(traj.states[0].n_atoms, psi, traj.times)
+    return _records(traj.n_atoms, traj.amplitudes, traj.times)
 
 
 def optimal_squeezing(traj):
@@ -167,7 +166,8 @@ def optimal_squeezing(traj):
 
     def evaluate(t):
         i = int(np.searchsorted(traj.times, t, side="right")) - 1
-        return xi_squared(traj.advance(traj.states[i], traj.times[i], t), t)
+        state = DickeState(traj.n_atoms, traj.amplitudes[i])
+        return xi_squared(traj.advance(state, traj.times[i], t), t)
 
     a = traj.times[max(i_min - 1, 0)]
     b = traj.times[min(i_min + 1, len(traj.times) - 1)]

@@ -318,9 +318,10 @@ class TestPeriodJumps:
 
 
 class TestStepControl:
-    def test_rejects_too_few_substeps(self):
+    @pytest.mark.parametrize("substeps", [10, np.nan])
+    def test_rejects_too_few_substeps(self, substeps):
         with pytest.raises(ValidationError):
-            StepControl(substeps_per_period=10)
+            StepControl(substeps_per_period=substeps)
 
     def test_refined_halves_step(self):
         base = StepControl()
@@ -333,12 +334,58 @@ class TestTrajectory:
     def test_rejects_nonzero_start(self):
         state = css(2)
         with pytest.raises(ValidationError):
-            Trajectory(np.array([0.5, 1.0]), (state, state))
+            Trajectory(np.array([0.5, 1.0]), np.tile(state.amplitudes, (2, 1)))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
-            Trajectory(np.array([0.0, 1.0]), (css(2),))
+            Trajectory(np.array([0.0, 1.0]), css(2).amplitudes[None])
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            Trajectory(np.array([]), ())
+            Trajectory(np.array([]), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("rows", [
+        lambda: css(2).amplitudes,  # one state, not rows
+        lambda: np.ones((3, 1)),  # N = 0
+        lambda: (css(2), css(3), css(2)),
+        lambda: tuple(css(n).amplitudes for n in (2, 3, 2)),
+        lambda: np.tile(css(2).amplitudes, (3, 1)) * [[1.0], [1.1], [1.0]],
+        lambda: np.tile(css(2).amplitudes, (3, 1)) * [[1.0], [1.0], [np.nan]],
+    ], ids=["vector", "no-atoms", "mixed-n-states", "mixed-n-arrays",
+            "non-unit-row", "nan-row"])
+    def test_rejects_malformed_amplitudes(self, rows):
+        with pytest.raises(ValidationError):
+            Trajectory(np.array([0.0, 0.1, 0.2]), rows())
+
+    def test_holds_one_read_only_array(self):
+        times = np.array([0.0, 0.1, 0.2])
+        rows = np.tile(css(4).amplitudes, (3, 1))
+        traj = Trajectory(times, rows)
+        times[0], rows[0] = 0.0, 0.0  # the trajectory keeps its own copies
+        assert traj.n_atoms == 4
+        assert np.array_equal(traj.amplitudes, np.tile(css(4).amplitudes, (3, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            traj.amplitudes[0, 0] = 1.0
+        for i, state in enumerate(traj.states):
+            assert np.array_equal(state.amplitudes, traj.amplitudes[i])
+
+    # at omega = 300, t_max = 0.5/20 spans 1.2 drive periods (one-column
+    # march) and 0.5 spans 24 (period jumps)
+    @pytest.mark.parametrize("propagate", [
+        lambda psi, t: propagate_static(build_hamiltonian(TATxz(), 8), psi, t),
+        lambda psi, t: propagate_driven(driven_spec(8, 300.0), psi, t / 20),
+        lambda psi, t: propagate_driven(driven_spec(8, 300.0), psi, t),
+    ], ids=["static", "driven-march", "driven-jumps"])
+    def test_no_state_object_per_sample(self, monkeypatch, propagate):
+        initial = css(8)
+        built = []
+        post_init = DickeState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(DickeState, "__post_init__", counting)
+        records = squeezing_curve(propagate(initial, np.linspace(0, 0.5, 25)))
+        assert len(records) == 25
+        assert len(built) == 0

@@ -246,7 +246,7 @@ class TestOptimalSqueezing:
     def test_hand_built_trajectory_has_no_propagator(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
                                 [0.0, 0.1, 0.2])
-        hand_built = Trajectory(traj.times, traj.states)
+        hand_built = Trajectory(traj.times, traj.amplitudes)
         with pytest.raises(ValidationError, match="no propagator"):
             optimal_squeezing(hand_built)
 
@@ -255,6 +255,6 @@ class TestOptimalSqueezing:
         amp = np.zeros(n + 1)
         amp[n // 2] = 1.0
         state = DickeState(n, amp)
-        traj = Trajectory(np.array([0.0, 0.1, 0.2]), (state, state, state))
+        traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.tile(state.amplitudes, (3, 1)))
         with pytest.raises(ValidationError, match="over-squeezed"):
             optimal_squeezing(traj)
