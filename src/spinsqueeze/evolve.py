@@ -9,11 +9,13 @@ psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
 so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods integrates one period's
-propagator W_T once and jumps from period to period by matvecs. One more
-march over at most one period, of the needed period starts or of the
-identity (giving W(tau), applied to each start), then reaches every sample
-phase tau. States are mapped back to the lab frame at every sample point,
-so trajectories always contain genuine psi(t).
+propagator W_T once and jumps from period to period by matvecs. One march,
+of the needed period starts or of the identity (giving W(tau), applied to
+each start), then reaches every sample phase tau. A run spanning too few
+periods makes no jump: its samples are all phases of period 0, and the
+same march carries the one start from sample to sample. States are mapped
+back to the lab frame at every sample point, so trajectories always
+contain genuine psi(t).
 """
 
 import cmath
@@ -181,19 +183,17 @@ def propagate_static(hamiltonian, initial, times):
 def _rk4_march(spec, n_atoms, block, t, stops, dt_max):
     """Advance rotating-frame states in place with RK4 from t to each stop.
 
-    `block` is one state (N+1,) or states as the columns of (N+1, C); the
-    stops increase from t, and each gap is cut into equal steps of at most
-    dt_max. Yields the step used once `block` holds the states at a stop.
+    `block` holds the states as the columns of (N+1, C); the stops increase
+    from t, and each gap is cut into equal steps of at most dt_max. Yields
+    the step used once `block` holds the states at a stop.
     Jx^2 is real with only the 0 and +-2 diagonals, and m falls by one per
     index, so co-rotating multiplies its upper band by exp(2i theta) and its
     lower band by the conjugate. No array of the block's size is allocated
     per step.
     """
     diag, upper = _jx2_bands(n_atoms)
-    diag = -1j * spec.chi * diag
-    band = -1j * spec.chi * upper
-    if block.ndim == 2:
-        diag, band = diag[:, None], band[:, None]
+    diag = -1j * spec.chi * diag[:, None]
+    band = -1j * spec.chi * upper[:, None]
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     k, y, acc, tmp = (np.empty_like(block) for _ in range(4))
@@ -230,7 +230,7 @@ def _rk4_march(spec, n_atoms, block, t, stops, dt_max):
 def _normalize(block, times, n_atoms, dt):
     """Divide each column by its norm in place; drift beyond NORM_TOL raises."""
     norms = np.linalg.norm(block, axis=0)
-    drift = np.abs(np.atleast_1d(norms) - 1.0)
+    drift = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(drift <= NORM_TOL))  # NaN drift fails too
     if len(bad):
         raise IntegrationError(
@@ -314,19 +314,20 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
 
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
-    propagator from t_start. When enough whole periods are spanned
-    (`_jumps_pay`), three stages replace the march through every period:
-    1. integrate W_T once (`_period_propagator`);
+    propagator from t_start. Three stages make every sample:
+    1. integrate W_T once (`_period_propagator`), only when enough whole
+       periods are spanned (`_jumps_pay`); otherwise every sample counts
+       as period 0 at phase tau = t - t_start;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
-       keep the v_n that samples need;
-    3. march over at most one period, stopping at each distinct sample
-       phase tau, whichever block is narrower: the kept v_n themselves,
-       or the (N+2)//2-column identity (`_parity_identity`), which gives
-       W(tau) and each sample as W(tau) v_n. RK4 is linear, so both are
-       the same states.
-    Otherwise one column is marched from sample to sample. Either way every
-    state is RK4 at a step of at most `control.max_step`, and drift beyond
-    NORM_TOL since the last renormalized state raises IntegrationError.
+       keep the v_n that samples need (just v_0 = phi without jumps);
+    3. march over the distinct sample phases tau in one pass, whichever
+       block is narrower: the kept v_n themselves, or the (N+2)//2-column
+       identity (`_parity_identity`), which gives W(tau) and each sample
+       as W(tau) v_n. RK4 is linear, so both are the same states.
+    Without jumps stage 3 marches the one column phi from sample to sample.
+    Every state is RK4 at a step of at most `control.max_step`, and drift
+    beyond NORM_TOL since the last renormalized state raises
+    IntegrationError: marched starts are renormalized at each readout.
     """
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
@@ -335,38 +336,42 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     period = 2 * math.pi / omega
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     count, phase = _period_split(times, t_start, period)
-    if not _jumps_pay(n_atoms, count.max(initial=0)):
-        states = np.empty((n_atoms + 1, len(times)), dtype=complex)
-        for col, dt in enumerate(_rk4_march(spec, n_atoms, phi, t_start, times, dt_max)):
-            states[:, col] = _normalize(phi, times[col:col + 1], n_atoms, dt)
-    else:
+    if _jumps_pay(n_atoms, count.max(initial=0)):
         jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
-        needed = count[np.diff(count, prepend=-1) > 0]  # count never decreases
-        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
-        n = 0  # phi holds v_n
-        for col, target in enumerate(needed):
-            for _ in range(target - n):
-                for parity, w in enumerate(jump):
-                    phi[parity::2] = w @ phi[parity::2]
-                phi /= np.linalg.norm(phi)
-            n = target
-            starts[:, col] = phi
-        cols = np.searchsorted(needed, count)
-        states = starts[:, cols]  # a copy; right already where phase is 0
-        stops = np.unique(phase[phase > 0])
-        narrow = len(needed) <= (n_atoms + 2) // 2
-        block = starts if narrow else _parity_identity(n_atoms)
-        marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
-        for stop, dt in zip(stops, marching):
-            hit = np.flatnonzero(phase == stop)
-            if narrow:  # the starts themselves were marched
-                reached = starts[:, cols[hit]]
-            else:  # einsum, not @ (see _period_propagator)
-                reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
-                for parity, w in enumerate(_parity_blocks(block)):
-                    reached[parity::2] = np.einsum(
-                        "ij,jk->ik", w, starts[parity::2, cols[hit]])
-            states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+    else:  # all in period 0, so stage 2 makes no jump
+        count, phase = np.zeros_like(count), times - t_start
+    needed = np.unique(count)
+    starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
+    n = 0  # phi holds v_n
+    for col, target in enumerate(needed):
+        for _ in range(target - n):
+            for parity, w in enumerate(jump):
+                phi[parity::2] = w @ phi[parity::2]
+            phi /= np.linalg.norm(phi)
+        n = target
+        starts[:, col] = phi
+    cols = np.searchsorted(needed, count)
+    states = starts[:, cols]  # a copy; right already where phase is 0
+    stops = np.unique(phase[phase > 0])
+    # samples grouped by phase: sorted order, cut where each stop begins
+    order = np.argsort(phase, kind="stable")
+    rises = np.searchsorted(phase[order], stops)
+    narrow = len(needed) <= (n_atoms + 2) // 2
+    block = starts if narrow else _parity_identity(n_atoms)
+    marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
+    bounds = [*rises.tolist(), len(order)]
+    for lo, hi, dt in zip(bounds, bounds[1:], marching):
+        hit = order[lo:hi]
+        at = cols[hit]
+        if narrow:  # the starts themselves were marched
+            reached = starts[:, at]
+        else:  # einsum, not @ (see _period_propagator)
+            reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
+            for parity, w in enumerate(_parity_blocks(block)):
+                reached[parity::2] = np.einsum("ij,jk->ik", w, starts[parity::2, at])
+        states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+        if narrow:  # later stops count drift from the renormalized states
+            starts[:, at] = reached
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 

@@ -95,6 +95,15 @@ def _spec_metadata(spec):
     return meta
 
 
+def _template_metadata(template):
+    """A sweep template's metadata: a full one records its g/omega ratio,
+    since each point runs at its own omega (`_spec_for_n`)."""
+    if isinstance(template, FullDriven):
+        return {"hamiltonian": variant_name(template), "chi": template.chi,
+                "ratio": template.drive.ratio}
+    return _spec_metadata(template)
+
+
 def _run_trajectory(spec, n_atoms, axis, times, control=None):
     initial = coherent_spin_state(n_atoms, axis)
     if isinstance(spec, FullDriven):
@@ -172,16 +181,12 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     if len(set(names)) != len(names):
         raise ValidationError("duplicate Hamiltonian variants in scaling sweep")
 
-    results = [_optimal_point(_spec_for_n(template, n), n, initial_axis,
-                              default_t_max(n, template.chi), grid_samples)
-               for template in specs for n in n_list]
-
     columns = {"n_atoms": np.array(n_list, dtype=float)}
     fits = {}
-    for i, (spec, name) in enumerate(zip(specs, names)):
-        chunk = results[i * len(n_list):(i + 1) * len(n_list)]
-        xi = [x for x, _ in chunk]
-        topt = [t for _, t in chunk]
+    for template, name in zip(specs, names):
+        xi, topt = zip(*(_optimal_point(_spec_for_n(template, n), n, initial_axis,
+                                        default_t_max(n, template.chi), grid_samples)
+                         for n in n_list))
         columns[f"optimal_xi2_{name}"] = xi
         columns[f"optimal_time_{name}"] = topt
         fits[name] = fit_scaling(n_list, xi)
@@ -194,7 +199,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
         "initial_axis": initial_axis.lstrip("+"),
         "grid_samples": int(grid_samples),
         "scaling_omega_per_atom": SCALING_OMEGA_PER_ATOM,
-        "specs": [_spec_metadata(s) for s in specs],
+        "specs": [_template_metadata(s) for s in specs],
         "fits": {name: {"exponent": f.exponent, "prefactor": f.prefactor,
                         "r_squared": f.r_squared, "n_range": list(f.n_range)}
                  for name, f in fits.items()},
@@ -247,20 +252,6 @@ def _format_number(x):
     return "%.12g" % x
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _emit_csv(table, fh):
     names = list(table.columns)
     fh.write(",".join(names) + "\n")
@@ -269,11 +260,9 @@ def _emit_csv(table, fh):
 
 
 def _emit_json(table, fh):
-    payload = {
-        "metadata": _jsonable(table.metadata),
-        "columns": {k: _jsonable(v) for k, v in table.columns.items()},
-    }
-    json.dump(payload, fh, indent=2)
+    payload = {"metadata": table.metadata, "columns": table.columns}
+    # numpy arrays and scalars that are not already floats go through tolist
+    json.dump(payload, fh, indent=2, default=lambda obj: obj.tolist())
     fh.write("\n")
 
 

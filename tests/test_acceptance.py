@@ -1,7 +1,7 @@
 """Acceptance suite: one test per headline criterion, printed pass/fail lines.
 
 Heavier than the unit tests (full driven sweeps at N up to 160); the whole
-module runs in a couple of minutes on a laptop.
+module runs in about 6 s on a 2-vCPU host.
 """
 
 import numpy as np

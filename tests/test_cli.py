@@ -198,3 +198,21 @@ class TestScanRatio:
         code, _, _ = run(capsys, "scan-ratio", "--n", "10", "--omega", "300",
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    def test_bench_point_passes_the_correctness_gate(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the first driven-ratio command of perfbench/run.py, gated by
+        # perfbench/check.py against its stored reference columns, so a change
+        # that moves a gated optimum fails here before the bench runs
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
+        from check import check, read_columns
+        from run import WORKLOADS, load_reference
+        workload = WORKLOADS["driven-ratio"]
+        out_file = tmp_path / f"bench.{workload.fmt}"
+        code, _, _ = run(capsys, *workload.argv(workload.pool[0], workload.threads),
+                         "--out", str(out_file))
+        assert code == 0
+        reference = load_reference()["workloads"]["driven-ratio"][0]
+        points, failed, _ = check(read_columns(out_file, workload.fmt), reference)
+        assert (points, failed) == (3, 0)

@@ -316,6 +316,22 @@ class TestPeriodJumps:
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100), times, control)
 
+    def test_drift_counts_from_the_previous_sample(self):
+        # no jumps here, so one column is marched through all 120 stops; each
+        # gap drifts within NORM_TOL, but the whole march without a
+        # renormalization at each sample does not
+        n, omega = 20, 200.0
+        spec = driven_spec(n, omega)
+        control = StepControl(substeps_per_period=24, twist_step_scale=1e6)
+        times = np.linspace(0, 1.9, 121) * period_of(omega)
+        assert not evolve._jumps_pay(n, 1)
+        propagate_driven(spec, css(n), times, control)
+        block = css(n).amplitudes[:, None].copy()  # rotating frame = lab at t = 0
+        for _ in evolve._rk4_march(spec, n, block, 0.0, times[1:],
+                                   control.max_step(spec, n)):
+            pass
+        assert abs(np.linalg.norm(block) - 1) > evolve.NORM_TOL
+
 
 class TestStepControl:
     @pytest.mark.parametrize("substeps", [10, np.nan])

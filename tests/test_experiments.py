@@ -60,6 +60,16 @@ class TestRunNScaling:
         assert fits["tat-xz"].r_squared > 0.98
         assert table.metadata["fits"]["oat"]["exponent"] == fits["oat"].exponent
 
+    def test_driven_template_records_its_ratio(self):
+        # each point runs at omega = 70 N chi, never at the template's omega
+        n_list = [4, 6, 8, 10, 12]
+        table, _ = run_n_scaling([TATxz(), FullDriven(DriveParams(0.906, 1.0))],
+                                 n_list)
+        assert table.metadata["specs"] == [
+            {"hamiltonian": "tat-xz", "chi": 1.0},
+            {"hamiltonian": "full", "chi": 1.0, "ratio": 0.906},
+        ]
+
     def test_rejects_short_or_unsorted_lists(self):
         with pytest.raises(ValidationError):
             run_n_scaling([OAT()], [10, 20, 40, 80])

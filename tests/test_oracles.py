@@ -4,16 +4,19 @@ Acceptance c05 takes its reference from `oracles.drive_averaged_optimum`, so
 the oracle is tied here to values the suite already trusts: the TAT and OAT
 references of c03/c04, the brute-force direction scan, and the library's own
 static EffectiveMixed optimum. The driven path of c05 is checked against
-a Magnus/expm integration that shares no code with the library's RK4.
+a Magnus/expm integration that shares no code with the library's RK4, and
+the library's one-period propagator against the drive-averaged one.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import j0
 
-from spinsqueeze import (DriveParams, EffectiveMixed, FullDriven, bessel_j0,
-                         build_hamiltonian, coherent_spin_state, default_t_max,
-                         optimal_squeezing, propagate_driven, propagate_static,
-                         xi_squared)
+from spinsqueeze import (DickeState, DriveParams, EffectiveMixed, FullDriven,
+                         bessel_j0, build_hamiltonian, coherent_spin_state,
+                         default_t_max, driven_state_at, optimal_squeezing,
+                         propagate_driven, propagate_static, xi_squared)
 
 import oracles
 
@@ -61,3 +64,29 @@ def test_magnus_oracle_matches_driven_rk4(n):
     assert abs(np.vdot(psi, lab.amplitudes)) == pytest.approx(1.0, abs=1e-8)
     assert oracles.xi_squared_covariance(psi, n) == pytest.approx(
         xi_squared(lab).xi_squared, abs=1e-4)
+
+
+def test_period_propagator_approaches_drive_averaged_twisting():
+    # Floquet picture: the one-period propagator W_T tends to exp(-i H_eff T),
+    # H_eff = [(1+A) Jx^2 + (1-A) Jy^2] / 2 with A = J0(2 g/omega), and the
+    # error falls as omega^-2; A = J0(g/omega) leaves an error of order T
+    n, ratio = 20, 0.4
+    omegas = np.array([200.0, 400.0, 800.0, 1600.0])
+    jx, jy, _ = oracles.raw_spin_matrices(n)
+
+    def h_eff(a):
+        return 0.5 * ((1 + a) * jx @ jx + (1 - a) * jy @ jy)
+
+    errors, misread = [], []
+    for omega in omegas:
+        period = 2 * np.pi / omega
+        spec = FullDriven(DriveParams(ratio * omega, omega))
+        w_t = np.column_stack([
+            driven_state_at(spec, DickeState(n, e), 0.0, period).amplitudes
+            for e in np.eye(n + 1)])
+        errors.append(np.linalg.norm(w_t - expm(-1j * h_eff(j0(2 * ratio)) * period), 2))
+        misread.append(np.linalg.norm(w_t - expm(-1j * h_eff(j0(ratio)) * period), 2)
+                       / period)
+    slope = np.polyfit(np.log(omegas), np.log(errors), 1)[0]
+    assert slope == pytest.approx(-2.0, abs=0.2)
+    assert min(misread) > 1.0
