@@ -7,6 +7,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .errors import IntegrationError, ValidationError
 from .experiments import emit, run_n_scaling, run_ratio_scan, run_time_curve
 from .hamiltonians import (VARIANTS, DriveParams, EffectiveMixed, FullDriven,
@@ -46,15 +48,8 @@ def _parse_range(text):
     if (stop - start) / step + 1 > RATIO_GRID_MAX:
         raise ValidationError(
             f"ratio range {text!r} has more than {RATIO_GRID_MAX} points")
-    grid = []
-    k = 0
-    while True:
-        r = start + k * step
-        if r > stop + step / 2:
-            break
-        grid.append(r)
-        k += 1
-    return grid
+    grid = start + step * np.arange(int((stop - start) / step) + 2)
+    return grid[grid <= stop + step / 2].tolist()
 
 
 def _parse_n_list(text):

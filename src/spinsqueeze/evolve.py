@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import spin_core
 from .errors import IntegrationError, ValidationError
 from .hamiltonians import FullDriven
 from .spin_core import (CollectiveOperator, DickeState, _frozen, _jx2_bands,
@@ -143,7 +144,7 @@ def _static_states(blocks, psi, durations):
     """Rows exp(-i H dt)|psi> for each dt, as V exp(-i Lambda dt) V^dag |psi>.
 
     Two products per block make every row. A row whose norm drifts beyond
-    1e-10 (NaN too) raises IntegrationError.
+    spin_core.NORM_TOL (NaN too) raises IntegrationError.
     """
     out = np.empty((len(durations), len(psi)), dtype=complex)
     for rows, evals, evecs in blocks:
@@ -152,7 +153,7 @@ def _static_states(blocks, psi, durations):
         out[:, rows] = _apply(evecs, phased).T
     norms = np.linalg.norm(out, axis=1)
     drift = np.abs(norms - 1.0)
-    bad = np.flatnonzero(~(drift <= 1e-10))
+    bad = np.flatnonzero(~(drift <= spin_core.NORM_TOL))
     if len(bad):
         raise IntegrationError(f"static propagation lost norm: drift {drift[bad[0]]:g}")
     return out / norms[:, None]
@@ -327,7 +328,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     Without jumps stage 3 marches the one column phi from sample to sample.
     Every state is RK4 at a step of at most `control.max_step`, and drift
     beyond NORM_TOL since the last renormalized state raises
-    IntegrationError: marched starts are renormalized at each readout.
+    IntegrationError: marched starts are renormalized at every stop.
     """
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
@@ -357,21 +358,21 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     order = np.argsort(phase, kind="stable")
     rises = np.searchsorted(phase[order], stops)
     narrow = len(needed) <= (n_atoms + 2) // 2
+    start_times = t_start + needed * period
     block = starts if narrow else _parity_identity(n_atoms)
     marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
     bounds = [*rises.tolist(), len(order)]
-    for lo, hi, dt in zip(bounds, bounds[1:], marching):
+    for lo, hi, stop, dt in zip(bounds, bounds[1:], stops, marching):
         hit = order[lo:hi]
         at = cols[hit]
         if narrow:  # the starts themselves were marched
-            reached = starts[:, at]
+            _normalize(starts, start_times + stop, n_atoms, dt)
+            states[:, hit] = starts[:, at]
         else:  # einsum, not @ (see _period_propagator)
             reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
             for parity, w in enumerate(_parity_blocks(block)):
                 reached[parity::2] = np.einsum("ij,jk->ik", w, starts[parity::2, at])
-        states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
-        if narrow:  # later stops count drift from the renormalized states
-            starts[:, at] = reached
+            states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .evolve import propagate_driven, propagate_static
 from .hamiltonians import (DriveParams, FullDriven, TATxz, build_hamiltonian,
                            rwa_validity, variant_name)
-from .spin_core import coherent_spin_state
+from .spin_core import _check_n_atoms, coherent_spin_state
 from .squeezing import optimal_squeezing, squeezing_curve
 
 # Per-point drive frequency for N-scaling sweeps with the full Hamiltonian:
@@ -27,11 +27,16 @@ SCALING_OMEGA_PER_ATOM = 70.0
 
 @dataclass(frozen=True)
 class SweepTable:
+    """Equal-length columns; metadata is headed by tool, version and sweep kind."""
+
     sweep_kind: str  # time_curve | n_scaling | ratio_scan
     columns: Dict[str, np.ndarray]
     metadata: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "metadata", {
+            "tool": "spinsqueeze", "version": __version__,
+            "sweep": self.sweep_kind, **self.metadata})
         cols = {}
         length = None
         for name, values in self.columns.items():
@@ -79,8 +84,12 @@ def default_t_max(n_atoms, chi=1.0):
     """Time window that safely contains the squeezing optimum.
 
     Three times the one-axis-twisting optimal-time estimate
-    3^(1/6) (N/2)^(-2/3) / chi, clamped to [0.05, 2] / chi.
+    3^(1/6) (N/2)^(-2/3) / chi, clamped to [0.05, 2] / chi. N must be a
+    positive integer and chi finite and > 0.
     """
+    _check_n_atoms(n_atoms)
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValidationError(f"chi must be finite and > 0, got {chi!r}")
     estimate = 3 ** (1 / 6) * (n_atoms / 2) ** (-2 / 3)
     return min(max(3 * estimate, 0.05), 2.0) / chi
 
@@ -125,9 +134,6 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
     traj = _run_trajectory(spec, n_atoms, initial_axis, times, control)
     records = squeezing_curve(traj)
     metadata = {
-        "tool": "spinsqueeze",
-        "version": __version__,
-        "sweep": "time_curve",
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),
         "t_max": float(t_max),
@@ -192,9 +198,6 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
         fits[name] = fit_scaling(n_list, xi)
 
     metadata = {
-        "tool": "spinsqueeze",
-        "version": __version__,
-        "sweep": "n_scaling",
         "n_list": n_list,
         "initial_axis": initial_axis.lstrip("+"),
         "grid_samples": int(grid_samples),
@@ -226,9 +229,6 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
                                       t_max, grid_samples)
     diag = rwa_validity(FullDriven(DriveParams(0.0, omega), chi), n_atoms)
     metadata = {
-        "tool": "spinsqueeze",
-        "version": __version__,
-        "sweep": "ratio_scan",
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),
         "omega": float(omega),

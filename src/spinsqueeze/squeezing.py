@@ -111,24 +111,14 @@ def _records(n_atoms, psi, times):
     lam_min = 0.5 * (v11 + v22 - half_gap)
     xi2 = 4 * lam_min / n_atoms
 
-    records = []
-    for i, t in enumerate(times):
-        # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi)
-        if half_gap[i] < 1e-14:
-            angle = 0.0
-        elif abs(v12[i]) < 1e-14:
-            angle = 0.0 if v11[i] <= v22[i] else math.pi / 2
-        else:
-            angle = math.atan2(lam_min[i] - v11[i], v12[i]) % math.pi
-        records.append(SqueezingRecord(
-            time=float(t),
-            xi_squared=float(xi2[i]),
-            mean_spin=mean[i],
-            mean_spin_length=float(length[i]),
-            optimal_angle=float(angle),
-            degenerate_flag=bool(degenerate[i]),
-        ))
-    return records
+    # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi)
+    angle = np.where(abs(v12) < 1e-14, np.where(v11 <= v22, 0.0, math.pi / 2),
+                     np.arctan2(lam_min - v11, v12) % math.pi)
+    angle[half_gap < 1e-14] = 0.0
+    mean.flags.writeable = False
+    return [SqueezingRecord(*row) for row in zip(
+        map(float, times), xi2.tolist(), mean,
+        length.tolist(), angle.tolist(), degenerate.tolist())]
 
 
 def xi_squared(state, time=0.0):

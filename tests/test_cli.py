@@ -192,6 +192,14 @@ class TestScanRatio:
                          "--out", str(tmp_path / "scan.csv"))
         assert code == 0
 
+    @pytest.mark.parametrize("n, chi", [("0", "1"), ("-4", "1"), ("10", "0")])
+    def test_bad_n_or_chi_is_exit_1(self, tmp_path, capsys, n, chi):
+        code, _, err = run(capsys, "scan-ratio", "--n", n, "--chi", chi,
+                           "--omega", "300", "--ratios", "0:0.4:0.4",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("ratios", ["1:0:-1", "0:nan:0.1", "0:inf:0.1",
                                         "0:1:nan", "0:1e9:1e-3"])
     def test_bad_range_is_exit_1(self, tmp_path, capsys, ratios):
@@ -199,20 +207,23 @@ class TestScanRatio:
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("name, n_points", [
+        ("driven-ratio", 3), ("driven-curve", 400),
+        ("static-scan-n", 15), ("driven-scan-n", 15)])
     def test_bench_point_passes_the_correctness_gate(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # the first driven-ratio command of perfbench/run.py, gated by
+                                                     monkeypatch, name, n_points):
+        # the first command of each perfbench/run.py workload, gated by
         # perfbench/check.py against its stored reference columns, so a change
-        # that moves a gated optimum fails here before the bench runs
+        # that moves a gated value fails here before the bench runs
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
         from check import check, read_columns
         from run import WORKLOADS, load_reference
-        workload = WORKLOADS["driven-ratio"]
+        workload = WORKLOADS[name]
         out_file = tmp_path / f"bench.{workload.fmt}"
         code, _, _ = run(capsys, *workload.argv(workload.pool[0], workload.threads),
                          "--out", str(out_file))
         assert code == 0
-        reference = load_reference()["workloads"]["driven-ratio"][0]
+        reference = load_reference()["workloads"][name][0]
         points, failed, _ = check(read_columns(out_file, workload.fmt), reference)
-        assert (points, failed) == (3, 0)
+        assert (points, failed) == (n_points, 0)

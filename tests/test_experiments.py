@@ -105,6 +105,11 @@ class TestDefaultTMax:
         assert default_t_max(10) > 0.43   # slowest optimum in the tests
         assert default_t_max(100) > 0.08
 
+    @pytest.mark.parametrize("n_atoms, chi", [(0, 1.0), (-4, 1.0), (10, 0.0)])
+    def test_rejects_bad_n_or_chi(self, n_atoms, chi):
+        with pytest.raises(ValidationError):
+            default_t_max(n_atoms, chi)
+
 
 class TestEmit:
     def test_csv_empty_table(self, tmp_path):

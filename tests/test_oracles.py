@@ -69,7 +69,10 @@ def test_magnus_oracle_matches_driven_rk4(n):
 def test_period_propagator_approaches_drive_averaged_twisting():
     # Floquet picture: the one-period propagator W_T tends to exp(-i H_eff T),
     # H_eff = [(1+A) Jx^2 + (1-A) Jy^2] / 2 with A = J0(2 g/omega), and the
-    # error falls as omega^-2; A = J0(g/omega) leaves an error of order T
+    # error falls as omega^-2; A = J0(g/omega) leaves an error of order T.
+    # The quasienergies -angle(lambda)/T of W_T's eigenvalues lambda tend to
+    # the spectrum of H_eff the same way: the distance is the farthest any
+    # level on either side lies from the nearest level on the other, mod 2 pi/T
     n, ratio = 20, 0.4
     omegas = np.array([200.0, 400.0, 800.0, 1600.0])
     jx, jy, _ = oracles.raw_spin_matrices(n)
@@ -77,7 +80,12 @@ def test_period_propagator_approaches_drive_averaged_twisting():
     def h_eff(a):
         return 0.5 * ((1 + a) * jx @ jx + (1 - a) * jy @ jy)
 
-    errors, misread = [], []
+    def quasienergy_distance(lam, h, period):
+        energies = np.linalg.eigvalsh(h)
+        gaps = np.abs(np.angle(np.multiply.outer(lam, np.exp(1j * energies * period))))
+        return max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) / period
+
+    errors, misread, levels, levels_misread, modulus = [], [], [], [], []
     for omega in omegas:
         period = 2 * np.pi / omega
         spec = FullDriven(DriveParams(ratio * omega, omega))
@@ -87,6 +95,14 @@ def test_period_propagator_approaches_drive_averaged_twisting():
         errors.append(np.linalg.norm(w_t - expm(-1j * h_eff(j0(2 * ratio)) * period), 2))
         misread.append(np.linalg.norm(w_t - expm(-1j * h_eff(j0(ratio)) * period), 2)
                        / period)
+        lam = np.linalg.eigvals(w_t)
+        modulus.append(np.max(np.abs(np.abs(lam) - 1)))
+        levels.append(quasienergy_distance(lam, h_eff(j0(2 * ratio)), period))
+        levels_misread.append(quasienergy_distance(lam, h_eff(j0(ratio)), period))
     slope = np.polyfit(np.log(omegas), np.log(errors), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.2)
     assert min(misread) > 1.0
+    assert max(modulus) < 1e-9
+    level_slope = np.polyfit(np.log(omegas), np.log(levels), 1)[0]
+    assert level_slope == pytest.approx(-2.0, abs=0.2)
+    assert min(levels_misread) > 1.0
