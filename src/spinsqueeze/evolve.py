@@ -8,10 +8,17 @@ The driven integrator works in the exact rotating frame of the drive term:
 psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
 so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
-T = 2 pi / omega, so a run spanning many periods integrates one period's
+T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. One march,
 of the needed period starts or of the identity (giving W(tau), applied to
-each start), then reaches every sample phase tau. A run spanning too few
+each start), then reaches every sample phase tau. The index reversal F
+(k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
+drive's second half period onto its first: A(t + T/2) = F A(t) F for the
+co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h, and
+W_h = (F W_q F)^T W_q from a quarter period's W_q when the start is a
+multiple of T/2, where A is also mirror-symmetric about the quarter period
+and A^T = F A F. The identity march folds each phase tau >= T/2 onto
+tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. A run spanning too few
 periods makes no jump: its samples are all phases of period 0, and the
 same march carries the one start from sample to sample. States are mapped
 back to the lab frame at every sample point, so trajectories always
@@ -258,14 +265,18 @@ def _period_split(times, t_start, period):
     return count.astype(int), phase
 
 
-# Stage 1 costs one period of RK4 on (N+2)//2 columns: 1.3x a one-column
-# step at N <= 16, 2.3x at N = 64, 4.2x at N = 100 and 33x at N = 300
-# (in-place block steps, one thread). Timing one state at P + 1/2 periods
-# (omega = 70 N chi), the jumps broke even with the plain march at about
-# P = 1.5 (N = 8), 2 (N = 32), 3 (N = 64), 5-6 (N = 100), 9-12 (N = 160)
-# and 18-20 (N = 240); 2 + ((N+1)/52)^2 whole periods tracks that.
+# Stage 1 costs a quarter period of RK4 on (N+2)//2 columns when t_start is
+# a multiple of T/2 (every propagate_driven call), half a period otherwise,
+# plus a few (N+2)//2-square block products. Timing one state at P + 1/2
+# periods (omega = 70 N chi, in-place block steps, one thread, noisy to about
+# 1.5x), the jumps broke even with the plain march at about P = 0.4-0.7
+# (N = 8, 16), 0.9 (N = 32), 1.5 (N = 48, 64), 2.2-2.5 (N = 100), 5-6
+# (N = 130, 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start,
+# and at 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
+# (N = 240) from t = 0. 1 + ((N+1)/75)^2 whole periods tracks the off-grid
+# start.
 def _jumps_pay(n_atoms, periods):
-    return periods >= 2 + ((n_atoms + 1) / 52) ** 2
+    return periods >= 1 + ((n_atoms + 1) / 75) ** 2
 
 
 def _parity_identity(n_atoms):
@@ -288,18 +299,52 @@ def _parity_blocks(block):
     return block[0::2], block[1::2, :len(block) // 2]
 
 
-def _period_propagator(spec, n_atoms, t_start, period, dt_max):
-    """Rotating-frame propagator W_T over [t_start, t_start + T], checked.
+def _reflected(blocks, n_atoms):
+    """F W F as parity blocks, for W given as its parity blocks.
 
-    Returned as its even-index and odd-index blocks (`_parity_blocks`).
+    F reverses the Dicke index, k -> N - k. It keeps each parity block when
+    N is even and swaps the two when N is odd, reversing both ways.
     """
+    if n_atoms % 2:
+        blocks = blocks[::-1]
+    return [w[::-1, ::-1] for w in blocks]
+
+
+def _apply_blocks(blocks, vectors):
+    """W @ vectors for (N+1,) or (N+1, C) vectors, W given as its parity blocks.
+
+    einsum, not @: on a 2-vCPU host threaded OpenBLAS took 10-16 ms for
+    one 51 x 51 complex product, einsum 0.5 ms.
+    """
+    out = np.empty_like(vectors)
+    for parity, w in enumerate(blocks):
+        out[parity::2] = np.einsum("ij,j...->i...", w, vectors[parity::2])
+    return out
+
+
+def _period_propagator(spec, n_atoms, t_start, period, dt_max):
+    """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
+
+    Both come as their parity blocks (`_parity_blocks`). With F the index
+    reversal, F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
+    W_T = F W_h F W_h. When s is a multiple of T/2, A(s + T/2 - t) = A(s + t)
+    and A^T = F A F as well, so W_h = (F W_q F)^T W_q with W_q the quarter
+    period's propagator; otherwise half a period is marched.
+    """
+    _, offset = _period_split(np.array([t_start]), 0.0, period / 2)
+    quarter = offset[0] == 0.0
     block = _parity_identity(n_atoms)
-    dt, = _rk4_march(spec, n_atoms, block, t_start, [t_start + period], dt_max)
-    jump = _parity_blocks(block)
+    dt, = _rk4_march(spec, n_atoms, block, t_start,
+                     [t_start + period / (4 if quarter else 2)], dt_max)
+    half = _parity_blocks(block)
+    if quarter:
+        half = [np.einsum("ji,jk->ik", f, w)
+                for f, w in zip(_reflected(half, n_atoms), half)]
+    jump = [np.einsum("ij,jk->ik", f, w)
+            for f, w in zip(_reflected(half, n_atoms), half)]
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
-    # stage 2 renormalizes every period, so only this sees a non-unitary W.
-    # einsum, not @: on a 2-vCPU host threaded OpenBLAS took 10-16 ms for
-    # one 51 x 51 complex product, einsum 0.5 ms.
+    # stage 2 renormalizes every period, so only this sees a non-unitary W
+    # (einsum, not @: see _apply_blocks)
     error = max(np.max(np.abs(np.einsum("ij,ik->jk", w.conj(), w) - np.eye(len(w))))
                 for w in jump)
     if not error <= NORM_TOL:  # NaN fails too
@@ -307,7 +352,7 @@ def _period_propagator(spec, n_atoms, t_start, period, dt_max):
             f"one-period propagator drift {error:g} exceeds tolerance "
             f"{NORM_TOL:g} at t = {t_start + period:g} (N = {n_atoms}, "
             f"step {dt:g}); tighten StepControl")
-    return jump
+    return half, jump
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control):
@@ -316,15 +361,21 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
     propagator from t_start. Three stages make every sample:
-    1. integrate W_T once (`_period_propagator`), only when enough whole
+    1. build W_T once (`_period_propagator`), only when enough whole
        periods are spanned (`_jumps_pay`); otherwise every sample counts
-       as period 0 at phase tau = t - t_start;
+       as period 0 at phase tau = t - t_start. The reflection F (index
+       k -> N - k) maps the drive's second half period onto its first, so
+       W_T = F W_h F W_h from the half period's W_h, and W_h comes from a
+       quarter period when t_start is a multiple of T/2;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
        keep the v_n that samples need (just v_0 = phi without jumps);
     3. march over the distinct sample phases tau in one pass, whichever
        block is narrower: the kept v_n themselves, or the (N+2)//2-column
        identity (`_parity_identity`), which gives W(tau) and each sample
-       as W(tau) v_n. RK4 is linear, so both are the same states.
+       as W(tau) v_n. RK4 is linear, so both are the same states. The
+       identity march folds every phase tau >= T/2 onto tau - T/2, since
+       W(T/2 + tau) = F W(tau) F W_h: such a sample is F W(tau) u_n with
+       u_n = F W_h v_n, so the march ends before T/2.
     Without jumps stage 3 marches the one column phi from sample to sample.
     Every state is RK4 at a step of at most `control.max_step`, and drift
     beyond NORM_TOL since the last renormalized state raises
@@ -338,7 +389,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     count, phase = _period_split(times, t_start, period)
     if _jumps_pay(n_atoms, count.max(initial=0)):
-        jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
+        half, jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
     else:  # all in period 0, so stage 2 makes no jump
         count, phase = np.zeros_like(count), times - t_start
     needed = np.unique(count)
@@ -346,33 +397,37 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     n = 0  # phi holds v_n
     for col, target in enumerate(needed):
         for _ in range(target - n):
-            for parity, w in enumerate(jump):
-                phi[parity::2] = w @ phi[parity::2]
+            phi = _apply_blocks(jump, phi)
             phi /= np.linalg.norm(phi)
         n = target
         starts[:, col] = phi
     cols = np.searchsorted(needed, count)
+    narrow = len(needed) <= (n_atoms + 2) // 2
+    if not narrow:  # fold; columns from len(needed) on hold u_n, read out reversed
+        fold = phase >= period / 2
+        phase = np.where(fold, phase - period / 2, phase)
+        cols += len(needed) * fold
+        folded = _apply_blocks(half, starts)[::-1]
+        starts = np.hstack([starts, folded / np.linalg.norm(folded, axis=0)])
     states = starts[:, cols]  # a copy; right already where phase is 0
     stops = np.unique(phase[phase > 0])
     # samples grouped by phase: sorted order, cut where each stop begins
     order = np.argsort(phase, kind="stable")
     rises = np.searchsorted(phase[order], stops)
-    narrow = len(needed) <= (n_atoms + 2) // 2
     start_times = t_start + needed * period
     block = starts if narrow else _parity_identity(n_atoms)
     marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
     bounds = [*rises.tolist(), len(order)]
     for lo, hi, stop, dt in zip(bounds, bounds[1:], stops, marching):
         hit = order[lo:hi]
-        at = cols[hit]
         if narrow:  # the starts themselves were marched
             _normalize(starts, start_times + stop, n_atoms, dt)
-            states[:, hit] = starts[:, at]
-        else:  # einsum, not @ (see _period_propagator)
-            reached = np.empty((n_atoms + 1, len(hit)), dtype=complex)
-            for parity, w in enumerate(_parity_blocks(block)):
-                reached[parity::2] = np.einsum("ij,jk->ik", w, starts[parity::2, at])
+            states[:, hit] = starts[:, cols[hit]]
+        else:
+            reached = _apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
             states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+    if not narrow:
+        states[:, fold] = states[::-1, fold]
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 

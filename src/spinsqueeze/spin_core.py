@@ -10,6 +10,7 @@ the Jz diagonal. hbar = 1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,9 @@ OPERATOR_LABELS = ("Jx", "Jy", "Jz", "Jplus", "Jminus")
 
 
 def _check_n_atoms(n_atoms):
-    if int(n_atoms) != n_atoms or n_atoms < 1:
+    # finite first: int() of NaN or inf raises ValueError or OverflowError
+    if not (isinstance(n_atoms, numbers.Real) and math.isfinite(n_atoms)
+            and int(n_atoms) == n_atoms and n_atoms >= 1):
         raise ValidationError(f"n_atoms must be a positive integer, got {n_atoms!r}")
     if n_atoms > N_ATOMS_MAX:
         raise ValidationError(f"n_atoms={n_atoms} exceeds the dense-matrix cap {N_ATOMS_MAX}")

@@ -206,17 +206,22 @@ def chained(spec, n, times, control=None):
     return states
 
 
-def march_widths(monkeypatch):
-    """Columns of every block evolve._rk4_march is handed, in call order."""
-    widths = []
+def march_log(monkeypatch):
+    """[columns, span, RK4 steps] of every evolve._rk4_march call, in call order."""
+    log = []
     march = evolve._rk4_march
 
-    def spy(spec, n_atoms, block, *args):
-        widths.append(1 if block.ndim == 1 else block.shape[1])
-        return march(spec, n_atoms, block, *args)
+    def spy(spec, n_atoms, block, t, stops, dt_max):
+        stops = np.asarray(stops, dtype=float)
+        record = [block.shape[1], stops[-1] - t if len(stops) else 0.0, 0]
+        log.append(record)
+        gaps = np.diff(stops, prepend=t)
+        for gap, dt in zip(gaps, march(spec, n_atoms, block, t, stops, dt_max)):
+            record[2] += round(gap / dt)
+            yield dt
 
     monkeypatch.setattr(evolve, "_rk4_march", spy)
-    return widths
+    return log
 
 
 def period_of(omega):
@@ -251,9 +256,9 @@ class TestPeriodJumps:
         (6, 200.0, np.r_[0.0, (0.3 + np.array([0, 2, 3, 7])) * period_of(200.0)],
          True),
         (6, 200.0, np.linspace(0, 0.9, 7) * period_of(200.0), False),  # < 1 period
-        # N = 40 crosses over to jumps between 2 and 3 whole periods
-        (40, 2800.0, np.linspace(0, 2.5, 9) * period_of(2800.0), False),
-        (40, 2800.0, np.linspace(0, 6.5, 9) * period_of(2800.0), True),
+        # N = 40 crosses over to jumps between 1 and 2 whole periods
+        (40, 2800.0, np.linspace(0, 1.5, 9) * period_of(2800.0), False),
+        (40, 2800.0, np.linspace(0, 2.5, 9) * period_of(2800.0), True),
     ])
     def test_matches_chain_of_single_column_marches(self, n, omega, times, jumps):
         spec = driven_spec(n, omega)
@@ -276,10 +281,10 @@ class TestPeriodJumps:
         assert len(np.unique(count)) > (n + 2) // 2
         assert list(count) == [0, 1, 2, 3, 3, 5, 5, 7]
         assert phase[5] == 0.0 and np.sum(phase == t / 2) == 3
-        widths = march_widths(monkeypatch)
+        log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
-        assert widths == [4, 4]
+        assert [cols for cols, _, _ in log] == [4, 4]
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -289,10 +294,59 @@ class TestPeriodJumps:
     ])
     def test_march_is_never_wider_than_parity_block(self, monkeypatch, samples,
                                                     width):
-        widths = march_widths(monkeypatch)
+        log = march_log(monkeypatch)
         propagate_driven(driven_spec(100, 2000.0), css(100),
                          np.linspace(0, 0.3, samples + 1))
-        assert widths == [51, width]
+        assert [cols for cols, _, _ in log] == [51, width]
+
+    def test_folded_readout_matches_chain_at_odd_n(self, monkeypatch):
+        # odd N, so the reflection swaps the parity blocks; more period starts
+        # than (N+2)//2 = 4, so stage 3 marches the identity, and its phases
+        # below, at and above T/2 (T = 1/64 exactly) all fold into [0, T/2)
+        n, omega = 7, 128 * np.pi
+        t = period_of(omega)
+        times = np.array([0.0, 0.3, 0.5, 1.8, 2.5, 3.25, 3.5, 4.75, 6 - 1e-13,
+                          7.5, 8.1]) * t
+        count, phase = evolve._period_split(times[1:], 0.0, t)
+        assert len(np.unique(count)) > (n + 2) // 2
+        assert np.sum(phase < t / 2) == 3 and np.sum(phase == t / 2) == 4
+        assert np.sum(phase > t / 2) == 3
+        log = march_log(monkeypatch)
+        spec = driven_spec(n, omega)
+        traj = propagate_driven(spec, css(n), times)
+        assert [cols for cols, _, _ in log] == [4, 4]
+        assert log[0][1] == pytest.approx(t / 4) and log[1][1] < t / 2
+        for got, want in zip(traj.states, chained(spec, n, times)):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n,omega", [(100, 2000.0), (101, 7070.0)])
+    @pytest.mark.parametrize("periods,span", [(0.0, 0.25), (3.87, 0.5)],
+                             ids=["quarter", "half"])
+    def test_symmetric_period_propagator_matches_direct_march(
+            self, monkeypatch, n, omega, periods, span):
+        # W_T = F W_h F W_h, with W_h from a quarter period at t_start = 0
+        # and from half a period at an off-grid t_start
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        dt_max = StepControl().max_step(spec, n)
+        block = evolve._parity_identity(n)
+        for _ in evolve._rk4_march(spec, n, block, periods * t, [(periods + 1) * t],
+                                   dt_max):
+            pass
+        log = march_log(monkeypatch)
+        _, jump = evolve._period_propagator(spec, n, periods * t, t, dt_max)
+        assert len(log) == 1 and log[0][1] == pytest.approx(span * t)
+        for got, want in zip(jump, evolve._parity_blocks(block)):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_driven_curve_step_budget(self, monkeypatch):
+        # the bench's driven-curve problem (400 times): W_T from a quarter
+        # period takes 134 block steps and the folded stage 3 one step per
+        # distinct phase, 399; a whole period and an unfolded stage 3 took
+        # 535 + 653 = 1188
+        log = march_log(monkeypatch)
+        propagate_driven(driven_spec(100, 2000.0), css(100), np.linspace(0, 0.3, 400))
+        assert sum(steps for _, _, steps in log) <= 560
 
     def test_long_horizon_matches_magnus_oracle(self):
         n, omega, periods = 10, 100.0, 50.3
@@ -315,6 +369,20 @@ class TestPeriodJumps:
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100), times, control)
+
+    def test_guard_sees_non_unitary_half_period_propagator(self, monkeypatch):
+        # as above from an off-grid start, so W_T is built from half a period
+        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        period = period_of(150.0)
+        t_start = 3.87 * period
+        t_end = t_start + 8 * period
+        count, phase = evolve._period_split(np.array([t_end]), t_start, period)
+        assert phase[0] == 0.0 and evolve._jumps_pay(100, count[0])
+        log = march_log(monkeypatch)
+        with pytest.raises(IntegrationError,
+                           match=r"one-period propagator drift .* at t = .*N = 100, step .*"):
+            driven_state_at(driven_spec(100, 150.0), css(100), t_start, t_end, control)
+        assert len(log) == 1 and log[0][1] == pytest.approx(period / 2)
 
     def test_drift_counts_from_the_previous_sample(self):
         # no jumps here, so one column is marched through all 120 stops; each

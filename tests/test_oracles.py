@@ -15,8 +15,9 @@ from scipy.special import j0
 
 from spinsqueeze import (DickeState, DriveParams, EffectiveMixed, FullDriven,
                          bessel_j0, build_hamiltonian, coherent_spin_state,
-                         default_t_max, driven_state_at, optimal_squeezing,
-                         propagate_driven, propagate_static, xi_squared)
+                         default_t_max, driven_state_at, evolve,
+                         optimal_squeezing, propagate_driven, propagate_static,
+                         xi_squared)
 
 import oracles
 
@@ -64,6 +65,24 @@ def test_magnus_oracle_matches_driven_rk4(n):
     assert abs(np.vdot(psi, lab.amplitudes)) == pytest.approx(1.0, abs=1e-8)
     assert oracles.xi_squared_covariance(psi, n) == pytest.approx(
         xi_squared(lab).xi_squared, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reflection_is_pi_rotation_about_x(n):
+    # R = exp(-i pi Jx) = (-i)^N F with F the index reversal k -> N - k,
+    # and evolve._reflected conjugates a parity-block W by it (Jx reads the
+    # same in the oracle's ascending index order)
+    jx, _, _ = oracles.raw_spin_matrices(n)
+    rot = expm(-1j * np.pi * jx)
+    assert np.allclose(rot, (-1j) ** n * np.eye(n + 1)[::-1], atol=1e-12)
+    rng = np.random.default_rng(n)
+    w = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    idx = np.arange(n + 1)
+    w[(idx[:, None] - idx[None, :]) % 2 == 1] = 0.0
+    want = rot @ w @ rot.conj().T
+    got = evolve._reflected([w[0::2, 0::2], w[1::2, 1::2]], n)
+    assert np.allclose(got[0], want[0::2, 0::2], atol=1e-12)
+    assert np.allclose(got[1], want[1::2, 1::2], atol=1e-12)
 
 
 def test_period_propagator_approaches_drive_averaged_twisting():

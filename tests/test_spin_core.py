@@ -3,7 +3,7 @@ import pytest
 
 from spinsqueeze import (DickeState, ValidationError, build_angular_momentum,
                          build_hamiltonian, casimir, coherent_spin_state,
-                         expectation, OAT, propagate_static,
+                         default_t_max, expectation, OAT, propagate_static,
                          symmetrized_covariance)
 from spinsqueeze.spin_core import _jx2_bands
 
@@ -33,6 +33,15 @@ class TestAngularMomentum:
     def test_rejects_zero_atoms(self):
         with pytest.raises(ValidationError):
             build_angular_momentum(0, "Jz")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_atom_count(self, bad):
+        with pytest.raises(ValidationError, match="positive integer"):
+            build_angular_momentum(bad, "Jz")
+        with pytest.raises(ValidationError, match="positive integer"):
+            coherent_spin_state(bad, "+y")
+        with pytest.raises(ValidationError, match="positive integer"):
+            default_t_max(bad)
 
     def test_rejects_oversize(self):
         with pytest.raises(ValidationError):
