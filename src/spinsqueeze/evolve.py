@@ -2,7 +2,9 @@
 
 A constant Hamiltonian is eigendecomposed once, on its two index-parity
 blocks when it never couples even to odd indices (every variant here), in
-real arithmetic when a block is real.
+real arithmetic when a block is real. A static spec's blocks are real
+symmetric tridiagonal and come straight from its quadratic form's bands,
+so no dense (N+1)^2 operator is built for it.
 
 The driven integrator works in the exact rotating frame of the drive term:
 psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
@@ -35,9 +37,9 @@ import numpy as np
 
 from . import spin_core
 from .errors import IntegrationError, ValidationError
-from .hamiltonians import FullDriven
+from .hamiltonians import FullDriven, HamiltonianSpec
 from .spin_core import (CollectiveOperator, DickeState, _frozen, _jx2_bands,
-                        _jz_diagonal, _unit_rows)
+                        _jz_diagonal, _quadratic_bands, _unit_rows)
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
 
@@ -136,6 +138,24 @@ def _eigen_blocks(matrix):
     return blocks
 
 
+def _band_blocks(spec, n_atoms):
+    """`_eigen_blocks` of a static spec's H, with no dense (N+1)^2 operator.
+
+    Parity block p is real symmetric tridiagonal, with diagonal diag[p::2]
+    and off-diagonal upper[p::2]: the very numbers `_eigen_blocks` reads
+    out of the dense operator, so eigh gives the same bits.
+    """
+    diag, upper = _quadratic_bands(n_atoms, [spec.chi * w for w in spec.weights])
+    blocks = []
+    for parity in (0, 1):
+        size = len(diag[parity::2])
+        block = np.zeros((size, size))
+        block.flat[::size + 1] = diag[parity::2]
+        block.flat[1::size + 1] = block.flat[size::size + 1] = upper[parity::2]
+        blocks.append((slice(parity, None, 2), *np.linalg.eigh(block)))
+    return blocks
+
+
 def _apply(matrix, vectors):
     """matrix @ vectors for complex column vectors (d, T).
 
@@ -163,23 +183,31 @@ def _static_states(blocks, psi, durations):
     bad = np.flatnonzero(~(drift <= spin_core.NORM_TOL))
     if len(bad):
         raise IntegrationError(f"static propagation lost norm: drift {drift[bad[0]]:g}")
-    return out / norms[:, None]
+    out /= norms[:, None]
+    return out
 
 
 def propagate_static(hamiltonian, initial, times):
     """Exact evolution under a constant Hamiltonian via one eigendecomposition.
 
-    H is decomposed block by block (`_eigen_blocks`); the trajectory's
-    `advance` reuses those blocks.
+    `hamiltonian` is a static HamiltonianSpec, decomposed from its bands
+    (`_band_blocks`), or a Hermitian CollectiveOperator, decomposed block by
+    block (`_eigen_blocks`); the trajectory's `advance` reuses the blocks.
     """
     times = _check_times(times)
-    if not isinstance(hamiltonian, CollectiveOperator):
-        raise ValidationError("hamiltonian must be a CollectiveOperator")
-    if hamiltonian.n_atoms != initial.n_atoms:
-        raise ValidationError("Hamiltonian and initial state disagree on N")
-    if not hamiltonian.is_hermitian(1e-12):
-        raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-    blocks = _eigen_blocks(hamiltonian.matrix)
+    if isinstance(hamiltonian, FullDriven):
+        raise ValidationError("a FullDriven spec needs propagate_driven")
+    if isinstance(hamiltonian, HamiltonianSpec):
+        blocks = _band_blocks(hamiltonian, initial.n_atoms)
+    else:
+        if not isinstance(hamiltonian, CollectiveOperator):
+            raise ValidationError(
+                "hamiltonian must be a static HamiltonianSpec or a CollectiveOperator")
+        if hamiltonian.n_atoms != initial.n_atoms:
+            raise ValidationError("Hamiltonian and initial state disagree on N")
+        if not hamiltonian.is_hermitian(1e-12):
+            raise ValidationError("static propagation requires a Hermitian Hamiltonian")
+        blocks = _eigen_blocks(hamiltonian.matrix)
 
     def advance(state, t_from, t_to):
         psi, = _static_states(blocks, state.amplitudes, [t_to - t_from])

@@ -14,8 +14,8 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .evolve import propagate_driven, propagate_static
-from .hamiltonians import (DriveParams, FullDriven, TATxz, build_hamiltonian,
-                           rwa_validity, variant_name)
+from .hamiltonians import (DriveParams, FullDriven, TATxz, rwa_validity,
+                           variant_name)
 from .spin_core import _check_n_atoms, coherent_spin_state
 from .squeezing import optimal_squeezing, squeezing_curve
 
@@ -117,7 +117,7 @@ def _run_trajectory(spec, n_atoms, axis, times, control=None):
     initial = coherent_spin_state(n_atoms, axis)
     if isinstance(spec, FullDriven):
         return propagate_driven(spec, initial, times, control)
-    return propagate_static(build_hamiltonian(spec, n_atoms), initial, times)
+    return propagate_static(spec, initial, times)
 
 
 def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
@@ -177,7 +177,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
 
     Returns (SweepTable, {variant name: ScalingFit}).
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_check_n_atoms(n) for n in n_list]
     if len(n_list) < 5:
         raise ValidationError("n scaling needs at least 5 atom numbers")
     if any(n < 4 for n in n_list) or any(b <= a for a, b in zip(n_list, n_list[1:])):

@@ -207,23 +207,29 @@ class TestScanRatio:
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
-    @pytest.mark.parametrize("name, n_points", [
-        ("driven-ratio", 3), ("driven-curve", 400),
-        ("static-scan-n", 15), ("driven-scan-n", 15)])
+    @pytest.mark.parametrize("name, n_points, slot", [
+        pytest.param(name, n_points, slot,
+                     id=f"{name}-{n_points}" + (f"-pool{slot}" if slot else ""))
+        for name, n_points, slots in [
+            ("driven-ratio", 3, [0]), ("driven-curve", 400, [0]),
+            ("static-scan-n", 15, range(8)), ("driven-scan-n", 15, [0])]
+        for slot in slots])
     def test_bench_point_passes_the_correctness_gate(self, tmp_path, capsys,
-                                                     monkeypatch, name, n_points):
-        # the first command of each perfbench/run.py workload, gated by
-        # perfbench/check.py against its stored reference columns, so a change
-        # that moves a gated value fails here before the bench runs
+                                                     monkeypatch, name, n_points,
+                                                     slot):
+        # a perfbench/run.py workload's command at pool value `slot` (every
+        # value of the cheap static scan, whose --a reaches the band builder),
+        # gated by perfbench/check.py against its stored reference columns, so
+        # a change that moves a gated value fails here before the bench runs
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
         from check import check, read_columns
         from run import WORKLOADS, load_reference
         workload = WORKLOADS[name]
         out_file = tmp_path / f"bench.{workload.fmt}"
-        code, _, _ = run(capsys, *workload.argv(workload.pool[0], workload.threads),
+        code, _, _ = run(capsys, *workload.argv(workload.pool[slot], workload.threads),
                          "--out", str(out_file))
         assert code == 0
-        reference = load_reference()["workloads"][name][0]
+        reference = load_reference()["workloads"][name][slot]
         points, failed, _ = check(read_columns(out_file, workload.fmt), reference)
         assert (points, failed) == (n_points, 0)

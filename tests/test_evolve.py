@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from spinsqueeze import (CollectiveOperator, DriveParams, FullDriven,
-                         IntegrationError, OAT, StepControl, TATxz,
-                         Trajectory, ValidationError, build_hamiltonian,
+from spinsqueeze import (CollectiveOperator, DriveParams, EffectiveMixed,
+                         FullDriven, IntegrationError, OAT, StepControl, TATxz,
+                         TATyz, Trajectory, ValidationError, build_hamiltonian,
                          casimir, coherent_spin_state, driven_state_at,
                          evolve, expectation, DickeState, propagate_driven,
                          propagate_static, squeezing_curve, xi_squared)
@@ -90,6 +90,25 @@ class TestPropagateStatic:
         with pytest.raises(IntegrationError, match="lost norm"), \
                 np.errstate(invalid="ignore"):
             evolve._static_states(blocks, css(6).amplitudes, [0.0, np.inf])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
+    @pytest.mark.parametrize("spec", [
+        OAT(), TATxz(), TATyz(), EffectiveMixed(0.5), EffectiveMixed(-0.3)],
+        ids=["oat", "tat-xz", "tat-yz", "mixed+0.5", "mixed-0.3"])
+    def test_spec_gives_the_operators_bits(self, spec, n):
+        # a spec's blocks come from its bands, the operator's from its dense
+        # matrix; eigh sees the same numbers, so every bit agrees
+        times = np.linspace(0.0, 0.7, 9)
+        by_spec = propagate_static(spec, css(n), times)
+        by_operator = propagate_static(build_hamiltonian(spec, n), css(n), times)
+        assert np.array_equal(by_spec.amplitudes, by_operator.amplitudes)
+        start = by_spec.states[3]
+        assert np.array_equal(by_spec.advance(start, times[3], 0.41).amplitudes,
+                              by_operator.advance(start, times[3], 0.41).amplitudes)
+
+    def test_rejects_driven_spec(self):
+        with pytest.raises(ValidationError, match="propagate_driven"):
+            propagate_static(driven_spec(4, 300.0), css(4), [0.0, 0.1])
 
     def test_energy_conserved(self):
         n = 20

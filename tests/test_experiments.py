@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinsqueeze import (DriveParams, FullDriven, OAT, SweepTable, TATxz,
-                         ValidationError, default_t_max, emit, fit_scaling,
-                         run_n_scaling, run_ratio_scan, run_time_curve)
+                         ValidationError, default_t_max, emit, experiments,
+                         fit_scaling, run_n_scaling, run_ratio_scan,
+                         run_time_curve)
 
 
 class TestRunTimeCurve:
@@ -77,6 +79,23 @@ class TestRunNScaling:
             run_n_scaling([OAT()], [10, 20, 15, 40, 80])
         with pytest.raises(ValidationError):
             run_n_scaling([OAT()], [2, 10, 20, 40, 80])
+
+    @pytest.mark.parametrize("bad", [4.5, float("nan")])
+    def test_rejects_non_integer_n(self, bad):
+        # checked as given, never rounded to a neighbouring N
+        with pytest.raises(ValidationError, match="positive integer"):
+            run_n_scaling([TATxz()], [bad, 5, 6, 7, 8])
+
+    def test_paper_scale_point_builds_no_dense_operator(self):
+        # one dense complex (N+1)^2 operator alone would be 61 MiB at N = 2000
+        n = 2000
+        tracemalloc.start()
+        try:
+            experiments._optimal_point(TATxz(), n, "y", default_t_max(n), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 * 16
 
 
 class TestRunRatioScan:
