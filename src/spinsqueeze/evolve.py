@@ -11,9 +11,12 @@ psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
 so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods builds one period's
-propagator W_T once and jumps from period to period by matvecs. One march,
-of the needed period starts or of the identity (giving W(tau), applied to
-each start), then reaches every sample phase tau. The index reversal F
+propagator W_T once and jumps from period to period by matvecs. Every
+march steps on one fixed grid, h = (T/4) / ceil((T/4) / max_step), and no
+sample cuts a step short. One march, of the needed period starts or of the
+identity (giving W(t_k), applied to each start), reaches the grid knot t_k
+at or below every sample phase tau; all samples then take their own last
+step, tau - t_k < h, together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
 co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h, and
@@ -22,9 +25,9 @@ multiple of T/2, where A is also mirror-symmetric about the quarter period
 and A^T = F A F. The identity march folds each phase tau >= T/2 onto
 tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. A run spanning too few
 periods makes no jump: its samples are all phases of period 0, and the
-same march carries the one start from sample to sample. States are mapped
-back to the lab frame at every sample point, so trajectories always
-contain genuine psi(t).
+same march carries the one start. A run whose estimated work is over
+budget is refused before any step. States are mapped back to the lab
+frame at every sample point, so trajectories always contain genuine psi(t).
 """
 
 import cmath
@@ -216,51 +219,74 @@ def propagate_static(hamiltonian, initial, times):
     return Trajectory(times, _static_states(blocks, initial.amplitudes, times), advance)
 
 
-def _rk4_march(spec, n_atoms, block, t, stops, dt_max):
-    """Advance rotating-frame states in place with RK4 from t to each stop.
+def _rk4_stepper(spec, n_atoms, width):
+    """step(block, t, dt): one RK4 step of rotating-frame states, in place.
 
-    `block` holds the states as the columns of (N+1, C); the stops increase
-    from t, and each gap is cut into equal steps of at most dt_max. Yields
-    the step used once `block` holds the states at a stop.
+    `block` holds the states as the columns of (N+1, C), C <= width. t and
+    dt are scalars, or arrays with one value per column: then each column
+    steps from its own time, at its own drive phase, by its own dt.
     Jx^2 is real with only the 0 and +-2 diagonals, and m falls by one per
     index, so co-rotating multiplies its upper band by exp(2i theta) and its
-    lower band by the conjugate. No array of the block's size is allocated
-    per step.
+    lower band by the conjugate. The four work arrays are allocated here,
+    once, and a step allocates nothing of the block's size: with one t per
+    column, the band coefficients are built in place in `tmp`.
     """
     diag, upper = _jx2_bands(n_atoms)
     diag = -1j * spec.chi * diag[:, None]
     band = -1j * spec.chi * upper[:, None]
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
-    k, y, acc, tmp = (np.empty_like(block) for _ in range(4))
+    work = np.empty((4, n_atoms + 1, width), dtype=complex)
+    whole = tuple(work)
 
-    def deriv(t, src):  # k = A(t) src
-        phase = cmath.exp(2j * r * math.sin(omega * t))
+    def deriv(t, src, k, tmp):  # k = A(t) src
+        per_column = isinstance(t, np.ndarray)
+        if per_column:  # one phase per column, each the scalar's bits
+            phase = np.array([cmath.exp(2j * r * math.sin(omega * x))
+                              for x in t.tolist()])
+        else:
+            phase = cmath.exp(2j * r * math.sin(omega * t))
         np.multiply(diag, src, out=k)
-        np.multiply(phase * band, src[2:], out=tmp[:-2])
+        up = np.multiply(phase, band, out=tmp[:-2]) if per_column else phase * band
+        np.multiply(up, src[2:], out=tmp[:-2])
         k[:-2] += tmp[:-2]
-        np.multiply(phase.conjugate() * band, src[:-2], out=tmp[2:])
+        down = phase.conjugate()
+        down = np.multiply(down, band, out=tmp[2:]) if per_column else down * band
+        np.multiply(down, src[:-2], out=tmp[2:])
         k[2:] += tmp[2:]
 
-    for t_next in stops:
-        n_steps = int(np.ceil((t_next - t) / dt_max))
-        dt = (t_next - t) / max(n_steps, 1)
-        for _ in range(n_steps):
-            # block += dt/3 (k1/2 + k2 + k3 + k4/2)
-            deriv(t, block)
-            np.multiply(k, 0.5, out=acc)
-            for frac in (0.5, 0.5, 1.0):
-                np.multiply(k, frac * dt, out=y)
-                y += block
-                deriv(t + frac * dt, y)
-                if frac == 1.0:
-                    k *= 0.5
-                acc += k
-            acc *= dt / 3
-            block += acc
-            t += dt
-        t = t_next
-        yield dt
+    def step(block, t, dt):
+        # block += dt/3 (k1/2 + k2 + k3 + k4/2)
+        cols = block.shape[1]
+        k, y, acc, tmp = whole if cols == width else work[:, :, :cols]
+        deriv(t, block, k, tmp)
+        np.multiply(k, 0.5, out=acc)
+        for frac in (0.5, 0.5, 1.0):
+            np.multiply(k, frac * dt, out=y)
+            y += block
+            deriv(t + frac * dt, y, k, tmp)
+            if frac == 1.0:
+                k *= 0.5
+            acc += k
+        acc *= dt / 3
+        block += acc
+
+    return step
+
+
+def _rk4_march(step, block, t, h, knots):
+    """Advance `block` in place by RK4 steps of h, on the grid t + j h.
+
+    Yields once `block` holds the states at each knot index j of the
+    increasing `knots`. No step is ever cut short: a time between knots is
+    reached from the knot below it (see `_driven_states`).
+    """
+    done = 0
+    for knot in knots:
+        for j in range(done, knot):
+            step(block, t + j * h, h)
+        done = knot
+        yield
 
 
 def _normalize(block, times, n_atoms, dt):
@@ -302,9 +328,48 @@ def _period_split(times, t_start, period):
 # (N = 130, 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start,
 # and at 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
 # (N = 240) from t = 0. 1 + ((N+1)/75)^2 whole periods tracks the off-grid
-# start.
+# start. These were timed with the march that stopped at every sample phase;
+# on the fixed grid both sides of the crossover march fewer steps.
 def _jumps_pay(n_atoms, periods):
     return periods >= 1 + ((n_atoms + 1) / 75) ** 2
+
+
+# Work budget of one driven run, in column steps: one RK4 grid step on one
+# state column, or one period jump (a matvec on one period start). Timed
+# with one thread, a column step costs 4 us inside a 51-column block
+# (N = 100), 34 us in a 257-column one (N = 512), 210 us in a 1001-column
+# one (N = 2000) and 50-120 us alone; a jump 16 us (N = 10) to 5 ms
+# (N = 2000). So the budget admits runs of a minute or two: at omega =
+# 70 N chi under the default StepControl, N = 1000 (about 7.5e5) but not
+# N = 2000 (3e6).
+_WORK_MAX = 1e6
+
+
+def _check_cost(n_atoms, span, period, dt_max):
+    """Refuse, with its estimate, a run whose work would exceed _WORK_MAX,
+    or whose drive period is too long for a step count to hold.
+
+    With jumps, stage 1 marches (N+2)//2 columns over a quarter or half
+    period, stage 3 at most that block over half a period (a period when
+    its block is narrower), and stage 2 makes one jump per period; without
+    them one column is marched over the span. Only floats are used, so an
+    absurd span cannot overflow a count.
+    """
+    if not math.isfinite(period / dt_max):  # so slow a drive counts no grid step
+        raise ValidationError(
+            f"drive period {period:g} is too long for the RK4 step grid "
+            f"(step {dt_max:g})")
+    periods = span / period
+    if _jumps_pay(n_atoms, periods):
+        steps, width = period / dt_max, (n_atoms + 2) // 2
+    else:
+        steps, width, periods = span / dt_max, 1, 0.0
+    if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
+        raise ValidationError(
+            f"driven run too costly: about {steps:.3g} RK4 steps on {width} "
+            f"columns and {periods:.3g} period jumps, over the budget of "
+            f"{_WORK_MAX:.0e} column steps (N = {n_atoms}, span {span:g}, "
+            f"drive period {period:g})")
 
 
 def _parity_identity(n_atoms):
@@ -350,22 +415,25 @@ def _apply_blocks(blocks, vectors):
     return out
 
 
-def _period_propagator(spec, n_atoms, t_start, period, dt_max):
+def _period_propagator(spec, n_atoms, t_start, period, quarter):
     """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
 
-    Both come as their parity blocks (`_parity_blocks`). With F the index
-    reversal, F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
+    Both come as their parity blocks (`_parity_blocks`), marched on the grid
+    of `quarter` RK4 steps per quarter period. With F the index reversal,
+    F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
     W_T = F W_h F W_h. When s is a multiple of T/2, A(s + T/2 - t) = A(s + t)
     and A^T = F A F as well, so W_h = (F W_q F)^T W_q with W_q the quarter
     period's propagator; otherwise half a period is marched.
     """
+    h = period / 4 / quarter
     _, offset = _period_split(np.array([t_start]), 0.0, period / 2)
-    quarter = offset[0] == 0.0
+    on_half = offset[0] == 0.0
     block = _parity_identity(n_atoms)
-    dt, = _rk4_march(spec, n_atoms, block, t_start,
-                     [t_start + period / (4 if quarter else 2)], dt_max)
+    step = _rk4_stepper(spec, n_atoms, block.shape[1])
+    for _ in _rk4_march(step, block, t_start, h, [quarter if on_half else 2 * quarter]):
+        pass
     half = _parity_blocks(block)
-    if quarter:
+    if on_half:
         half = [np.einsum("ji,jk->ik", f, w)
                 for f, w in zip(_reflected(half, n_atoms), half)]
     jump = [np.einsum("ij,jk->ik", f, w)
@@ -379,7 +447,7 @@ def _period_propagator(spec, n_atoms, t_start, period, dt_max):
         raise IntegrationError(
             f"one-period propagator drift {error:g} exceeds tolerance "
             f"{NORM_TOL:g} at t = {t_start + period:g} (N = {n_atoms}, "
-            f"step {dt:g}); tighten StepControl")
+            f"step {h:g}); tighten StepControl")
     return half, jump
 
 
@@ -388,7 +456,10 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
 
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
-    propagator from t_start. Three stages make every sample:
+    propagator from t_start. Every march steps on one grid from t_start,
+    h = (T/4) / ceil((T/4) / control.max_step), so T/4 and T/2 are knots.
+    A run whose estimated work exceeds the budget is refused first
+    (`_check_cost`). Three stages make every sample:
     1. build W_T once (`_period_propagator`), only when enough whole
        periods are spanned (`_jumps_pay`); otherwise every sample counts
        as period 0 at phase tau = t - t_start. The reflection F (index
@@ -397,27 +468,34 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
        quarter period when t_start is a multiple of T/2;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
        keep the v_n that samples need (just v_0 = phi without jumps);
-    3. march over the distinct sample phases tau in one pass, whichever
-       block is narrower: the kept v_n themselves, or the (N+2)//2-column
-       identity (`_parity_identity`), which gives W(tau) and each sample
-       as W(tau) v_n. RK4 is linear, so both are the same states. The
-       identity march folds every phase tau >= T/2 onto tau - T/2, since
+    3. march over the grid up to the last sample's knot in one pass,
+       whichever block is narrower: the kept v_n themselves, or the
+       (N+2)//2-column identity (`_parity_identity`), which gives W(t_k).
+       At each knot t_k that has samples (those with t_k <= tau < t_k + h)
+       their states are read out: the marched starts, or W(t_k) v_n. RK4
+       is linear, so both are the same states. The identity march folds
+       every phase tau >= T/2 onto tau - T/2, since
        W(T/2 + tau) = F W(tau) F W_h: such a sample is F W(tau) u_n with
-       u_n = F W_h v_n, so the march ends before T/2.
-    Without jumps stage 3 marches the one column phi from sample to sample.
-    Every state is RK4 at a step of at most `control.max_step`, and drift
-    beyond NORM_TOL since the last renormalized state raises
-    IntegrationError: marched starts are renormalized at every stop.
+       u_n = F W_h v_n, so the march ends before T/2. Then every sample off
+       its knot takes one RK4 step of tau - t_k < h from its own time, all
+       of them batched in chunks of at most (N+2)//2 columns.
+    Without jumps stage 3 marches the one column phi. Drift beyond
+    NORM_TOL since the last renormalized state raises IntegrationError:
+    a state read out at a knot is renormalized (the whole block of marched
+    starts with it), and so is each sample after its partial step.
     """
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     mz = _jz_diagonal(n_atoms)
     dt_max = control.max_step(spec, n_atoms)
     period = 2 * math.pi / omega
+    _check_cost(n_atoms, times.max(initial=t_start) - t_start, period, dt_max)
+    quarter = math.ceil(period / 4 / dt_max)  # grid steps per quarter period
+    h = period / 4 / quarter
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     count, phase = _period_split(times, t_start, period)
     if _jumps_pay(n_atoms, count.max(initial=0)):
-        half, jump = _period_propagator(spec, n_atoms, t_start, period, dt_max)
+        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
     else:  # all in period 0, so stage 2 makes no jump
         count, phase = np.zeros_like(count), times - t_start
     needed = np.unique(count)
@@ -437,23 +515,43 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
         cols += len(needed) * fold
         folded = _apply_blocks(half, starts)[::-1]
         starts = np.hstack([starts, folded / np.linalg.norm(folded, axis=0)])
-    states = starts[:, cols]  # a copy; right already where phase is 0
-    stops = np.unique(phase[phase > 0])
-    # samples grouped by phase: sorted order, cut where each stop begins
-    order = np.argsort(phase, kind="stable")
-    rises = np.searchsorted(phase[order], stops)
+    # each sample's knot: the last grid time k h at or below its phase. The
+    # quotient may round one off either way; corrected, k h <= tau < (k+1) h
+    # holds as computed, so a tau that is exactly k h takes no partial step
+    knot = np.floor(phase / h)
+    knot += (knot + 1) * h <= phase
+    knot -= knot * h > phase
+    partial = phase - knot * h
+    knot = knot.astype(int)
+    states = starts[:, cols]  # a copy; right already at knot 0
+    knots = np.unique(knot[knot > 0])
+    # samples grouped by knot: sorted order, cut where each knot begins
+    order = np.argsort(knot, kind="stable")
+    rises = np.searchsorted(knot[order], knots)
     start_times = t_start + needed * period
     block = starts if narrow else _parity_identity(n_atoms)
-    marching = _rk4_march(spec, n_atoms, block, t_start, t_start + stops, dt_max)
+    step = _rk4_stepper(spec, n_atoms, block.shape[1])
+    marching = _rk4_march(step, block, t_start, h, knots.tolist())
     bounds = [*rises.tolist(), len(order)]
-    for lo, hi, stop, dt in zip(bounds, bounds[1:], stops, marching):
+    for lo, hi, k, _ in zip(bounds, bounds[1:], knots, marching):
         hit = order[lo:hi]
         if narrow:  # the starts themselves were marched
-            _normalize(starts, start_times + stop, n_atoms, dt)
+            _normalize(starts, start_times + k * h, n_atoms, h)
             states[:, hit] = starts[:, cols[hit]]
         else:
             reached = _apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
-            states[:, hit] = _normalize(reached, times[hit], n_atoms, dt)
+            states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
+    # the partial steps, batched in chunks of at most (N+2)//2 columns: on
+    # the march's work arrays when its block is that wide, else on new ones
+    off_knot = np.flatnonzero(partial > 0)
+    width = max(1, min(len(off_knot), (n_atoms + 2) // 2))
+    if width > block.shape[1]:
+        step = _rk4_stepper(spec, n_atoms, width)
+    for lo in range(0, len(off_knot), width):
+        hit = off_knot[lo:lo + width]
+        chunk = states[:, hit]
+        step(chunk, t_start + knot[hit] * h, partial[hit])
+        states[:, hit] = _normalize(chunk, times[hit], n_atoms, h)
     if not narrow:
         states[:, fold] = states[::-1, fold]
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T

@@ -95,6 +95,26 @@ class TestEvolve:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega,t_max", [("1e300", "0.1"), ("100", "1e6")],
+                             ids=["periods-overflow", "1.6e7-jumps"])
+    def test_costly_driven_run_fails_fast(self, tmp_path, omega, t_max):
+        # about 1.6e298 and 1.6e7 period jumps: over the work budget, so the
+        # run is refused with its estimate instead of hanging; a subprocess
+        # with a timeout, so a run that does start cannot hang the suite
+        env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+        argv = ["evolve", "--hamiltonian", "full", "--n", "10", "--g", "10",
+                "--omega", omega, "--tmax", t_max, "--samples", "3",
+                "--out", str(tmp_path / "x.csv")]
+        code = ("import sys, time; from spinsqueeze.cli import main; "
+                f"start = time.perf_counter(); code = main({argv!r}); "
+                "print(code, time.perf_counter() - start)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        code, seconds = out.stdout.split()
+        assert code == "1" and float(seconds) < 1.0
+        assert "period jumps" in out.stderr and "budget" in out.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_physics_error_is_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "evolve", "--hamiltonian", "oat",
                            "--n", "0", "--tmax", "0.1",

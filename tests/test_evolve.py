@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spinsqueeze import (CollectiveOperator, DriveParams, EffectiveMixed,
                          casimir, coherent_spin_state, driven_state_at,
                          evolve, expectation, DickeState, propagate_driven,
                          propagate_static, squeezing_curve, xi_squared)
+from spinsqueeze.experiments import default_t_max
 
 import oracles
 
@@ -200,6 +203,10 @@ class TestPropagateDriven:
         with pytest.raises(ValidationError):
             propagate_driven(driven_spec(4, 50.0), css(4), [])
 
+    def test_single_time_is_the_initial_state(self):
+        traj = propagate_driven(driven_spec(4, 50.0), css(4), [0.0])
+        assert np.array_equal(traj.amplitudes, css(4).amplitudes[None])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_times(self, bad):
         spec = driven_spec(4, 50.0)
@@ -226,18 +233,14 @@ def chained(spec, n, times, control=None):
 
 
 def march_log(monkeypatch):
-    """[columns, span, RK4 steps] of every evolve._rk4_march call, in call order."""
+    """[columns, span, RK4 grid steps] of every evolve._rk4_march call, in call order."""
     log = []
     march = evolve._rk4_march
 
-    def spy(spec, n_atoms, block, t, stops, dt_max):
-        stops = np.asarray(stops, dtype=float)
-        record = [block.shape[1], stops[-1] - t if len(stops) else 0.0, 0]
-        log.append(record)
-        gaps = np.diff(stops, prepend=t)
-        for gap, dt in zip(gaps, march(spec, n_atoms, block, t, stops, dt_max)):
-            record[2] += round(gap / dt)
-            yield dt
+    def spy(step, block, t, h, knots):
+        last = knots[-1] if len(knots) else 0
+        log.append([block.shape[1], last * h, last])
+        return march(step, block, t, h, knots)
 
     monkeypatch.setattr(evolve, "_rk4_march", spy)
     return log
@@ -347,25 +350,38 @@ class TestPeriodJumps:
         # and from half a period at an off-grid t_start
         spec = driven_spec(n, omega)
         t = period_of(omega)
-        dt_max = StepControl().max_step(spec, n)
+        quarter = math.ceil(t / 4 / StepControl().max_step(spec, n))
         block = evolve._parity_identity(n)
-        for _ in evolve._rk4_march(spec, n, block, periods * t, [(periods + 1) * t],
-                                   dt_max):
+        step = evolve._rk4_stepper(spec, n, block.shape[1])
+        for _ in evolve._rk4_march(step, block, periods * t, t / 4 / quarter,
+                                   [4 * quarter]):
             pass
         log = march_log(monkeypatch)
-        _, jump = evolve._period_propagator(spec, n, periods * t, t, dt_max)
+        _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter)
         assert len(log) == 1 and log[0][1] == pytest.approx(span * t)
         for got, want in zip(jump, evolve._parity_blocks(block)):
             assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_driven_curve_step_budget(self, monkeypatch):
         # the bench's driven-curve problem (400 times): W_T from a quarter
-        # period takes 134 block steps and the folded stage 3 one step per
-        # distinct phase, 399; a whole period and an unfolded stage 3 took
-        # 535 + 653 = 1188
+        # period takes 134 block steps, and the folded stage 3 marches the
+        # grid to the last knot below T/2, 267; stopping at every distinct
+        # phase took 134 + 399 = 533, and a whole period with an unfolded
+        # stage 3 535 + 653 = 1188
         log = march_log(monkeypatch)
         propagate_driven(driven_spec(100, 2000.0), css(100), np.linspace(0, 0.3, 400))
-        assert sum(steps for _, _, steps in log) <= 560
+        assert sum(steps for _, _, steps in log) <= 410
+
+    @pytest.mark.parametrize("n,omega,budget", [
+        (12, 840.0, 50),   # driven-scan-n's largest point: 16 + 31 (was 16 + 199)
+        (32, 1000.0, 90),  # driven-ratio: 29 + 57 (was 29 + 199)
+    ], ids=["driven-scan-n", "driven-ratio"])
+    def test_sweep_point_step_budget(self, monkeypatch, n, omega, budget):
+        # a sweep point's 200 samples over default_t_max no longer cut steps
+        log = march_log(monkeypatch)
+        propagate_driven(driven_spec(n, omega), css(n),
+                         np.linspace(0, default_t_max(n), 200))
+        assert sum(steps for _, _, steps in log) <= budget
 
     def test_long_horizon_matches_magnus_oracle(self):
         n, omega, periods = 10, 100.0, 50.3
@@ -403,21 +419,194 @@ class TestPeriodJumps:
             driven_state_at(driven_spec(100, 150.0), css(100), t_start, t_end, control)
         assert len(log) == 1 and log[0][1] == pytest.approx(period / 2)
 
+    def test_reckless_grid_step_raises(self):
+        # 24 steps per period cap the step at T/24; the grid takes T/28, and
+        # one such step already drifts 6.1e-8 > NORM_TOL
+        n, omega = 20, 200.0
+        control = StepControl(substeps_per_period=24, twist_step_scale=1e6)
+        with pytest.raises(IntegrationError,
+                           match=r"drift .* at t = .*N = 20, step .*"):
+            propagate_driven(driven_spec(n, omega), css(n),
+                             np.linspace(0, 1.9, 121) * period_of(omega), control)
+
     def test_drift_counts_from_the_previous_sample(self):
-        # no jumps here, so one column is marched through all 120 stops; each
-        # gap drifts within NORM_TOL, but the whole march without a
-        # renormalization at each sample does not
+        # no jumps here, so one column is marched over the grid, and every
+        # knot holds samples; each grid step drifts within NORM_TOL, but the
+        # whole march without a renormalization at each knot does not
         n, omega = 20, 200.0
         spec = driven_spec(n, omega)
-        control = StepControl(substeps_per_period=24, twist_step_scale=1e6)
+        control = StepControl(substeps_per_period=48, twist_step_scale=1e6)
         times = np.linspace(0, 1.9, 121) * period_of(omega)
         assert not evolve._jumps_pay(n, 1)
         propagate_driven(spec, css(n), times, control)
-        block = css(n).amplitudes[:, None].copy()  # rotating frame = lab at t = 0
-        for _ in evolve._rk4_march(spec, n, block, 0.0, times[1:],
-                                   control.max_step(spec, n)):
-            pass
-        assert abs(np.linalg.norm(block) - 1) > evolve.NORM_TOL
+        h = grid_step(spec, n, control)
+        assert np.all(np.diff(times) < h)
+        step = evolve._rk4_stepper(spec, n, 1)
+        renormalized = css(n).amplitudes[:, None].copy()  # rotating = lab at t = 0
+        plain = renormalized.copy()
+        worst = 0.0
+        for j in range(int(times[-1] / h)):
+            step(renormalized, j * h, h)
+            step(plain, j * h, h)
+            norm = np.linalg.norm(renormalized)
+            worst = max(worst, abs(norm - 1))
+            renormalized /= norm
+        assert worst <= evolve.NORM_TOL
+        assert abs(np.linalg.norm(plain) - 1) > evolve.NORM_TOL
+
+
+def grid_step(spec, n, control=None):
+    """The driven march's grid step h = (T/4) / ceil((T/4) / max_step)."""
+    quarter = period_of(spec.drive.frequency_omega) / 4
+    return quarter / math.ceil(quarter / (control or StepControl()).max_step(spec, n))
+
+
+def partial_steps(monkeypatch):
+    """The times of every RK4 step taken with one time per column, in call order."""
+    log = []
+    make = evolve._rk4_stepper
+
+    def spy(spec, n_atoms, width):
+        step = make(spec, n_atoms, width)
+
+        def logged(block, t, dt):
+            if isinstance(t, np.ndarray):
+                assert block.shape[1] == len(t) == len(dt) <= width
+                log.append(t.copy())
+            step(block, t, dt)
+        return logged
+
+    monkeypatch.setattr(evolve, "_rk4_stepper", spy)
+    return log
+
+
+class TestGridReadout:
+    """Samples between knots of the march's grid take one batched partial step."""
+
+    def test_batched_step_has_the_march_steps_bits(self):
+        n, width = 12, 5
+        spec = driven_spec(n, 840.0)
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=(n + 1, width)) + 1j * rng.normal(size=(n + 1, width))
+        batched = block.copy()
+        step = evolve._rk4_stepper(spec, n, width)
+        t, dt = 0.0123, 1.1e-4
+        step(block, t, dt)
+        step(batched, np.full(width, t), np.full(width, dt))
+        assert np.array_equal(batched, block)
+        # a narrower chunk runs on the same work arrays and gives the same bits
+        chunk = batched[:, :2].copy()
+        step(chunk, np.full(2, t), np.full(2, dt))
+        step(block, t, dt)
+        assert np.array_equal(chunk, block[:, :2])
+
+    @pytest.mark.parametrize("times,stepped", [
+        # one period: no jumps
+        ([0.0, 5 / 64, 0.25, 0.3, 0.5, 0.75, 0.75 + 0.5 / 64], 2),
+        # three period starts, marched themselves; nothing off a knot
+        ([0.0, 0.25, 1.0, 2 + 5 / 64, 2.5], 0),
+        # seven period starts, more than (N+2)//2 = 4: the identity, folded
+        ([0.0, 0.25, 1.0, 2.5, 3.75, 5 + 5 / 64, 6.5 + 5 / 64, 7.3, 7.75 + 0.5 / 64],
+         2),
+    ], ids=["no-jumps", "narrow", "folded"])
+    def test_samples_on_knots_take_no_partial_step(self, monkeypatch, times, stepped):
+        # T = 1/64 and h = T/64 exactly, so the knots are exact: every phase
+        # but the last two of a run (if stepped) is 0, T/4, T/2, 3T/4
+        # (folded onto 0 and T/4) or 5h
+        n, omega = 6, 128 * np.pi
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        assert grid_step(spec, n) == t / 64
+        times = np.array(times) * t
+        log = partial_steps(monkeypatch)
+        traj = propagate_driven(spec, css(n), times)
+        assert sum(len(stepped_times) for stepped_times in log) == stepped
+        for got, want in zip(traj.states, chained(spec, n, times)):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    def test_knot_holds_where_the_quotient_rounds_off(self, monkeypatch):
+        # tau = k h exactly, though tau / h rounds below k: on knot k, no
+        # partial step; one ulp below j h, though tau / h rounds to j: a
+        # partial step of about h from knot j - 1
+        n = 6
+        for omega in np.linspace(100.0, 110.0, 101):
+            spec = driven_spec(n, omega)
+            h = grid_step(spec, n)
+            on = [k for k in range(1, 64) if math.floor(k * h / h) == k - 1]
+            below = [j for j in range(1, 64)
+                     if math.floor(np.nextafter(j * h, 0) / h) == j]
+            if on and below and on[0] != below[0]:
+                break
+        k, j = on[0], below[0]
+        times = np.array(sorted([0.0, k * h, np.nextafter(j * h, 0)]))
+        assert times[-1] < period_of(omega)  # no jumps
+        log = partial_steps(monkeypatch)
+        traj = propagate_driven(spec, css(n), times)
+        assert [list(t) for t in log] == [[(j - 1) * h]]
+        for got, want in zip(traj.states, chained(spec, n, times)):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n,periods,branch", [
+        (6, 0.95, "no-jumps"),  # one period start, no W_T
+        (6, 3.9, "narrow"),     # four period starts, marched themselves
+        (7, 10.3, "folded"),    # eleven period starts: the identity, folded
+    ])
+    def test_dense_grid_matches_refined_chain(self, monkeypatch, n, periods, branch):
+        omega = 70.0 * n
+        spec = driven_spec(n, omega)
+        times = np.linspace(0, periods, 301) * period_of(omega)
+        count, phase = evolve._period_split(times[1:], 0.0, period_of(omega))
+        width = {"no-jumps": 1, "narrow": 4, "folded": (n + 2) // 2}[branch]
+        log = march_log(monkeypatch)
+        chunks = partial_steps(monkeypatch)
+        traj = propagate_driven(spec, css(n), times)
+        assert [cols for cols, _, _ in log][-1] == width
+        widths = [len(t) for t in chunks]
+        assert max(widths) == (n + 2) // 2 and sum(widths) <= 300
+        if branch == "folded":
+            assert np.any(phase < period_of(omega) / 2)
+            assert np.any(phase > period_of(omega) / 2)
+        fine = chained(spec, n, times, StepControl().refined(4))
+        for got, want in zip(traj.states, fine):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-9
+
+
+class TestCostGuard:
+    """A driven run over the work budget is refused before it starts."""
+
+    def test_refuses_before_any_step(self, monkeypatch):
+        log = march_log(monkeypatch)
+        with pytest.raises(ValidationError,
+                           match=r"1.59e\+07 period jumps, over the budget"):
+            propagate_driven(driven_spec(10, 100.0, ratio=0.1), css(10),
+                             [0.0, 5e5, 1e6])
+        assert log == []
+
+    def test_refuses_a_period_no_grid_can_count(self):
+        # 2 pi / 5e-324 is inf; at omega = 1e-300 a quarter period still
+        # counts about 3e303 steps, and the short run is cheap
+        with pytest.raises(ValidationError, match="too long for the RK4 step grid"):
+            propagate_driven(FullDriven(DriveParams(0.0, 5e-324)), css(10), [0.0, 0.1])
+        slow = propagate_driven(FullDriven(DriveParams(0.0, 1e-300)), css(10), [0.0, 0.1])
+        oat = propagate_static(OAT(), css(10), [0.0, 0.1])
+        assert abs(np.vdot(slow.amplitudes[-1], oat.amplitudes[-1])) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n,control,admitted", [
+        (512, StepControl(), True),
+        (512, StepControl().refined(2), True),
+        (1000, StepControl(), True),
+        (2000, StepControl(), False),
+    ])
+    def test_budget_admits_the_paper_scale(self, n, control, admitted):
+        # scan-n's driven points: omega = 70 N chi over default_t_max
+        omega = 70.0 * n
+        args = (n, default_t_max(n), period_of(omega),
+                control.max_step(driven_spec(n, omega), n))
+        if admitted:
+            evolve._check_cost(*args)
+        else:
+            with pytest.raises(ValidationError, match="too costly"):
+                evolve._check_cost(*args)
 
 
 class TestStepControl:
