@@ -12,8 +12,8 @@ so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. Every
-march steps on one fixed grid, h = (T/4) / ceil((T/4) / max_step), and no
-sample cuts a step short. One march, of the needed period starts or of the
+march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps, and
+no sample cuts a step short. One march, of the needed period starts or of the
 identity (giving W(t_k), applied to each start), reaches the grid knot t_k
 at or below every sample phase tau; all samples then take their own last
 step, tau - t_k < h, together as one batched RK4 step. The index reversal F
@@ -32,6 +32,7 @@ frame at every sample point, so trajectories always contain genuine psi(t).
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -46,38 +47,41 @@ from .spin_core import (CollectiveOperator, DickeState, _frozen, _jx2_bands,
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
 
+# The driven RK4 grid resolves the drive (QUARTER_STEPS per quarter period)
+# and the co-rotated twisting (steps of at most TWIST_STEP_SCALE / (chi
+# J(J+1)), binding at large N); halving its step moves xi^2 by < 1e-6.
+QUARTER_STEPS = 16
+TWIST_STEP_SCALE = 0.015
+
 
 @dataclass(frozen=True)
 class StepControl:
-    """Fixed-step RK4 policy for the driven propagator.
+    """Fixed-step RK4 policy for the driven propagator: the default step
+    grid refined by a positive integer `factor` (for convergence checks)."""
 
-    The step is the tighter of two caps: `substeps_per_period` points per
-    drive cycle (resolves the cosine), and `twist_step_scale / (chi J(J+1))`
-    (resolves the co-rotated twisting term, which dominates at large N).
-    Defaults hold step-halving changes in xi^2 below 1e-6 on all the
-    parameter sets exercised in the tests.
-    """
-
-    substeps_per_period: int = 64
-    twist_step_scale: float = 0.015
+    factor: int = 1
 
     def __post_init__(self):
-        if not self.substeps_per_period >= 20:  # NaN fails too
+        if not (isinstance(self.factor, numbers.Integral) and self.factor >= 1):
             raise ValidationError(
-                f"substeps_per_period must be >= 20, got {self.substeps_per_period}")
-        if not self.twist_step_scale > 0:
-            raise ValidationError("twist_step_scale must be > 0")
+                f"refinement factor must be a positive integer, got {self.factor!r}")
 
-    def refined(self, factor=2):
-        """Same policy with the step cut by `factor` (for convergence checks)."""
-        return StepControl(self.substeps_per_period * factor,
-                           self.twist_step_scale / factor)
+    def refined(self, factor):
+        """Same policy with the step cut by the positive integer `factor`."""
+        return StepControl(self.factor * factor)
 
-    def max_step(self, spec, n_atoms):
+    def quarter_steps(self, spec, n_atoms):
+        """RK4 steps per quarter drive period, the one place the grid is set;
+        a period too long for a finite count raises ValidationError."""
         j = n_atoms / 2
-        dt_drive = 2 * np.pi / (spec.drive.frequency_omega * self.substeps_per_period)
-        dt_twist = self.twist_step_scale / (spec.chi * j * (j + 1))
-        return min(dt_drive, dt_twist)
+        period = 2 * math.pi / spec.drive.frequency_omega
+        twist = TWIST_STEP_SCALE / self.factor / (spec.chi * j * (j + 1))
+        ratio = period / 4 / twist
+        if not math.isfinite(ratio):
+            raise ValidationError(
+                f"drive period {period:g} is too long for the RK4 step grid "
+                f"(twisting step {twist:g})")
+        return max(QUARTER_STEPS * self.factor, math.ceil(ratio))
 
 
 def _check_times(times):
@@ -208,7 +212,7 @@ def propagate_static(hamiltonian, initial, times):
                 "hamiltonian must be a static HamiltonianSpec or a CollectiveOperator")
         if hamiltonian.n_atoms != initial.n_atoms:
             raise ValidationError("Hamiltonian and initial state disagree on N")
-        if not hamiltonian.is_hermitian(1e-12):
+        if not hamiltonian.is_hermitian():
             raise ValidationError("static propagation requires a Hermitian Hamiltonian")
         blocks = _eigen_blocks(hamiltonian.matrix)
 
@@ -306,8 +310,9 @@ def _normalize(block, times, n_atoms, dt):
 def _period_split(times, t_start, period):
     """Whole periods n and phase tau in [0, T) with t = t_start + nT + tau.
 
-    A phase within rounding of 0 or of T (a few ulps of t) is a whole
-    period: it becomes 0, and a tiny negative remainder is clamped to 0.
+    n is a float, so an absurd span cannot overflow it. A phase within
+    rounding of 0 or of T (a few ulps of t) is a whole period: it becomes
+    0, and a tiny negative remainder is clamped to 0.
     """
     offsets = times - t_start
     count = np.floor(offsets / period)
@@ -316,7 +321,7 @@ def _period_split(times, t_start, period):
     wrap = phase >= period - tol
     count[wrap] += 1
     phase[wrap | (phase <= tol)] = 0.0
-    return count.astype(int), phase
+    return count, phase
 
 
 # Stage 1 costs a quarter period of RK4 on (N+2)//2 columns when t_start is
@@ -345,31 +350,27 @@ def _jumps_pay(n_atoms, periods):
 _WORK_MAX = 1e6
 
 
-def _check_cost(n_atoms, span, period, dt_max):
-    """Refuse, with its estimate, a run whose work would exceed _WORK_MAX,
-    or whose drive period is too long for a step count to hold.
+def _check_cost(n_atoms, span, periods, period, quarter):
+    """Whether the run jumps its `periods` whole periods (`_jumps_pay`).
 
-    With jumps, stage 1 marches (N+2)//2 columns over a quarter or half
-    period, stage 3 at most that block over half a period (a period when
-    its block is narrower), and stage 2 makes one jump per period; without
-    them one column is marched over the span. Only floats are used, so an
-    absurd span cannot overflow a count.
+    A run whose work would exceed _WORK_MAX is refused first, with its
+    estimate: with jumps, (N+2)//2 columns marched over at most a period
+    (stages 1 and 3) and one jump per period (stage 2); without, one column
+    marched over the span. Only floats are used, so an absurd span cannot
+    overflow a count.
     """
-    if not math.isfinite(period / dt_max):  # so slow a drive counts no grid step
-        raise ValidationError(
-            f"drive period {period:g} is too long for the RK4 step grid "
-            f"(step {dt_max:g})")
-    periods = span / period
-    if _jumps_pay(n_atoms, periods):
-        steps, width = period / dt_max, (n_atoms + 2) // 2
+    jumps = _jumps_pay(n_atoms, periods)
+    if jumps:
+        steps, width = 4.0 * quarter, (n_atoms + 2) // 2
     else:
-        steps, width, periods = span / dt_max, 1, 0.0
+        steps, width, periods = float(span) / period * 4 * quarter, 1, 0.0
     if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
         raise ValidationError(
             f"driven run too costly: about {steps:.3g} RK4 steps on {width} "
             f"columns and {periods:.3g} period jumps, over the budget of "
             f"{_WORK_MAX:.0e} column steps (N = {n_atoms}, span {span:g}, "
             f"drive period {period:g})")
+    return jumps
 
 
 def _parity_identity(n_atoms):
@@ -457,15 +458,15 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
     propagator from t_start. Every march steps on one grid from t_start,
-    h = (T/4) / ceil((T/4) / control.max_step), so T/4 and T/2 are knots.
-    A run whose estimated work exceeds the budget is refused first
-    (`_check_cost`). Three stages make every sample:
-    1. build W_T once (`_period_propagator`), only when enough whole
-       periods are spanned (`_jumps_pay`); otherwise every sample counts
-       as period 0 at phase tau = t - t_start. The reflection F (index
-       k -> N - k) maps the drive's second half period onto its first, so
-       W_T = F W_h F W_h from the half period's W_h, and W_h comes from a
-       quarter period when t_start is a multiple of T/2;
+    h = (T/4) / control.quarter_steps, so T/4 and T/2 are knots.
+    `_check_cost` decides whether the run jumps, after refusing one whose
+    estimated work exceeds the budget. Three stages make every sample:
+    1. build W_T once (`_period_propagator`), only when the run jumps;
+       otherwise every sample counts as period 0 at phase tau = t - t_start.
+       The reflection F (index k -> N - k) maps the drive's second half
+       period onto its first, so W_T = F W_h F W_h from the half period's
+       W_h, and W_h comes from a quarter period when t_start is a multiple
+       of T/2;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
        keep the v_n that samples need (just v_0 = phi without jumps);
     3. march over the grid up to the last sample's knot in one pass,
@@ -487,17 +488,17 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     mz = _jz_diagonal(n_atoms)
-    dt_max = control.max_step(spec, n_atoms)
     period = 2 * math.pi / omega
-    _check_cost(n_atoms, times.max(initial=t_start) - t_start, period, dt_max)
-    quarter = math.ceil(period / 4 / dt_max)  # grid steps per quarter period
+    quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     count, phase = _period_split(times, t_start, period)
-    if _jumps_pay(n_atoms, count.max(initial=0)):
+    if _check_cost(n_atoms, times.max(initial=t_start) - t_start,
+                   count.max(initial=0), period, quarter):
         half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
+        count = count.astype(int)
     else:  # all in period 0, so stage 2 makes no jump
-        count, phase = np.zeros_like(count), times - t_start
+        count, phase = np.zeros(len(times), dtype=int), times - t_start
     needed = np.unique(count)
     starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
     n = 0  # phi holds v_n
@@ -567,7 +568,6 @@ def propagate_driven(spec, initial, times, control=None):
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
     times = _check_times(times)
-    control = control or StepControl()
     rows = _driven_states(spec, initial.n_atoms, initial.amplitudes, times[0],
                           times[1:], control)
     return Trajectory(times, np.vstack([initial.amplitudes, rows]),
@@ -587,7 +587,6 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
             f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end < t_start:
         raise ValidationError("t_end must be >= t_start")
-    control = control or StepControl()
     if t_end == t_start:
         return initial
     lab, = _driven_states(spec, initial.n_atoms, initial.amplitudes, t_start,

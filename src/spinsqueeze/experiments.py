@@ -23,6 +23,7 @@ from .squeezing import optimal_squeezing, squeezing_curve
 # deep-averaging regime omega = 70 N chi, scaled with N so the averaging
 # quality stays constant across the fit range.
 SCALING_OMEGA_PER_ATOM = 70.0
+GRID_SAMPLES = 200  # uniform samples per optimum search, then golden section
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,13 @@ def _spec_for_n(template, n_atoms):
     return template
 
 
-def _optimal_point(spec, n_atoms, axis, t_max, grid_samples):
-    times = np.linspace(0.0, t_max, grid_samples)
-    traj = _run_trajectory(spec, n_atoms, axis, times)
-    record = optimal_squeezing(traj)
+def _optimal_point(spec, n_atoms, axis, t_max):
+    times = np.linspace(0.0, t_max, GRID_SAMPLES)
+    record = optimal_squeezing(_run_trajectory(spec, n_atoms, axis, times))
     return record.xi_squared, record.time
 
 
-def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
+def run_n_scaling(specs, n_list, initial_axis="y"):
     """Optimal xi^2 versus N for each spec template, plus a power-law fit.
 
     Returns (SweepTable, {variant name: ScalingFit}).
@@ -183,6 +183,8 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     if any(n < 4 for n in n_list) or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValidationError("n_list must be strictly increasing with every N >= 4")
 
+    if not specs:
+        raise ValidationError("n scaling needs at least one Hamiltonian")
     names = [variant_name(s) for s in specs]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate Hamiltonian variants in scaling sweep")
@@ -191,7 +193,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     fits = {}
     for template, name in zip(specs, names):
         xi, topt = zip(*(_optimal_point(_spec_for_n(template, n), n, initial_axis,
-                                        default_t_max(n, template.chi), grid_samples)
+                                        default_t_max(n, template.chi))
                          for n in n_list))
         columns[f"optimal_xi2_{name}"] = xi
         columns[f"optimal_time_{name}"] = topt
@@ -200,7 +202,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     metadata = {
         "n_list": n_list,
         "initial_axis": initial_axis.lstrip("+"),
-        "grid_samples": int(grid_samples),
+        "grid_samples": GRID_SAMPLES,
         "scaling_omega_per_atom": SCALING_OMEGA_PER_ATOM,
         "specs": [_template_metadata(s) for s in specs],
         "fits": {name: {"exponent": f.exponent, "prefactor": f.prefactor,
@@ -210,8 +212,7 @@ def run_n_scaling(specs, n_list, initial_axis="y", grid_samples=200):
     return SweepTable("n_scaling", columns, metadata), fits
 
 
-def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
-                   grid_samples=200):
+def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0):
     """Optimal xi^2 under the full driven Hamiltonian for each g/omega ratio.
 
     Metadata carries the two-axis-twisting reference optimum for this N.
@@ -222,18 +223,17 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0,
     t_max = default_t_max(n_atoms, chi)
 
     results = [_optimal_point(FullDriven(DriveParams(r * omega, omega), chi),
-                              n_atoms, initial_axis, t_max, grid_samples)
+                              n_atoms, initial_axis, t_max)
                for r in ratios]
 
-    tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis,
-                                      t_max, grid_samples)
+    tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis, t_max)
     diag = rwa_validity(FullDriven(DriveParams(0.0, omega), chi), n_atoms)
     metadata = {
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),
         "omega": float(omega),
         "chi": float(chi),
-        "grid_samples": int(grid_samples),
+        "grid_samples": GRID_SAMPLES,
         "tat_reference_xi2": tat_xi,
         "tat_reference_time": tat_time,
         "rwa_ratio": diag.ratio,

@@ -96,8 +96,8 @@ class CollectiveOperator:
         object.__setattr__(self, "n_atoms", n)
         object.__setattr__(self, "matrix", _frozen(mat))
 
-    def is_hermitian(self, tol=1e-12):
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
+    def is_hermitian(self):
+        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= 1e-12
 
 
 @lru_cache(maxsize=None)

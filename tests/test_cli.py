@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinsqueeze
@@ -180,6 +181,15 @@ class TestScanN:
         assert code == 1
         assert err.startswith("error:") and "'bogus'" in err
 
+    @pytest.mark.parametrize("names", [",", " "])
+    def test_empty_hamiltonian_list_is_exit_1(self, tmp_path, capsys, names):
+        out_file = tmp_path / "scaling.csv"
+        code, _, err = run(capsys, "scan-n", "--hamiltonians", names,
+                           "--n-list", "4,5,6,7,8", "--out", str(out_file))
+        assert code == 1
+        assert err == "error: n scaling needs at least one Hamiltonian\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("token", ["8.5", "x"])
     def test_bad_n_list_entry_is_exit_1(self, tmp_path, capsys, token):
         code, _, err = run(capsys, "scan-n", "--hamiltonians", "oat",
@@ -253,3 +263,28 @@ class TestScanRatio:
         reference = load_reference()["workloads"][name][slot]
         points, failed, _ = check(read_columns(out_file, workload.fmt), reference)
         assert (points, failed) == (n_points, 0)
+
+
+def test_bench_step_halving_hook_refines(tmp_path):
+    # perfbench/run.py measures evolve.step_halving_delta by running
+    # perfbench/child.py with REFINE 1 and 2; both passes must succeed, and
+    # the refined one must really refine (a nonzero, converged change)
+    bench = Path(__file__).parents[1] / "perfbench"
+    before = sorted((str(p), p.stat().st_mtime_ns) for p in bench.rglob("*"))
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    curves = []
+    for refine in ("1", "2"):
+        out_file = tmp_path / f"curve-{refine}.json"
+        argv = [sys.executable, str(bench / "child.py"),
+                str(tmp_path / f"stats-{refine}.json"), "0", refine, "--",
+                "evolve", "--hamiltonian", "full", "--n", "10", "--g", "271.8",
+                "--omega", "300", "--tmax", "0.5", "--samples", "50",
+                "--format", "json", "--out", str(out_file)]
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        curves.append(np.array(json.loads(out_file.read_text())["columns"]["xi_squared"]))
+    delta = np.max(np.abs(curves[0] - curves[1]))
+    assert 0 < delta < 1e-6
+    assert sorted((str(p), p.stat().st_mtime_ns) for p in bench.rglob("*")) == before

@@ -181,19 +181,19 @@ class TestPropagateDriven:
             assert xi_squared(rotated).xi_squared == pytest.approx(
                 xi_squared(state).xi_squared, abs=1e-9)
 
-    def test_drift_guard_trips_on_reckless_steps(self):
-        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+    def test_drift_guard_trips_on_reckless_steps(self, monkeypatch):
+        reckless(monkeypatch, 5)
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100),
-                             np.linspace(0, 0.3, 4), control)
+                             np.linspace(0, 0.3, 4))
 
-    def test_drift_guard_trips_on_nan(self):
+    def test_drift_guard_trips_on_nan(self, monkeypatch):
         # steps this long overflow the state to NaN, whose drift compares False
-        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        reckless(monkeypatch, 5)
         with pytest.raises(IntegrationError), np.errstate(over="ignore", invalid="ignore"):
             propagate_driven(FullDriven(DriveParams(0.0, 0.001)), css(100),
-                             [0.0, 5000.0, 10000.0], control)
+                             [0.0, 5000.0, 10000.0])
 
     def test_rejects_wrong_variant(self):
         with pytest.raises(ValidationError):
@@ -216,6 +216,13 @@ class TestPropagateDriven:
             driven_state_at(spec, css(4), bad, 0.1)
         with pytest.raises(ValidationError, match="finite"):
             propagate_driven(spec, css(4), [0.0, 0.1, bad])
+
+
+def reckless(monkeypatch, quarter):
+    """Set the driven grid to `quarter` RK4 steps per quarter period, with no
+    twisting cap, so that the steps can be too long for the norm guard."""
+    monkeypatch.setattr(evolve, "QUARTER_STEPS", quarter)
+    monkeypatch.setattr(evolve, "TWIST_STEP_SCALE", 1e6)
 
 
 def chained(spec, n, times, control=None):
@@ -341,6 +348,30 @@ class TestPeriodJumps:
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
+    @pytest.mark.parametrize("n,omega,start,span", [
+        (6, 200.0, 0.37, 5.3),
+        (7, 200.0, 0.61, 6.0),
+        (40, 2800.0, 1.3, 3.2),
+        (100, 2000.0, 3.87, 9.4),
+    ])
+    def test_off_grid_jumps_match_chain(self, monkeypatch, n, omega, start, span):
+        # from a start off the multiples of T/2, W_h comes from a half-period
+        # march; the jumps must agree with hops of at most T/2 from the start
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        t_start, t_end = start * t, (start + span) * t
+        count, _ = evolve._period_split(np.array([t_end]), t_start, t)
+        assert evolve._jumps_pay(n, count[0])
+        log = march_log(monkeypatch)
+        got = driven_state_at(spec, css(n), t_start, t_end)
+        assert log[0][:2] == [(n + 2) // 2, pytest.approx(t / 2)]
+        state, now = css(n), t_start
+        while now < t_end:
+            hop = min(t_end, now + t / 2)
+            state = driven_state_at(spec, state, now, hop)
+            now = hop
+        assert abs(np.vdot(got.amplitudes, state.amplitudes)) >= 1 - 1e-10
+
     @pytest.mark.parametrize("n,omega", [(100, 2000.0), (101, 7070.0)])
     @pytest.mark.parametrize("periods,span", [(0.0, 0.25), (3.87, 0.5)],
                              ids=["quarter", "half"])
@@ -350,7 +381,7 @@ class TestPeriodJumps:
         # and from half a period at an off-grid t_start
         spec = driven_spec(n, omega)
         t = period_of(omega)
-        quarter = math.ceil(t / 4 / StepControl().max_step(spec, n))
+        quarter = StepControl().quarter_steps(spec, n)
         block = evolve._parity_identity(n)
         step = evolve._rk4_stepper(spec, n, block.shape[1])
         for _ in evolve._rk4_march(step, block, periods * t, t / 4 / quarter,
@@ -393,21 +424,21 @@ class TestPeriodJumps:
                                            int(400 * periods))
         assert 1 - abs(np.vdot(psi, traj.states[-1].amplitudes)) <= 1e-8
 
-    def test_guard_sees_non_unitary_period_propagator(self):
+    def test_guard_sees_non_unitary_period_propagator(self, monkeypatch):
         # every sample sits on a whole period, so no step follows a jump and
         # only the check on W_T itself can see the reckless steps' drift
-        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        reckless(monkeypatch, 5)
         period = period_of(150.0)
         times = np.concatenate([[0.0], period * np.arange(2, 9)])
         count, phase = evolve._period_split(times[1:], 0.0, period)
         assert not phase.any() and evolve._jumps_pay(100, count[-1])
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 100, step .*"):
-            propagate_driven(driven_spec(100, 150.0), css(100), times, control)
+            propagate_driven(driven_spec(100, 150.0), css(100), times)
 
     def test_guard_sees_non_unitary_half_period_propagator(self, monkeypatch):
         # as above from an off-grid start, so W_T is built from half a period
-        control = StepControl(substeps_per_period=20, twist_step_scale=1e6)
+        reckless(monkeypatch, 5)
         period = period_of(150.0)
         t_start = 3.87 * period
         t_end = t_start + 8 * period
@@ -416,30 +447,30 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         with pytest.raises(IntegrationError,
                            match=r"one-period propagator drift .* at t = .*N = 100, step .*"):
-            driven_state_at(driven_spec(100, 150.0), css(100), t_start, t_end, control)
+            driven_state_at(driven_spec(100, 150.0), css(100), t_start, t_end)
         assert len(log) == 1 and log[0][1] == pytest.approx(period / 2)
 
-    def test_reckless_grid_step_raises(self):
-        # 24 steps per period cap the step at T/24; the grid takes T/28, and
-        # one such step already drifts 6.1e-8 > NORM_TOL
+    def test_reckless_grid_step_raises(self, monkeypatch):
+        # 6 steps per quarter period: the grid takes T/24, and one such step
+        # already drifts 1.5e-7 > NORM_TOL
         n, omega = 20, 200.0
-        control = StepControl(substeps_per_period=24, twist_step_scale=1e6)
+        reckless(monkeypatch, 6)
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 20, step .*"):
             propagate_driven(driven_spec(n, omega), css(n),
-                             np.linspace(0, 1.9, 121) * period_of(omega), control)
+                             np.linspace(0, 1.9, 121) * period_of(omega))
 
-    def test_drift_counts_from_the_previous_sample(self):
+    def test_drift_counts_from_the_previous_sample(self, monkeypatch):
         # no jumps here, so one column is marched over the grid, and every
         # knot holds samples; each grid step drifts within NORM_TOL, but the
         # whole march without a renormalization at each knot does not
         n, omega = 20, 200.0
         spec = driven_spec(n, omega)
-        control = StepControl(substeps_per_period=48, twist_step_scale=1e6)
+        reckless(monkeypatch, 12)
         times = np.linspace(0, 1.9, 121) * period_of(omega)
         assert not evolve._jumps_pay(n, 1)
-        propagate_driven(spec, css(n), times, control)
-        h = grid_step(spec, n, control)
+        propagate_driven(spec, css(n), times)
+        h = grid_step(spec, n)
         assert np.all(np.diff(times) < h)
         step = evolve._rk4_stepper(spec, n, 1)
         renormalized = css(n).amplitudes[:, None].copy()  # rotating = lab at t = 0
@@ -455,10 +486,9 @@ class TestPeriodJumps:
         assert abs(np.linalg.norm(plain) - 1) > evolve.NORM_TOL
 
 
-def grid_step(spec, n, control=None):
-    """The driven march's grid step h = (T/4) / ceil((T/4) / max_step)."""
-    quarter = period_of(spec.drive.frequency_omega) / 4
-    return quarter / math.ceil(quarter / (control or StepControl()).max_step(spec, n))
+def grid_step(spec, n):
+    """The driven march's grid step under the default StepControl."""
+    return period_of(spec.drive.frequency_omega) / 4 / StepControl().quarter_steps(spec, n)
 
 
 def partial_steps(monkeypatch):
@@ -600,26 +630,54 @@ class TestCostGuard:
     def test_budget_admits_the_paper_scale(self, n, control, admitted):
         # scan-n's driven points: omega = 70 N chi over default_t_max
         omega = 70.0 * n
-        args = (n, default_t_max(n), period_of(omega),
-                control.max_step(driven_spec(n, omega), n))
+        span = default_t_max(n)
+        count, _ = evolve._period_split(np.array([span]), 0.0, period_of(omega))
+        args = (n, span, count[0], period_of(omega),
+                control.quarter_steps(driven_spec(n, omega), n))
         if admitted:
-            evolve._check_cost(*args)
+            assert evolve._check_cost(*args)
         else:
             with pytest.raises(ValidationError, match="too costly"):
                 evolve._check_cost(*args)
 
+    @pytest.mark.parametrize("n,periods", [(40, 1.5), (1500, 401.7)])
+    def test_costs_the_run_it_decides_on(self, monkeypatch, n, periods):
+        # the float span / T reaches _jumps_pay's 1 + ((N+1)/75)^2 (1.30 at
+        # N = 40, 401.5 at N = 1500) but the whole periods do not, so the run
+        # marches one column: about 9e5 column steps at N = 1500, within the
+        # budget, where costing a jump plan would have refused 1.7e6
+        spec = driven_spec(n, 70.0 * n)
+        period = period_of(70.0 * n)
+        count, _ = evolve._period_split(np.array([periods * period]), 0.0, period)
+        assert evolve._jumps_pay(n, periods) and not evolve._jumps_pay(n, count[0])
+        quarter = StepControl().quarter_steps(spec, n)
+        assert not evolve._check_cost(n, periods * period, count[0], period, quarter)
+        if n == 40:  # cheap enough to run: one column, no W_T
+            log = march_log(monkeypatch)
+            propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
+            assert [cols for cols, _, _ in log] == [1]
+
 
 class TestStepControl:
-    @pytest.mark.parametrize("substeps", [10, np.nan])
-    def test_rejects_too_few_substeps(self, substeps):
-        with pytest.raises(ValidationError):
-            StepControl(substeps_per_period=substeps)
+    @pytest.mark.parametrize("factor", [0, -1, 0.5, np.nan])
+    def test_rejects_bad_factor(self, factor):
+        with pytest.raises(ValidationError, match="positive integer"):
+            StepControl().refined(factor)
+        with pytest.raises(ValidationError, match="positive integer"):
+            StepControl(factor)
 
     def test_refined_halves_step(self):
         base = StepControl()
         spec = driven_spec(10, 300.0)
-        assert base.refined(2).max_step(spec, 10) == pytest.approx(
-            base.max_step(spec, 10) / 2)
+        assert base.refined(2).quarter_steps(spec, 10) == 2 * base.quarter_steps(spec, 10)
+        assert base.refined(2).refined(2) == base.refined(4) == StepControl(4)
+
+    @pytest.mark.parametrize("n,omega,quarter", [
+        (10, 300.0, 16),      # the drive binds
+        (100, 2000.0, 134),   # the twisting rate binds: ceil(133.5...)
+    ])
+    def test_quarter_steps(self, n, omega, quarter):
+        assert StepControl().quarter_steps(driven_spec(n, omega), n) == quarter
 
 
 class TestTrajectory:

@@ -52,9 +52,10 @@ class TestScalingFit:
 
 
 class TestRunNScaling:
-    def test_static_specs(self):
-        table, fits = run_n_scaling([TATxz(), OAT()], [10, 14, 20, 28, 40],
-                                    grid_samples=120)
+    def test_static_specs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "GRID_SAMPLES", 120)
+        table, fits = run_n_scaling([TATxz(), OAT()], [10, 14, 20, 28, 40])
+        assert table.metadata["grid_samples"] == 120
         assert "optimal_xi2_tat-xz" in table.columns
         assert "optimal_xi2_oat" in table.columns
         assert -1.05 < fits["tat-xz"].exponent < -0.75
@@ -80,6 +81,10 @@ class TestRunNScaling:
         with pytest.raises(ValidationError):
             run_n_scaling([OAT()], [2, 10, 20, 40, 80])
 
+    def test_rejects_empty_spec_list(self):
+        with pytest.raises(ValidationError, match="at least one Hamiltonian"):
+            run_n_scaling([], [4, 5, 6, 7, 8])
+
     @pytest.mark.parametrize("bad", [4.5, float("nan")])
     def test_rejects_non_integer_n(self, bad):
         # checked as given, never rounded to a neighbouring N
@@ -91,7 +96,7 @@ class TestRunNScaling:
         n = 2000
         tracemalloc.start()
         try:
-            experiments._optimal_point(TATxz(), n, "y", default_t_max(n), 200)
+            experiments._optimal_point(TATxz(), n, "y", default_t_max(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -99,14 +104,16 @@ class TestRunNScaling:
 
 
 class TestRunRatioScan:
-    def test_zero_ratio_reduces_to_oat(self):
-        table = run_ratio_scan(10, "y", [0.0], 300.0, grid_samples=120)
+    def test_zero_ratio_reduces_to_oat(self, monkeypatch):
+        monkeypatch.setattr(experiments, "GRID_SAMPLES", 120)
+        table = run_ratio_scan(10, "y", [0.0], 300.0)
         oat_curve = run_time_curve(OAT(), 10, "y", default_t_max(10), 200)
         assert table.columns["optimal_xi2"][0] == pytest.approx(
             oat_curve.columns["xi_squared"].min(), rel=0.02)
 
-    def test_metadata_carries_tat_reference(self):
-        table = run_ratio_scan(10, "y", [0.0], 300.0, grid_samples=120)
+    def test_metadata_carries_tat_reference(self, monkeypatch):
+        monkeypatch.setattr(experiments, "GRID_SAMPLES", 120)
+        table = run_ratio_scan(10, "y", [0.0], 300.0)
         assert table.metadata["tat_reference_xi2"] == pytest.approx(0.1381, rel=0.02)
 
     def test_rejects_negative_ratio(self):

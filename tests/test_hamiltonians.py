@@ -92,7 +92,7 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("spec", ALL_STATIC + [FullDriven(DriveParams(9.0, 10.0))])
     def test_hermitian(self, spec):
-        assert build_hamiltonian(spec, 12, time=0.3).is_hermitian(1e-12)
+        assert build_hamiltonian(spec, 12, time=0.3).is_hermitian()
 
     @pytest.mark.parametrize("spec", ALL_STATIC + [FullDriven(DriveParams(9.0, 10.0))])
     def test_commutes_with_total_spin(self, spec):

@@ -73,7 +73,7 @@ class TestAngularMomentum:
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_hermiticity(self, n):
         for label in ("Jx", "Jy", "Jz"):
-            assert op(n, label).is_hermitian(1e-12)
+            assert op(n, label).is_hermitian()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100])  # +-2 band empty, one entry, full
     def test_jx2_bands_match_dense_product(self, n):
