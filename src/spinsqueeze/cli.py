@@ -38,7 +38,7 @@ def _make_spec(name, chi, g=None, omega=None, a=None):
 
 
 def _parse_range(text):
-    """start:stop:step -> inclusive-ish float grid."""
+    """start:stop:step -> the floats start + k step up to stop, within rounding."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
@@ -49,7 +49,8 @@ def _parse_range(text):
         raise ValidationError(
             f"ratio range {text!r} has more than {RATIO_GRID_MAX} points")
     grid = start + step * np.arange(int((stop - start) / step) + 2)
-    return grid[grid <= stop + step / 2].tolist()
+    rounding = 4 * np.finfo(float).eps * max(abs(start), abs(stop))
+    return grid[grid <= stop + rounding].tolist()
 
 
 def _parse_n_list(text):

@@ -13,10 +13,10 @@ track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. Every
 march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps, and
-no sample cuts a step short. One march, of the needed period starts or of the
-identity (giving W(t_k), applied to each start), reaches the grid knot t_k
-at or below every sample phase tau; all samples then take their own last
-step, tau - t_k < h, together as one batched RK4 step. The index reversal F
+no sample cuts a step short. One march of the identity (giving W(t_k),
+applied to each period start) reaches the grid knot t_k at or below every
+sample phase tau; all samples then take their own last step, tau - t_k < h,
+together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
 co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h, and
@@ -25,7 +25,7 @@ multiple of T/2, where A is also mirror-symmetric about the quarter period
 and A^T = F A F. The identity march folds each phase tau >= T/2 onto
 tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. A run spanning too few
 periods makes no jump: its samples are all phases of period 0, and the
-same march carries the one start. A run whose estimated work is over
+march carries the one start itself. A run whose estimated work is over
 budget is refused before any step. States are mapped back to the lab
 frame at every sample point, so trajectories always contain genuine psi(t).
 """
@@ -310,14 +310,15 @@ def _normalize(block, times, n_atoms, dt):
 def _period_split(times, t_start, period):
     """Whole periods n and phase tau in [0, T) with t = t_start + nT + tau.
 
-    n is a float, so an absurd span cannot overflow it. A phase within
-    rounding of 0 or of T (a few ulps of t) is a whole period: it becomes
-    0, and a tiny negative remainder is clamped to 0.
+    n is a float, so an absurd span makes it inf, not an overflow error. A
+    phase within rounding of 0 or of T (a few ulps of t or t_start) is a
+    whole period: it becomes 0, and a tiny negative remainder is clamped to 0.
     """
     offsets = times - t_start
-    count = np.floor(offsets / period)
+    with np.errstate(over="ignore"):
+        count = np.floor(offsets / period)
     phase = offsets - count * period
-    tol = 4 * np.finfo(float).eps * times
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(times), abs(t_start))
     wrap = phase >= period - tol
     count[wrap] += 1
     phase[wrap | (phase <= tol)] = 0.0
@@ -354,10 +355,11 @@ def _check_cost(n_atoms, span, periods, period, quarter):
     """Whether the run jumps its `periods` whole periods (`_jumps_pay`).
 
     A run whose work would exceed _WORK_MAX is refused first, with its
-    estimate: with jumps, (N+2)//2 columns marched over at most a period
-    (stages 1 and 3) and one jump per period (stage 2); without, one column
-    marched over the span. Only floats are used, so an absurd span cannot
-    overflow a count.
+    estimate, which bounds what `_driven_states` marches: with jumps,
+    (N+2)//2 columns over at most a period in all (stage 1's quarter or half
+    period and stage 3's folded march below T/2) and one jump per period
+    (stage 2); without, one column over the span. Only floats are used, so
+    an absurd span cannot overflow a count.
     """
     jumps = _jumps_pay(n_atoms, periods)
     if jumps:
@@ -460,30 +462,26 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     propagator from t_start. Every march steps on one grid from t_start,
     h = (T/4) / control.quarter_steps, so T/4 and T/2 are knots.
     `_check_cost` decides whether the run jumps, after refusing one whose
-    estimated work exceeds the budget. Three stages make every sample:
-    1. build W_T once (`_period_propagator`), only when the run jumps;
-       otherwise every sample counts as period 0 at phase tau = t - t_start.
-       The reflection F (index k -> N - k) maps the drive's second half
-       period onto its first, so W_T = F W_h F W_h from the half period's
-       W_h, and W_h comes from a quarter period when t_start is a multiple
-       of T/2;
+    estimated work exceeds the budget. A run that does not jump marches
+    its one start phi over the grid, every sample at phase tau = t - t_start.
+    A run that jumps makes every sample in three stages:
+    1. build W_T once (`_period_propagator`). The reflection F (index
+       k -> N - k) maps the drive's second half period onto its first, so
+       W_T = F W_h F W_h from the half period's W_h, and W_h comes from a
+       quarter period when t_start is a multiple of T/2;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
-       keep the v_n that samples need (just v_0 = phi without jumps);
-    3. march over the grid up to the last sample's knot in one pass,
-       whichever block is narrower: the kept v_n themselves, or the
-       (N+2)//2-column identity (`_parity_identity`), which gives W(t_k).
-       At each knot t_k that has samples (those with t_k <= tau < t_k + h)
-       their states are read out: the marched starts, or W(t_k) v_n. RK4
-       is linear, so both are the same states. The identity march folds
-       every phase tau >= T/2 onto tau - T/2, since
-       W(T/2 + tau) = F W(tau) F W_h: such a sample is F W(tau) u_n with
-       u_n = F W_h v_n, so the march ends before T/2. Then every sample off
-       its knot takes one RK4 step of tau - t_k < h from its own time, all
-       of them batched in chunks of at most (N+2)//2 columns.
-    Without jumps stage 3 marches the one column phi. Drift beyond
-    NORM_TOL since the last renormalized state raises IntegrationError:
-    a state read out at a knot is renormalized (the whole block of marched
-    starts with it), and so is each sample after its partial step.
+       keep the v_n that samples need;
+    3. march the (N+2)//2-column identity (`_parity_identity`), which gives
+       W(t_k), over the grid in one pass, and read each sample out as
+       W(t_k) v_n at its knot t_k (t_k <= tau < t_k + h). Every phase
+       tau >= T/2 folds onto tau - T/2, since W(T/2 + tau) = F W(tau) F W_h:
+       such a sample is F W(tau) u_n with u_n = F W_h v_n, so the march ends
+       before T/2.
+    Then every sample off its knot takes one RK4 step of tau - t_k < h from
+    its own time, all of them batched in chunks of at most (N+2)//2 columns.
+    Drift beyond NORM_TOL since the last renormalized state raises
+    IntegrationError: a state read out at a knot is renormalized (the
+    marched start with it), and so is each sample after its partial step.
     """
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
@@ -491,31 +489,32 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     period = 2 * math.pi / omega
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
-    phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     count, phase = _period_split(times, t_start, period)
-    if _check_cost(n_atoms, times.max(initial=t_start) - t_start,
-                   count.max(initial=0), period, quarter):
+    jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
+                        count.max(initial=0), period, quarter)
+    phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
+    if jumps:
         half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
-        count = count.astype(int)
-    else:  # all in period 0, so stage 2 makes no jump
-        count, phase = np.zeros(len(times), dtype=int), times - t_start
-    needed = np.unique(count)
-    starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
-    n = 0  # phi holds v_n
-    for col, target in enumerate(needed):
-        for _ in range(target - n):
-            phi = _apply_blocks(jump, phi)
-            phi /= np.linalg.norm(phi)
-        n = target
-        starts[:, col] = phi
-    cols = np.searchsorted(needed, count)
-    narrow = len(needed) <= (n_atoms + 2) // 2
-    if not narrow:  # fold; columns from len(needed) on hold u_n, read out reversed
+        needed, cols = np.unique(count.astype(int), return_inverse=True)
+        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
+        n = 0  # phi holds v_n
+        for col, target in enumerate(needed):
+            for _ in range(target - n):
+                phi = _apply_blocks(jump, phi)
+                phi /= np.linalg.norm(phi)
+            n = target
+            starts[:, col] = phi
+        # fold; columns from len(needed) on hold u_n, read out reversed
         fold = phase >= period / 2
         phase = np.where(fold, phase - period / 2, phase)
         cols += len(needed) * fold
         folded = _apply_blocks(half, starts)[::-1]
         starts = np.hstack([starts, folded / np.linalg.norm(folded, axis=0)])
+        block = _parity_identity(n_atoms)
+    else:  # the one start is marched itself
+        phase = times - t_start
+        starts = block = phi[:, None]
+        cols = np.zeros(len(times), dtype=int)
     # each sample's knot: the last grid time k h at or below its phase. The
     # quotient may round one off either way; corrected, k h <= tau < (k+1) h
     # holds as computed, so a tau that is exactly k h takes no partial step
@@ -529,19 +528,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     # samples grouped by knot: sorted order, cut where each knot begins
     order = np.argsort(knot, kind="stable")
     rises = np.searchsorted(knot[order], knots)
-    start_times = t_start + needed * period
-    block = starts if narrow else _parity_identity(n_atoms)
     step = _rk4_stepper(spec, n_atoms, block.shape[1])
     marching = _rk4_march(step, block, t_start, h, knots.tolist())
     bounds = [*rises.tolist(), len(order)]
-    for lo, hi, k, _ in zip(bounds, bounds[1:], knots, marching):
+    for lo, hi, _ in zip(bounds, bounds[1:], marching):
         hit = order[lo:hi]
-        if narrow:  # the starts themselves were marched
-            _normalize(starts, start_times + k * h, n_atoms, h)
-            states[:, hit] = starts[:, cols[hit]]
-        else:
-            reached = _apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
-            states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
+        reached = (_apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
+                   if jumps else block)
+        states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
     # the partial steps, batched in chunks of at most (N+2)//2 columns: on
     # the march's work arrays when its block is that wide, else on new ones
     off_knot = np.flatnonzero(partial > 0)
@@ -553,7 +547,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
         chunk = states[:, hit]
         step(chunk, t_start + knot[hit] * h, partial[hit])
         states[:, hit] = _normalize(chunk, times[hit], n_atoms, h)
-    if not narrow:
+    if jumps:
         states[:, fold] = states[::-1, fold]
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze.cli import main
+from spinsqueeze.cli import _parse_range, main
 
 
 def run(capsys, *argv):
@@ -96,12 +96,14 @@ class TestEvolve:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega,t_max", [("1e300", "0.1"), ("100", "1e6")],
-                             ids=["periods-overflow", "1.6e7-jumps"])
+    @pytest.mark.parametrize("omega,t_max", [("1e300", "0.1"), ("100", "1e6"),
+                                             ("1e300", "1e10")],
+                             ids=["periods-overflow", "1.6e7-jumps", "periods-inf"])
     def test_costly_driven_run_fails_fast(self, tmp_path, omega, t_max):
-        # about 1.6e298 and 1.6e7 period jumps: over the work budget, so the
-        # run is refused with its estimate instead of hanging; a subprocess
-        # with a timeout, so a run that does start cannot hang the suite
+        # about 1.6e298, 1.6e7 and inf period jumps: over the work budget, so
+        # the run is refused with its estimate, on one stderr line, instead of
+        # hanging; a subprocess with a timeout, so a run that does start
+        # cannot hang the suite, and a warning would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
         argv = ["evolve", "--hamiltonian", "full", "--n", "10", "--g", "10",
                 "--omega", omega, "--tmax", t_max, "--samples", "3",
@@ -114,6 +116,7 @@ class TestEvolve:
         code, seconds = out.stdout.split()
         assert code == "1" and float(seconds) < 1.0
         assert "period jumps" in out.stderr and "budget" in out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_physics_error_is_exit_1(self, tmp_path, capsys):
@@ -149,8 +152,8 @@ class TestEvolve:
         assert first.read_bytes() == second.read_bytes()
 
     def test_deterministic_driven_output(self, tmp_path, capsys):
-        # about 16 drive periods and 40 samples: period jumps, and more period
-        # starts than (N+2)//2, so the samples are read out of W(tau)
+        # about 16 drive periods and 40 samples: period jumps, so the samples
+        # are read out of W(tau)
         args = ["evolve", "--hamiltonian", "full", "--n", "8", "--g", "181.2",
                 "--omega", "200", "--tmax", "0.5", "--samples", "40",
                 "--format", "json"]
@@ -237,6 +240,18 @@ class TestScanRatio:
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("ratios,grid", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("1:1.5:1", [1.0]),
+        # the README example: its last point rounds above the stop
+        ("0.1:1.4:0.1", [0.1 + 0.1 * k for k in range(14)]),
+        # perfbench's driven-ratio ranges
+        *[(f"{r0:.2f}:{r0 + 0.8:.2f}:0.4", [r0, r0 + 0.4, r0 + 0.8])
+          for r0 in (round(0.20 + 0.01 * k, 2) for k in range(8))],
+    ])
+    def test_range_stops_at_its_stop(self, ratios, grid):
+        assert _parse_range(ratios) == grid
+
     @pytest.mark.parametrize("name, n_points, slot", [
         pytest.param(name, n_points, slot,
                      id=f"{name}-{n_points}" + (f"-pool{slot}" if slot else ""))
@@ -265,26 +280,53 @@ class TestScanRatio:
         assert (points, failed) == (n_points, 0)
 
 
+BENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def bench_files():
+    return sorted((str(p), p.stat().st_mtime_ns) for p in BENCH.rglob("*"))
+
+
+def bench_child(tmp_path, stats, trace, refine, *cli_args):
+    """One perfbench/child.py pass, as perfbench/run.py spawns it; writes no
+    bytecode under perfbench/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, str(BENCH / "child.py"), str(stats), trace, refine,
+            "--", *cli_args]
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_bench_step_halving_hook_refines(tmp_path):
     # perfbench/run.py measures evolve.step_halving_delta by running
     # perfbench/child.py with REFINE 1 and 2; both passes must succeed, and
     # the refined one must really refine (a nonzero, converged change)
-    bench = Path(__file__).parents[1] / "perfbench"
-    before = sorted((str(p), p.stat().st_mtime_ns) for p in bench.rglob("*"))
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]),
-               PYTHONDONTWRITEBYTECODE="1")
+    before = bench_files()
     curves = []
     for refine in ("1", "2"):
         out_file = tmp_path / f"curve-{refine}.json"
-        argv = [sys.executable, str(bench / "child.py"),
-                str(tmp_path / f"stats-{refine}.json"), "0", refine, "--",
-                "evolve", "--hamiltonian", "full", "--n", "10", "--g", "271.8",
-                "--omega", "300", "--tmax", "0.5", "--samples", "50",
-                "--format", "json", "--out", str(out_file)]
-        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        bench_child(tmp_path, tmp_path / f"stats-{refine}.json", "0", refine,
+                    "evolve", "--hamiltonian", "full", "--n", "10", "--g", "271.8",
+                    "--omega", "300", "--tmax", "0.5", "--samples", "50",
+                    "--format", "json", "--out", str(out_file))
         curves.append(np.array(json.loads(out_file.read_text())["columns"]["xi_squared"]))
     delta = np.max(np.abs(curves[0] - curves[1]))
     assert 0 < delta < 1e-6
-    assert sorted((str(p), p.stat().st_mtime_ns) for p in bench.rglob("*")) == before
+    assert bench_files() == before
+
+
+def test_bench_traced_pass_sees_the_layers(tmp_path):
+    # perfbench/run.py --trace 1 wraps the functions perfbench/layers.py
+    # names in TRACED; a renamed one fails the pass or loses its spans
+    before = bench_files()
+    stats = tmp_path / "stats.json"
+    bench_child(tmp_path, stats, "1", "1",
+                "scan-n", "--hamiltonians", "tat-xz,oat,full", "--n-list", "4,5,6,7,8",
+                "--threads", "2", "--format", "json", "--out", str(tmp_path / "scan.json"))
+    names = {span["name"] for span in json.loads(stats.read_text())["spans"]}
+    assert {"evolve.propagate_driven", "evolve.driven_state_at",
+            "evolve.propagate_static", "squeezing.optimal_squeezing",
+            "cli.main"} <= names
+    assert bench_files() == before

@@ -298,9 +298,9 @@ class TestPeriodJumps:
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
     def test_identity_readout_matches_chain(self, monkeypatch):
-        # more period starts than (N+2)//2 = 4, so stage 3 marches the
-        # identity and reads each sample out as W(tau) v_n; T = 1/64 exactly,
-        # so the phase T/2 repeats bit for bit in three periods
+        # more period starts than the identity's (N+2)//2 = 4 columns; stage
+        # 3 marches the identity and reads each sample out as W(tau) v_n;
+        # T = 1/64 exactly, so the phase T/2 repeats bit for bit in three periods
         n, omega = 6, 128 * np.pi
         t = period_of(omega)
         times = np.array([0.0, 0.5 * t, t, 2.5 * t, 3 * t, 3.5 * t,
@@ -318,8 +318,8 @@ class TestPeriodJumps:
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
     @pytest.mark.parametrize("samples,width", [
-        (400, 51),  # driven-curve: 96 period starts, the identity is narrower
-        (2, 2),     # two period starts in about 95 periods
+        (400, 51),  # driven-curve: 96 period starts
+        (2, 51),    # two period starts in about 95 periods: still the identity
     ])
     def test_march_is_never_wider_than_parity_block(self, monkeypatch, samples,
                                                     width):
@@ -330,7 +330,7 @@ class TestPeriodJumps:
 
     def test_folded_readout_matches_chain_at_odd_n(self, monkeypatch):
         # odd N, so the reflection swaps the parity blocks; more period starts
-        # than (N+2)//2 = 4, so stage 3 marches the identity, and its phases
+        # than the identity's (N+2)//2 = 4 columns, and the identity's phases
         # below, at and above T/2 (T = 1/64 exactly) all fold into [0, T/2)
         n, omega = 7, 128 * np.pi
         t = period_of(omega)
@@ -365,12 +365,30 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
         assert log[0][:2] == [(n + 2) // 2, pytest.approx(t / 2)]
-        state, now = css(n), t_start
-        while now < t_end:
-            hop = min(t_end, now + t / 2)
-            state = driven_state_at(spec, state, now, hop)
-            now = hop
-        assert abs(np.vdot(got.amplitudes, state.amplitudes)) >= 1 - 1e-10
+        want = hopped(spec, css(n), t_start, t_end)
+        assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    def test_whole_periods_from_a_negative_start_match_chain(self):
+        # t_end - t_start comes out a hair below 33 T: the phase is a whole
+        # period, not one step of about h from knot -1
+        n, omega = 40, 2040.0
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        t_start = -0.3
+        t_end = t_start + 33 * t
+        count, phase = evolve._period_split(np.array([t_end]), t_start, t)
+        assert count[0] == 33 and phase[0] == 0.0
+        got = driven_state_at(spec, css(n), t_start, t_end)
+        want = hopped(spec, css(n), t_start, t_end)
+        assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    def test_phase_is_never_negative(self):
+        # whole periods from negative starts, the later ones past t = 0
+        t = period_of(2040.0)
+        for t_start in (-0.3, -0.05, -1e-3):
+            times = t_start + np.arange(1, 200) * t
+            _, phase = evolve._period_split(times, t_start, t)
+            assert np.all(phase >= 0)
 
     @pytest.mark.parametrize("n,omega", [(100, 2000.0), (101, 7070.0)])
     @pytest.mark.parametrize("periods,span", [(0.0, 0.25), (3.87, 0.5)],
@@ -486,6 +504,17 @@ class TestPeriodJumps:
         assert abs(np.linalg.norm(plain) - 1) > evolve.NORM_TOL
 
 
+def hopped(spec, state, t_start, t_end):
+    """Reference: driven_state_at in hops of at most half a drive period."""
+    half = np.pi / spec.drive.frequency_omega
+    now = t_start
+    while now < t_end:
+        hop = min(t_end, now + half)
+        state = driven_state_at(spec, state, now, hop)
+        now = hop
+    return state
+
+
 def grid_step(spec, n):
     """The driven march's grid step under the default StepControl."""
     return period_of(spec.drive.frequency_omega) / 4 / StepControl().quarter_steps(spec, n)
@@ -533,12 +562,12 @@ class TestGridReadout:
     @pytest.mark.parametrize("times,stepped", [
         # one period: no jumps
         ([0.0, 5 / 64, 0.25, 0.3, 0.5, 0.75, 0.75 + 0.5 / 64], 2),
-        # three period starts, marched themselves; nothing off a knot
+        # three period starts: the identity, folded; nothing off a knot
         ([0.0, 0.25, 1.0, 2 + 5 / 64, 2.5], 0),
         # seven period starts, more than (N+2)//2 = 4: the identity, folded
         ([0.0, 0.25, 1.0, 2.5, 3.75, 5 + 5 / 64, 6.5 + 5 / 64, 7.3, 7.75 + 0.5 / 64],
          2),
-    ], ids=["no-jumps", "narrow", "folded"])
+    ], ids=["no-jumps", "few-starts", "folded"])
     def test_samples_on_knots_take_no_partial_step(self, monkeypatch, times, stepped):
         # T = 1/64 and h = T/64 exactly, so the knots are exact: every phase
         # but the last two of a run (if stepped) is 0, T/4, T/2, 3T/4
@@ -578,7 +607,7 @@ class TestGridReadout:
 
     @pytest.mark.parametrize("n,periods,branch", [
         (6, 0.95, "no-jumps"),  # one period start, no W_T
-        (6, 3.9, "narrow"),     # four period starts, marched themselves
+        (6, 3.9, "few-starts"),  # four period starts: the identity, folded
         (7, 10.3, "folded"),    # eleven period starts: the identity, folded
     ])
     def test_dense_grid_matches_refined_chain(self, monkeypatch, n, periods, branch):
@@ -586,14 +615,14 @@ class TestGridReadout:
         spec = driven_spec(n, omega)
         times = np.linspace(0, periods, 301) * period_of(omega)
         count, phase = evolve._period_split(times[1:], 0.0, period_of(omega))
-        width = {"no-jumps": 1, "narrow": 4, "folded": (n + 2) // 2}[branch]
+        width = 1 if branch == "no-jumps" else (n + 2) // 2
         log = march_log(monkeypatch)
         chunks = partial_steps(monkeypatch)
         traj = propagate_driven(spec, css(n), times)
         assert [cols for cols, _, _ in log][-1] == width
         widths = [len(t) for t in chunks]
         assert max(widths) == (n + 2) // 2 and sum(widths) <= 300
-        if branch == "folded":
+        if branch != "no-jumps":
             assert np.any(phase < period_of(omega) / 2)
             assert np.any(phase > period_of(omega) / 2)
         fine = chained(spec, n, times, StepControl().refined(4))
@@ -656,6 +685,32 @@ class TestCostGuard:
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
             assert [cols for cols, _, _ in log] == [1]
+
+    def test_absurd_span_meets_the_guard(self):
+        # 1e10 over a period of 6e-300: the float period count is inf, and
+        # omega t_start is too, so no rotating-frame phase is taken first
+        spec = FullDriven(DriveParams(10.0, 1e300))
+        with pytest.raises(ValidationError, match="too costly"):
+            propagate_driven(spec, css(10), [0.0, 1e10])
+        with pytest.raises(ValidationError, match="too costly"):
+            driven_state_at(spec, css(10), 1e10, 2e10)
+
+    @pytest.mark.parametrize("n,omega,times", [
+        (6, 200.0, np.linspace(0, 0.9, 7) * period_of(200.0)),
+        # four samples at phase 0.99 T (T = 1/64), four period starts
+        (6, 128 * np.pi, np.r_[0.0, [2.99, 3.99, 5.99, 6.99]] * period_of(128 * np.pi)),
+        (100, 2000.0, np.linspace(0, 0.3, 400)),
+        (12, 840.0, np.linspace(0, default_t_max(12), 200)),
+    ], ids=["no-jumps", "few-starts", "driven-curve", "driven-scan-n"])
+    def test_estimate_bounds_the_march(self, monkeypatch, n, omega, times):
+        # a budget one column step below what the run marches refuses it
+        spec = driven_spec(n, omega)
+        log = march_log(monkeypatch)
+        propagate_driven(spec, css(n), times)
+        marched = sum(cols * steps for cols, _, steps in log)
+        monkeypatch.setattr(evolve, "_WORK_MAX", marched - 1)
+        with pytest.raises(ValidationError, match="too costly"):
+            propagate_driven(spec, css(n), times)
 
 
 class TestStepControl:
