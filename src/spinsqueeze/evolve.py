@@ -454,6 +454,12 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     return half, jump
 
 
+# Batched partial steps take up to this many entries (64 KB of complex) per
+# work array, and never fewer columns than the parity identity's (N+2)//2:
+# a small-N sweep point's ~200 off-knot samples take one step, not dozens.
+_CHUNK_ENTRIES = 4096
+
+
 def _driven_states(spec, n_atoms, psi, t_start, times, control):
     """Lab-frame states at `times` (increasing, > t_start) as rows (T, N+1).
 
@@ -478,7 +484,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
        such a sample is F W(tau) u_n with u_n = F W_h v_n, so the march ends
        before T/2.
     Then every sample off its knot takes one RK4 step of tau - t_k < h from
-    its own time, all of them batched in chunks of at most (N+2)//2 columns.
+    its own time, all of them batched in chunks of max((N+2)//2,
+    4096 // (N+1)) columns, so at small N one chunk takes a whole sweep
+    point. Each column steps on its own, so the chunking moves no bit.
     Drift beyond NORM_TOL since the last renormalized state raises
     IntegrationError: a state read out at a knot is renormalized (the
     marched start with it), and so is each sample after its partial step.
@@ -536,10 +544,11 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
         reached = (_apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
                    if jumps else block)
         states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
-    # the partial steps, batched in chunks of at most (N+2)//2 columns: on
-    # the march's work arrays when its block is that wide, else on new ones
+    # the partial steps, batched in chunks: on the march's work arrays when
+    # its block is that wide, else on new ones
     off_knot = np.flatnonzero(partial > 0)
-    width = max(1, min(len(off_knot), (n_atoms + 2) // 2))
+    chunk = max((n_atoms + 2) // 2, _CHUNK_ENTRIES // (n_atoms + 1))
+    width = max(1, min(len(off_knot), chunk))
     if width > block.shape[1]:
         step = _rk4_stepper(spec, n_atoms, width)
     for lo in range(0, len(off_knot), width):

@@ -25,6 +25,11 @@ from .squeezing import optimal_squeezing, squeezing_curve
 SCALING_OMEGA_PER_ATOM = 70.0
 GRID_SAMPLES = 200  # uniform samples per optimum search, then golden section
 
+# A time curve holds its (samples, N+1) complex amplitudes at once, and the
+# propagators a few arrays of that size more; a curve whose amplitudes
+# alone would pass this many bytes is refused before anything is allocated.
+CURVE_BYTES_MAX = 2 ** 28
+
 
 @dataclass(frozen=True)
 class SweepTable:
@@ -128,6 +133,11 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
         raise ValidationError(f"t_max must be finite, got {t_max!r}")
     if t_max < 0 or n_samples < 1:
         raise ValidationError("need t_max >= 0 and n_samples >= 1")
+    size = n_samples * (_check_n_atoms(n_atoms) + 1) * 16
+    if size > CURVE_BYTES_MAX:
+        raise ValidationError(
+            f"{n_samples} samples at N = {n_atoms} would hold {size:.3g} bytes "
+            f"of amplitudes, over the limit of {CURVE_BYTES_MAX} bytes")
     if n_samples == 1 or t_max == 0:
         times = np.array([0.0])
     else:

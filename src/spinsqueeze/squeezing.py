@@ -90,8 +90,12 @@ def _transverse_frame(n0):
     return n1, np.stack([y * c - z * b, z * a - x * c, x * b - y * a], axis=1)
 
 
-def _records(n_atoms, psi, times):
-    """Squeezing records for the rows of psi (T, N+1) at `times`."""
+def _squeezing(n_atoms, psi):
+    """(xi2, mean, length, angle, degenerate) of the rows of psi (T, N+1), as arrays.
+
+    The one computation behind every record: mean spin (T, 3), its length,
+    xi^2, the optimal angle and the degenerate flag of each row.
+    """
     mean, second = _moments(n_atoms, psi)
     length = np.sqrt(np.einsum("ti,ti->t", mean, mean))
     degenerate = length < DEGENERATE_SPIN_FRACTION * (n_atoms / 2)
@@ -115,6 +119,12 @@ def _records(n_atoms, psi, times):
     angle = np.where(abs(v12) < 1e-14, np.where(v11 <= v22, 0.0, math.pi / 2),
                      np.arctan2(lam_min - v11, v12) % math.pi)
     angle[half_gap < 1e-14] = 0.0
+    return xi2, mean, length, angle, degenerate
+
+
+def _records(times, arrays):
+    """Squeezing records at `times` from the arrays `_squeezing` gave."""
+    xi2, mean, length, angle, degenerate = arrays
     mean.flags.writeable = False
     return [SqueezingRecord(*row) for row in zip(
         map(float, times), xi2.tolist(), mean,
@@ -125,47 +135,59 @@ def xi_squared(state, time=0.0):
     """Squeezing record for a single state."""
     if not isinstance(state, DickeState):
         raise ValidationError("xi_squared expects a DickeState")
-    record, = _records(state.n_atoms, state.amplitudes[None, :], [time])
+    record, = _records([time], _squeezing(state.n_atoms, state.amplitudes[None, :]))
     return record
 
 
 def squeezing_curve(traj):
     """Squeezing records for every sample of a trajectory."""
-    return _records(traj.n_atoms, traj.amplitudes, traj.times)
+    return _records(traj.times, _squeezing(traj.n_atoms, traj.amplitudes))
 
 
 def optimal_squeezing(traj):
     """Record at the minimum of xi^2(t), grid minimum refined by golden section.
 
-    Off-grid states continue the stored sample at or before them with the
-    trajectory's own `advance`. Degenerate (over-squeezed) samples are
-    excluded; if nothing is left the trajectory has no usable optimum.
+    Each off-grid state continues the latest state reached at or before it
+    (the bracket's samples, then every state evaluated) with the
+    trajectory's own `advance`. The search compares bare xi^2 from
+    `_squeezing`; degenerate (over-squeezed) states are excluded only from
+    the picks, and records are built only for the grid minimum and the two
+    final candidates. If every sample is degenerate the trajectory has no
+    usable optimum.
     """
     if len(traj.times) < 3:
         raise ValidationError("optimal_squeezing needs at least 3 samples")
-    records = squeezing_curve(traj)
-    usable = [i for i, r in enumerate(records) if not r.degenerate_flag]
-    if not usable:
+    n_atoms = traj.n_atoms
+    grid = _squeezing(n_atoms, traj.amplitudes)
+    xi2, degenerate = grid[0], grid[-1]
+    usable = np.flatnonzero(~degenerate)
+    if not len(usable):
         raise ValidationError("over-squeezed trajectory: mean spin degenerate everywhere")
     if traj.advance is None:
         raise ValidationError(
             "trajectory carries no propagator to refine with; build it with "
             "propagate_static or propagate_driven")
-    i_min = min(usable, key=lambda i: records[i].xi_squared)
-    best = records[i_min]
+    i_min = usable[np.argmin(xi2[usable])]
+    best, = _records(traj.times[i_min:i_min + 1],
+                     [a[i_min:i_min + 1] for a in grid])
+
+    lo, hi = max(i_min - 1, 0), min(i_min + 1, len(traj.times) - 1)
+    reached = dict(zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1]))
+    measured = {}
 
     def evaluate(t):
-        i = int(np.searchsorted(traj.times, t, side="right")) - 1
-        state = DickeState(traj.n_atoms, traj.amplitudes[i])
-        return xi_squared(traj.advance(state, traj.times[i], t), t)
+        t_from = max(s for s in reached if s <= t)
+        psi = traj.advance(DickeState(n_atoms, reached[t_from]), t_from, t).amplitudes
+        reached[t] = psi
+        measured[t] = _squeezing(n_atoms, psi[None, :])
+        return measured[t][0][0]
 
-    a = traj.times[max(i_min - 1, 0)]
-    b = traj.times[min(i_min + 1, len(traj.times) - 1)]
+    a, b = traj.times[lo], traj.times[hi]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     r1, r2 = evaluate(x1), evaluate(x2)
     while b - a > REFINE_TIME_TOL:
-        if r1.xi_squared < r2.xi_squared:
+        if r1 < r2:
             b, x2, r2 = x2, x1, r1
             x1 = b - _GOLDEN * (b - a)
             r1 = evaluate(x1)
@@ -173,7 +195,8 @@ def optimal_squeezing(traj):
             a, x1, r1 = x1, x2, r2
             x2 = a + _GOLDEN * (b - a)
             r2 = evaluate(x2)
-    for candidate in (r1, r2):
+    for t in (x1, x2):
+        candidate, = _records([t], measured[t])
         if not candidate.degenerate_flag and candidate.xi_squared < best.xi_squared:
             best = candidate
     return best

@@ -5,10 +5,11 @@ from spinsqueeze import (DickeState, DriveParams, FullDriven, OAT, TATxz,
                          Trajectory, ValidationError, build_hamiltonian,
                          coherent_spin_state, default_t_max, optimal_squeezing,
                          propagate_static, propagate_driven, xi_squared)
-from spinsqueeze import StepControl, evolve, squeezing_curve
+from spinsqueeze import StepControl, evolve, squeezing, squeezing_curve
 from spinsqueeze.squeezing import _moments
 
 import oracles
+from test_evolve import march_log
 
 
 def css(n, axis="+y"):
@@ -182,8 +183,8 @@ class TestOptimalSqueezing:
     ])
     def test_refined_optimum_matches_propagation_from_zero(
             self, spec, n, t_max, samples, tol):
-        # refinement restarts from stored samples; the state it measures
-        # must be the one a single run from t = 0 reaches
+        # refinement continues the states it has reached; the state it
+        # measures must be the one a single run from t = 0 reaches
         if isinstance(spec, FullDriven):
             def propagate(times):
                 return propagate_driven(spec, css(n), times)
@@ -193,9 +194,44 @@ class TestOptimalSqueezing:
                                         times)
         grid = np.linspace(0, t_max, samples)
         record = optimal_squeezing(propagate(grid))
-        assert np.min(np.abs(grid - record.time)) > 0  # a restarted, off-grid state
+        assert np.min(np.abs(grid - record.time)) > 0  # a continued, off-grid state
         direct = xi_squared(propagate([0.0, record.time]).states[-1])
         assert direct.xi_squared == pytest.approx(record.xi_squared, abs=tol)
+
+    @pytest.mark.parametrize("n,omega,ratio,budget,time,xi2", [
+        # driven-scan-n's largest point: 89 grid steps (412 restarting each
+        # evaluation from its grid sample)
+        (12, 840.0, 0.906, 120, 0.371874486169454, 0.119751175133829),
+        # driven-ratio: 95 (327)
+        (32, 1000.0, 1.0, 130, 0.205284186348733, 0.0546713715141678),
+    ], ids=["driven-scan-n", "driven-ratio"])
+    def test_refinement_continues_the_nearest_state(self, monkeypatch, n, omega,
+                                                    ratio, budget, time, xi2):
+        # each evaluation marches on from the latest state reached at or
+        # before it, and finds the optimum that restarts from the samples found
+        traj = propagate_driven(FullDriven(DriveParams(ratio * omega, omega)),
+                                css(n), np.linspace(0, default_t_max(n), 200))
+        log = march_log(monkeypatch)
+        record = optimal_squeezing(traj)
+        assert sum(steps for _, _, steps in log) <= budget
+        assert record.time == pytest.approx(time, abs=1e-12)
+        assert record.xi_squared == pytest.approx(xi2, abs=1e-10)
+
+    def test_records_only_the_candidates(self, monkeypatch):
+        # the grid minimum and the two final golden-section points
+        built = []
+
+        class Counted(squeezing.SqueezingRecord):
+            def __post_init__(self):
+                built.append(self.time)
+                super().__post_init__()
+
+        traj = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
+                                np.linspace(0, 0.6, 200))
+        monkeypatch.setattr(squeezing, "SqueezingRecord", Counted)
+        record = optimal_squeezing(traj)
+        assert len(built) == 3 and record.time in built
+        assert record.xi_squared == pytest.approx(0.1381, rel=0.02)
 
     def test_driven_refinement_uses_trajectory_control(self, monkeypatch):
         seen = []
