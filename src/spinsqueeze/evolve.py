@@ -23,9 +23,11 @@ co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h, and
 W_h = (F W_q F)^T W_q from a quarter period's W_q when the start is a
 multiple of T/2, where A is also mirror-symmetric about the quarter period
 and A^T = F A F. The identity march folds each phase tau >= T/2 onto
-tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. A run spanning too few
-periods makes no jump: its samples are all phases of period 0, and the
-march carries the one start itself. A run whose estimated work is over
+tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. From such a start it also
+mirrors the second quarter onto the first, since W(T/2 - tau) =
+F conj(W(tau)) F W_h, so it ends at T/4. A run spanning too few periods
+makes no jump: its samples are all phases of period 0, and the march
+carries the one start itself. A run whose estimated work is over
 budget is refused before any step. States are mapped back to the lab
 frame at every sample point, so trajectories always contain genuine psi(t).
 """
@@ -334,8 +336,11 @@ def _period_split(times, t_start, period):
 # (N = 130, 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start,
 # and at 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
 # (N = 240) from t = 0. 1 + ((N+1)/75)^2 whole periods tracks the off-grid
-# start. These were timed with the march that stopped at every sample phase;
-# on the fixed grid both sides of the crossover march fewer steps.
+# start. These were timed with the march that stopped at every sample phase
+# and ran stage 3 to T/2 from any start. On the fixed grid both sides of the
+# crossover march fewer steps, and a jumping run from a multiple of T/2 now
+# marches half a period in all (stage 3 mirrors its second quarter), so the
+# crossover from t = 0 has likely moved lower; it has not been re-timed.
 def _jumps_pay(n_atoms, periods):
     return periods >= 1 + ((n_atoms + 1) / 75) ** 2
 
@@ -346,24 +351,25 @@ def _jumps_pay(n_atoms, periods):
 # (N = 100), 34 us in a 257-column one (N = 512), 210 us in a 1001-column
 # one (N = 2000) and 50-120 us alone; a jump 16 us (N = 10) to 5 ms
 # (N = 2000). So the budget admits runs of a minute or two: at omega =
-# 70 N chi under the default StepControl, N = 1000 (about 7.5e5) but not
-# N = 2000 (3e6).
+# 70 N chi under the default StepControl, N = 1000 (about 3.8e5) but not
+# N = 2000 (1.5e6).
 _WORK_MAX = 1e6
 
 
-def _check_cost(n_atoms, span, periods, period, quarter):
+def _check_cost(n_atoms, span, periods, period, quarter, on_half):
     """Whether the run jumps its `periods` whole periods (`_jumps_pay`).
 
     A run whose work would exceed _WORK_MAX is refused first, with its
     estimate, which bounds what `_driven_states` marches: with jumps,
-    (N+2)//2 columns over at most a period in all (stage 1's quarter or half
-    period and stage 3's folded march below T/2) and one jump per period
-    (stage 2); without, one column over the span. Only floats are used, so
-    an absurd span cannot overflow a count.
+    (N+2)//2 columns over half a period from a start `on_half` (a multiple
+    of T/2: stage 1's and stage 3's quarter periods), else over a whole
+    period (stage 1's half period and stage 3's folded march below T/2),
+    and one jump per period (stage 2); without, one column over the span.
+    Only floats are used, so an absurd span cannot overflow a count.
     """
     jumps = _jumps_pay(n_atoms, periods)
     if jumps:
-        steps, width = 4.0 * quarter, (n_atoms + 2) // 2
+        steps, width = (2.0 if on_half else 4.0) * quarter, (n_atoms + 2) // 2
     else:
         steps, width, periods = float(span) / period * 4 * quarter, 1, 0.0
     if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
@@ -418,7 +424,7 @@ def _apply_blocks(blocks, vectors):
     return out
 
 
-def _period_propagator(spec, n_atoms, t_start, period, quarter):
+def _period_propagator(spec, n_atoms, t_start, period, quarter, on_half):
     """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
 
     Both come as their parity blocks (`_parity_blocks`), marched on the grid
@@ -426,11 +432,13 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
     W_T = F W_h F W_h. When s is a multiple of T/2, A(s + T/2 - t) = A(s + t)
     and A^T = F A F as well, so W_h = (F W_q F)^T W_q with W_q the quarter
-    period's propagator; otherwise half a period is marched.
+    period's propagator; `on_half` says so. Otherwise half a period is
+    marched. Stage 3 of `_driven_states` uses the same two symmetries: the
+    first to fold the third and fourth quarters onto the first two, the
+    second (from a start `on_half`) to mirror the second quarter onto the
+    first.
     """
     h = period / 4 / quarter
-    _, offset = _period_split(np.array([t_start]), 0.0, period / 2)
-    on_half = offset[0] == 0.0
     block = _parity_identity(n_atoms)
     step = _rk4_stepper(spec, n_atoms, block.shape[1])
     for _ in _rk4_march(step, block, t_start, h, [quarter if on_half else 2 * quarter]):
@@ -466,11 +474,11 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
     propagator from t_start. Every march steps on one grid from t_start,
-    h = (T/4) / control.quarter_steps, so T/4 and T/2 are knots.
-    `_check_cost` decides whether the run jumps, after refusing one whose
-    estimated work exceeds the budget. A run that does not jump marches
-    its one start phi over the grid, every sample at phase tau = t - t_start.
-    A run that jumps makes every sample in three stages:
+    h = (T/4) / control.quarter_steps = (T/4) / q, so T/4 and T/2 are the
+    knots q and 2q. `_check_cost` decides whether the run jumps, after
+    refusing one whose estimated work exceeds the budget. A run that does
+    not jump marches its one start phi over the grid, every sample at phase
+    tau = t - t_start. A run that jumps makes every sample in three stages:
     1. build W_T once (`_period_propagator`). The reflection F (index
        k -> N - k) maps the drive's second half period onto its first, so
        W_T = F W_h F W_h from the half period's W_h, and W_h comes from a
@@ -479,10 +487,18 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
        keep the v_n that samples need;
     3. march the (N+2)//2-column identity (`_parity_identity`), which gives
        W(t_k), over the grid in one pass, and read each sample out as
-       W(t_k) v_n at its knot t_k (t_k <= tau < t_k + h). Every phase
-       tau >= T/2 folds onto tau - T/2, since W(T/2 + tau) = F W(tau) F W_h:
-       such a sample is F W(tau) u_n with u_n = F W_h v_n, so the march ends
-       before T/2.
+       W(t_k) x at its knot t_k (t_k <= tau < t_k + h), x its start column.
+       The quarters of a period pair up:
+       - 3rd and 4th: every phase tau >= T/2 folds onto tau - T/2, since
+         W(T/2 + tau) = F W(tau) F W_h. Such a sample is F W(tau) u_n with
+         start column u_n = F W_h v_n, so the march ends before T/2;
+       - 2nd onto 1st, when t_start is a multiple of T/2: then
+         A(T/2 - t) = A(t) and A^T = F A F, so
+         W(t_k) = F conj(W(t_(2q-k))) F W_h. A knot k in (q, 2q] reads off
+         knot 2q - k as F conj(W(t_(2q-k)) conj(y)), with y = F W_h x the
+         column's partner: u_n for v_n, v_(n+1) for u_n. The march ends at
+         T/4, and a folded phase within rounding below T/2 (knot 2q) reads
+         off knot 0 as F y.
     Then every sample off its knot takes one RK4 step of tau - t_k < h from
     its own time, all of them batched in chunks of max((N+2)//2,
     4096 // (N+1)) columns, so at small N one chunk takes a whole sweep
@@ -498,11 +514,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
     count, phase = _period_split(times, t_start, period)
+    _, offset = _period_split(np.array([t_start]), 0.0, period / 2)
+    on_half = offset[0] == 0.0
     jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
-                        count.max(initial=0), period, quarter)
+                        count.max(initial=0), period, quarter, on_half)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     if jumps:
-        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
+        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter,
+                                        on_half)
         needed, cols = np.unique(count.astype(int), return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
         n = 0  # phi holds v_n
@@ -531,18 +550,36 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     knot -= knot * h > phase
     partial = phase - knot * h
     knot = knot.astype(int)
-    states = starts[:, cols]  # a copy; right already at knot 0
-    knots = np.unique(knot[knot > 0])
+    # the knot each sample is read out at, and whether mirrored from there
+    stop, mirror = knot, np.zeros(len(times), dtype=bool)
+    if jumps and on_half:  # only here: a run that does not jump may count
+        mirror = knot > quarter  # 3e303 steps per quarter, past any int
+        stop = np.where(mirror, 2 * quarter - knot, knot)
+        # a mirrored sample reads its column's partner y instead: u_n for
+        # v_n, and for u_n the v_(n+1) = F W_h u_n appended here
+        later = _apply_blocks(half, starts[:, len(needed):])[::-1]
+        starts = np.hstack([starts, later / np.linalg.norm(later, axis=0)])
+        cols += len(needed) * mirror
+    states = starts[:, cols]  # a copy; right already at knot 0, F y if mirrored
+    zero = mirror & (stop == 0)
+    states[:, zero] = states[::-1, zero]
+    knots = np.unique(stop[stop > 0])
     # samples grouped by knot: sorted order, cut where each knot begins
-    order = np.argsort(knot, kind="stable")
-    rises = np.searchsorted(knot[order], knots)
+    order = np.argsort(stop, kind="stable")
+    rises = np.searchsorted(stop[order], knots)
     step = _rk4_stepper(spec, n_atoms, block.shape[1])
     marching = _rk4_march(step, block, t_start, h, knots.tolist())
     bounds = [*rises.tolist(), len(order)]
     for lo, hi, _ in zip(bounds, bounds[1:], marching):
         hit = order[lo:hi]
-        reached = (_apply_blocks(_parity_blocks(block), starts[:, cols[hit]])
-                   if jumps else block)
+        if jumps:  # W(t_k) x, or F conj(W(t_(2q-k)) conj(y)) if mirrored
+            flip = mirror[hit]
+            source = starts[:, cols[hit]]
+            source[:, flip] = source[:, flip].conj()
+            reached = _apply_blocks(_parity_blocks(block), source)
+            reached[:, flip] = reached[::-1, flip].conj()
+        else:
+            reached = block
         states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
     # the partial steps, batched in chunks: on the march's work arrays when
     # its block is that wide, else on new ones

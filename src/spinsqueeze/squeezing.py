@@ -186,7 +186,10 @@ def optimal_squeezing(traj):
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     r1, r2 = evaluate(x1), evaluate(x2)
-    while b - a > REFINE_TIME_TOL:
+    # once ulp(t) nears the tolerance the bracket can stop shrinking: stop too
+    width = math.inf
+    while REFINE_TIME_TOL < b - a < width:
+        width = b - a
         if r1 < r2:
             b, x2, r2 = x2, x1, r1
             x1 = b - _GOLDEN * (b - a)

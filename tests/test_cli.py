@@ -217,6 +217,28 @@ class TestScanN:
                          "--out", str(tmp_path / "scaling.csv"))
         assert code == 0
 
+    def test_refinement_ends_where_ulp_exceeds_tolerance(self, tmp_path):
+        # at chi = 1e-13 the optima sit near t = 1e12-1e13, where ulp(t) is
+        # about 1e-3 > REFINE_TIME_TOL, so the golden bracket stops shrinking
+        # above the tolerance; a subprocess with a timeout, so a search that
+        # never ends fails instead of hanging the suite
+        env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+        tables = []
+        for chi in ("1e-13", "1"):
+            out_file = tmp_path / f"scaling-{chi}.json"
+            argv = ["scan-n", "--hamiltonians", "oat", "--n-list", "4,5,6,7,8",
+                    "--chi", chi, "--format", "json", "--out", str(out_file)]
+            code = f"from spinsqueeze.cli import main; raise SystemExit(main({argv!r}))"
+            subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True, timeout=60)
+            tables.append(json.loads(out_file.read_text())["columns"])
+        slow, unit = tables
+        # xi^2 does not depend on chi, and the optimal time scales as 1 / chi
+        assert np.allclose(slow["optimal_xi2_oat"], unit["optimal_xi2_oat"],
+                           rtol=0, atol=1e-8)
+        assert np.allclose(np.array(slow["optimal_time_oat"]) * 1e-13,
+                           unit["optimal_time_oat"], rtol=1e-3)
+
 
 class TestScanRatio:
     def test_scan_with_range(self, tmp_path, capsys):

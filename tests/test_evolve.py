@@ -406,24 +406,26 @@ class TestPeriodJumps:
                                    [4 * quarter]):
             pass
         log = march_log(monkeypatch)
-        _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter)
+        _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter,
+                                            periods == 0.0)
         assert len(log) == 1 and log[0][1] == pytest.approx(span * t)
         for got, want in zip(jump, evolve._parity_blocks(block)):
             assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_driven_curve_step_budget(self, monkeypatch):
         # the bench's driven-curve problem (400 times): W_T from a quarter
-        # period takes 134 block steps, and the folded stage 3 marches the
-        # grid to the last knot below T/2, 267; stopping at every distinct
-        # phase took 134 + 399 = 533, and a whole period with an unfolded
-        # stage 3 535 + 653 = 1188
+        # period takes 134 block steps, and the folded, mirrored stage 3
+        # marches the grid to T/4, 134; marching it to the last knot below
+        # T/2 took 134 + 267 = 401, stopping at every distinct phase
+        # 134 + 399 = 533, and a whole period with an unfolded stage 3
+        # 535 + 653 = 1188
         log = march_log(monkeypatch)
         propagate_driven(driven_spec(100, 2000.0), css(100), np.linspace(0, 0.3, 400))
-        assert sum(steps for _, _, steps in log) <= 410
+        assert sum(steps for _, _, steps in log) <= 268
 
     @pytest.mark.parametrize("n,omega,budget", [
-        (12, 840.0, 50),   # driven-scan-n's largest point: 16 + 31 (was 16 + 199)
-        (32, 1000.0, 90),  # driven-ratio: 29 + 57 (was 29 + 199)
+        (12, 840.0, 32),   # driven-scan-n's largest point: 16 + 16 (was 16 + 31)
+        (32, 1000.0, 58),  # driven-ratio: 29 + 29 (was 29 + 57)
     ], ids=["driven-scan-n", "driven-ratio"])
     def test_sweep_point_step_budget(self, monkeypatch, n, omega, budget):
         # a sweep point's 200 samples over default_t_max no longer cut steps
@@ -633,6 +635,73 @@ class TestGridReadout:
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-9
 
 
+class TestMirroredReadout:
+    """From a start on a multiple of T/2, stage 3 marches only to T/4 and reads
+    every knot in (T/4, T/2] off knot 2q - k as F conj(W(t_(2q-k)) conj(y))."""
+
+    @pytest.mark.parametrize("n", [40, 41, 10, 11])
+    def test_all_four_quarters_match_chain(self, monkeypatch, n):
+        # T = 1/64 exactly, so the phases T/4, T/2 and 3T/4 are exact; the
+        # others sit inside each quarter, on and off the knots
+        omega = 128 * np.pi
+        spec = driven_spec(n, omega, ratio=0.4)
+        t = period_of(omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        times = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 1.6, 1.75, 1.9, 2.0, 2.3,
+                          2.5, 2.7, 3.75, 3.99]) * t
+        count, phase = evolve._period_split(times[1:], 0.0, t)
+        assert evolve._jumps_pay(n, count[-1])
+        for q in range(4):
+            assert np.any((phase >= q * t / 4) & (phase < (q + 1) * t / 4))
+        assert {0.25 * t, 0.5 * t, 0.75 * t} <= set(phase)
+        log = march_log(monkeypatch)
+        traj = propagate_driven(spec, css(n), times)
+        assert [steps for _, _, steps in log] == [quarter, quarter]
+        for got, t_end in zip(traj.states[1:], times[1:]):
+            want = hopped(spec, css(n), 0.0, t_end)
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n", [40, 41, 10, 11])
+    def test_phase_rounding_onto_the_half_period_knot(self, n):
+        # a phase one ulp below T/2 whose knot is 2q, since 2q h < T/2 as
+        # computed; it mirrors onto knot 0 and is read out as F y
+        for omega in np.linspace(100.0, 110.0, 201):
+            spec = driven_spec(n, omega, ratio=0.4)
+            t = period_of(omega)
+            h = grid_step(spec, n)
+            quarter = StepControl().quarter_steps(spec, n)
+            tau = np.nextafter(t / 2, 0)
+            if 2 * quarter * h <= tau:
+                break
+        else:
+            pytest.fail("no grid rounds T/2 onto knot 2q")
+        times = np.array([0.0, tau, 1.3 * t, 2 * t + tau])
+        count, phase = evolve._period_split(times[1:], 0.0, t)
+        assert evolve._jumps_pay(n, count[-1]) and phase[0] == tau
+        traj = propagate_driven(spec, css(n), times)
+        for got, t_end in zip(traj.states[1:], times[1:]):
+            want = hopped(spec, css(n), 0.0, t_end)
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n", [40, 41, 10, 11])
+    def test_off_grid_start_marches_half_a_period(self, monkeypatch, n):
+        # no mirror from a start off the multiples of T/2: stage 1 marches
+        # half a period, and stage 3 past T/4 to the knot below 0.4 T
+        omega = 128 * np.pi
+        spec = driven_spec(n, omega, ratio=0.4)
+        t = period_of(omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        t_start = 0.37 * t
+        t_end = t_start + 3.4 * t
+        log = march_log(monkeypatch)
+        got = driven_state_at(spec, css(n), t_start, t_end)
+        (cols, span, steps), (_, _, readout) = log
+        assert cols == (n + 2) // 2 and span == pytest.approx(t / 2)
+        assert steps == 2 * quarter and quarter < readout < 2 * quarter
+        want = hopped(spec, css(n), t_start, t_end)
+        assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+
 class TestCostGuard:
     """A driven run over the work budget is refused before it starts."""
 
@@ -665,7 +734,7 @@ class TestCostGuard:
         span = default_t_max(n)
         count, _ = evolve._period_split(np.array([span]), 0.0, period_of(omega))
         args = (n, span, count[0], period_of(omega),
-                control.quarter_steps(driven_spec(n, omega), n))
+                control.quarter_steps(driven_spec(n, omega), n), True)
         if admitted:
             assert evolve._check_cost(*args)
         else:
@@ -683,7 +752,8 @@ class TestCostGuard:
         count, _ = evolve._period_split(np.array([periods * period]), 0.0, period)
         assert evolve._jumps_pay(n, periods) and not evolve._jumps_pay(n, count[0])
         quarter = StepControl().quarter_steps(spec, n)
-        assert not evolve._check_cost(n, periods * period, count[0], period, quarter)
+        assert not evolve._check_cost(n, periods * period, count[0], period, quarter,
+                                      True)
         if n == 40:  # cheap enough to run: one column, no W_T
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
