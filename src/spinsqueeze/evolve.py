@@ -19,17 +19,19 @@ sample phase tau; all samples then take their own last step, tau - t_k < h,
 together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
-co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h, and
-W_h = (F W_q F)^T W_q from a quarter period's W_q when the start is a
-multiple of T/2, where A is also mirror-symmetric about the quarter period
-and A^T = F A F. The identity march folds each phase tau >= T/2 onto
-tau - T/2, since W(T/2 + tau) = F W(tau) F W_h. From such a start it also
-mirrors the second quarter onto the first, since W(T/2 - tau) =
-F conj(W(tau)) F W_h, so it ends at T/4. A run spanning too few periods
-makes no jump: its samples are all phases of period 0, and the march
-carries the one start itself. A run whose estimated work is over
-budget is refused before any step. States are mapped back to the lab
-frame at every sample point, so trajectories always contain genuine psi(t).
+co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h.
+A jumping run starts on a multiple of T/2: one from any other start
+first marches its one state there, a lead-in of less than half a period.
+From there A is also mirror-symmetric about the quarter period and
+A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. The
+identity march folds each phase tau >= T/2 onto tau - T/2, since
+W(T/2 + tau) = F W(tau) F W_h, and mirrors the second quarter onto the
+first, since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. A
+run spanning too few periods makes no jump: its samples are all phases
+of period 0, and the march carries the one start itself. A run whose
+estimated work is over budget is refused before any step. States are
+mapped back to the lab frame at every sample point, so trajectories
+always contain genuine psi(t).
 """
 
 import cmath
@@ -327,20 +329,20 @@ def _period_split(times, t_start, period):
     return count, phase
 
 
-# Stage 1 costs a quarter period of RK4 on (N+2)//2 columns when t_start is
-# a multiple of T/2 (every propagate_driven call), half a period otherwise,
-# plus a few (N+2)//2-square block products. Timing one state at P + 1/2
-# periods (omega = 70 N chi, in-place block steps, one thread, noisy to about
-# 1.5x), the jumps broke even with the plain march at about P = 0.4-0.7
-# (N = 8, 16), 0.9 (N = 32), 1.5 (N = 48, 64), 2.2-2.5 (N = 100), 5-6
-# (N = 130, 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start,
-# and at 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
+# Stage 1 costs a quarter period of RK4 on (N+2)//2 columns, plus a few
+# (N+2)//2-square block products. Timing one state at P + 1/2 periods
+# (omega = 70 N chi, in-place block steps, one thread, noisy to about 1.5x),
+# the jumps broke even with the plain march at about P = 0.4-0.7 (N = 8,
+# 16), 0.9 (N = 32), 1.5 (N = 48, 64), 2.2-2.5 (N = 100), 5-6 (N = 130,
+# 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start, and at
+# 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
 # (N = 240) from t = 0. 1 + ((N+1)/75)^2 whole periods tracks the off-grid
-# start. These were timed with the march that stopped at every sample phase
-# and ran stage 3 to T/2 from any start. On the fixed grid both sides of the
-# crossover march fewer steps, and a jumping run from a multiple of T/2 now
-# marches half a period in all (stage 3 mirrors its second quarter), so the
-# crossover from t = 0 has likely moved lower; it has not been re-timed.
+# start. These figures were timed on marches that no longer exist: one that
+# stopped at every sample phase, stage 1 over half a period from an
+# off-grid start, and stage 3 to T/2 from any start. A jumping run now
+# marches a quarter period in each of stages 1 and 3, from a multiple of
+# T/2 (an off-grid start first marches one column there), so both
+# crossovers have likely moved lower; they have not been re-timed.
 def _jumps_pay(n_atoms, periods):
     return periods >= 1 + ((n_atoms + 1) / 75) ** 2
 
@@ -356,20 +358,20 @@ def _jumps_pay(n_atoms, periods):
 _WORK_MAX = 1e6
 
 
-def _check_cost(n_atoms, span, periods, period, quarter, on_half):
+def _check_cost(n_atoms, span, periods, period, quarter):
     """Whether the run jumps its `periods` whole periods (`_jumps_pay`).
 
     A run whose work would exceed _WORK_MAX is refused first, with its
-    estimate, which bounds what `_driven_states` marches: with jumps,
-    (N+2)//2 columns over half a period from a start `on_half` (a multiple
-    of T/2: stage 1's and stage 3's quarter periods), else over a whole
-    period (stage 1's half period and stage 3's folded march below T/2),
-    and one jump per period (stage 2); without, one column over the span.
-    Only floats are used, so an absurd span cannot overflow a count.
+    estimate, which bounds what `_driven_states` marches: with jumps, 2q
+    steps (q = `quarter`) on (N+2)//2 + 1 columns, for one column's lead-in
+    of less than half a period to the first multiple of T/2 and (N+2)//2
+    columns over stage 1's and stage 3's quarter periods, and one jump per
+    period (stage 2); without, one column over the span. Only floats are
+    used, so an absurd span cannot overflow a count.
     """
     jumps = _jumps_pay(n_atoms, periods)
     if jumps:
-        steps, width = (2.0 if on_half else 4.0) * quarter, (n_atoms + 2) // 2
+        steps, width = 2.0 * quarter, (n_atoms + 2) // 2 + 1
     else:
         steps, width, periods = float(span) / period * 4 * quarter, 1, 0.0
     if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
@@ -424,29 +426,26 @@ def _apply_blocks(blocks, vectors):
     return out
 
 
-def _period_propagator(spec, n_atoms, t_start, period, quarter, on_half):
+def _period_propagator(spec, n_atoms, t_start, period, quarter):
     """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
 
-    Both come as their parity blocks (`_parity_blocks`), marched on the grid
-    of `quarter` RK4 steps per quarter period. With F the index reversal,
+    The start s is a multiple of T/2. Both come as their parity blocks
+    (`_parity_blocks`), from one march of `quarter` RK4 steps over the
+    quarter period, which gives W_q. With F the index reversal,
     F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
-    W_T = F W_h F W_h. When s is a multiple of T/2, A(s + T/2 - t) = A(s + t)
-    and A^T = F A F as well, so W_h = (F W_q F)^T W_q with W_q the quarter
-    period's propagator; `on_half` says so. Otherwise half a period is
-    marched. Stage 3 of `_driven_states` uses the same two symmetries: the
-    first to fold the third and fourth quarters onto the first two, the
-    second (from a start `on_half`) to mirror the second quarter onto the
-    first.
+    W_T = F W_h F W_h; and A(s + T/2 - t) = A(s + t) with A^T = F A F, so
+    W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states` uses the same two
+    symmetries: the first to fold the third and fourth quarters onto the
+    first two, the second to mirror the second quarter onto the first.
     """
     h = period / 4 / quarter
     block = _parity_identity(n_atoms)
     step = _rk4_stepper(spec, n_atoms, block.shape[1])
-    for _ in _rk4_march(step, block, t_start, h, [quarter if on_half else 2 * quarter]):
+    for _ in _rk4_march(step, block, t_start, h, [quarter]):
         pass
-    half = _parity_blocks(block)
-    if on_half:
-        half = [np.einsum("ji,jk->ik", f, w)
-                for f, w in zip(_reflected(half, n_atoms), half)]
+    blocks = _parity_blocks(block)
+    half = [np.einsum("ji,jk->ik", f, w)
+            for f, w in zip(_reflected(blocks, n_atoms), blocks)]
     jump = [np.einsum("ij,jk->ik", f, w)
             for f, w in zip(_reflected(half, n_atoms), half)]
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
@@ -468,21 +467,26 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter, on_half):
 _CHUNK_ENTRIES = 4096
 
 
-def _driven_states(spec, n_atoms, psi, t_start, times, control):
-    """Lab-frame states at `times` (increasing, > t_start) as rows (T, N+1).
+def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
+    """Lab-frame states at `times` (increasing, >= t_start) as rows (T, N+1).
 
     The rotating-frame Hamiltonian has period T = 2 pi / omega, so
     phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
     propagator from t_start. Every march steps on one grid from t_start,
     h = (T/4) / control.quarter_steps = (T/4) / q, so T/4 and T/2 are the
     knots q and 2q. `_check_cost` decides whether the run jumps, after
-    refusing one whose estimated work exceeds the budget. A run that does
-    not jump marches its one start phi over the grid, every sample at phase
-    tau = t - t_start. A run that jumps makes every sample in three stages:
+    refusing one whose estimated work exceeds the budget; `jumps` hands
+    that one decision to the two parts of a run split below. A run that
+    does not jump marches its one start phi over the grid, every sample at
+    phase tau = t - t_start. A run that jumps from a start off the
+    multiples of T/2 first marches phi to the next one, t_half, as a run
+    that does not jump (its samples before t_half are read off this
+    lead-in), and goes on from t_half. A run that jumps from a multiple of
+    T/2 makes every sample in three stages:
     1. build W_T once (`_period_propagator`). The reflection F (index
        k -> N - k) maps the drive's second half period onto its first, so
-       W_T = F W_h F W_h from the half period's W_h, and W_h comes from a
-       quarter period when t_start is a multiple of T/2;
+       W_T = F W_h F W_h from the half period's W_h, which comes from a
+       quarter period;
     2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
        keep the v_n that samples need;
     3. march the (N+2)//2-column identity (`_parity_identity`), which gives
@@ -492,8 +496,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
        - 3rd and 4th: every phase tau >= T/2 folds onto tau - T/2, since
          W(T/2 + tau) = F W(tau) F W_h. Such a sample is F W(tau) u_n with
          start column u_n = F W_h v_n, so the march ends before T/2;
-       - 2nd onto 1st, when t_start is a multiple of T/2: then
-         A(T/2 - t) = A(t) and A^T = F A F, so
+       - 2nd onto 1st: A(T/2 - t) = A(t) and A^T = F A F, so
          W(t_k) = F conj(W(t_(2q-k))) F W_h. A knot k in (q, 2q] reads off
          knot 2q - k as F conj(W(t_(2q-k)) conj(y)), with y = F W_h x the
          column's partner: u_n for v_n, v_(n+1) for u_n. The march ends at
@@ -514,14 +517,21 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
     count, phase = _period_split(times, t_start, period)
-    _, offset = _period_split(np.array([t_start]), 0.0, period / 2)
-    on_half = offset[0] == 0.0
-    jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
-                        count.max(initial=0), period, quarter, on_half)
+    if jumps is None:
+        jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
+                            count.max(initial=0), period, quarter)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     if jumps:
-        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter,
-                                        on_half)
+        halves, offset = _period_split(np.array([t_start]), 0.0, period / 2)
+        if offset[0] > 0.0:  # the lead-in, then on from t_half
+            t_half = (halves[0] + 1) * (period / 2)
+            lead = times < t_half
+            head = _driven_states(spec, n_atoms, psi, t_start,
+                                  np.append(times[lead], t_half), control, False)
+            rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
+                                  control, True)
+            return np.vstack([head[:-1], rest])
+        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
         needed, cols = np.unique(count.astype(int), return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
         n = 0  # phi holds v_n
@@ -552,7 +562,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control):
     knot = knot.astype(int)
     # the knot each sample is read out at, and whether mirrored from there
     stop, mirror = knot, np.zeros(len(times), dtype=bool)
-    if jumps and on_half:  # only here: a run that does not jump may count
+    if jumps:  # only here: a run that does not jump may count
         mirror = knot > quarter  # 3e303 steps per quarter, past any int
         stop = np.where(mirror, 2 * quarter - knot, knot)
         # a mirrored sample reads its column's partner y instead: u_n for

@@ -6,6 +6,7 @@ sweep bit-identically, and whose columns feed the csv/json/svg emitters.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -70,11 +71,17 @@ class ScalingFit:
 
 
 def fit_scaling(n_atoms, xi_opt):
-    """Fit (log N, log xi2) by least squares; needs at least 5 points."""
+    """Fit (log N, log xi2) by least squares; needs at least 5 points, as
+    many N as xi2, each finite and > 0."""
     n_atoms = np.asarray(n_atoms, dtype=float)
     xi_opt = np.asarray(xi_opt, dtype=float)
+    if n_atoms.ndim != 1 or n_atoms.shape != xi_opt.shape:
+        raise ValidationError("scaling fit needs one xi2 for each N, as two 1-d sequences")
     if len(n_atoms) < 5:
         raise ValidationError("scaling fit needs at least 5 points")
+    points = np.concatenate([n_atoms, xi_opt])
+    if not np.all(np.isfinite(points) & (points > 0)):  # NaN fails too
+        raise ValidationError("scaling fit needs every N and xi2 finite and > 0")
     log_n = np.log(n_atoms)
     log_x = np.log(xi_opt)
     slope, intercept = np.polyfit(log_n, log_x, 1)
@@ -131,6 +138,8 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
     """xi^2(t) on a uniform grid; columns time, xi_squared."""
     if not math.isfinite(t_max):
         raise ValidationError(f"t_max must be finite, got {t_max!r}")
+    if not isinstance(n_samples, numbers.Integral):
+        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
     if t_max < 0 or n_samples < 1:
         raise ValidationError("need t_max >= 0 and n_samples >= 1")
     size = n_samples * (_check_n_atoms(n_atoms) + 1) * 16

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -353,10 +354,14 @@ class TestPeriodJumps:
         (7, 200.0, 0.61, 6.0),
         (40, 2800.0, 1.3, 3.2),
         (100, 2000.0, 3.87, 9.4),
+        # two whole periods from the start, but fewer from T/2 on: the part
+        # after the lead-in still jumps, as the run decided at its start
+        (6, 200.0, 0.37, 2.05),
     ])
     def test_off_grid_jumps_match_chain(self, monkeypatch, n, omega, start, span):
-        # from a start off the multiples of T/2, W_h comes from a half-period
-        # march; the jumps must agree with hops of at most T/2 from the start
+        # from a start off the multiples of T/2, one column's lead-in reaches
+        # the next one, and W_T comes from a quarter-period march from there;
+        # the jumps must agree with hops of at most T/2 from the start
         spec = driven_spec(n, omega)
         t = period_of(omega)
         t_start, t_end = start * t, (start + span) * t
@@ -364,7 +369,8 @@ class TestPeriodJumps:
         assert evolve._jumps_pay(n, count[0])
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
-        assert log[0][:2] == [(n + 2) // 2, pytest.approx(t / 2)]
+        assert log[0][0] == 1 and log[0][1] < t / 2
+        assert log[1][:2] == [(n + 2) // 2, pytest.approx(t / 4)]
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -391,12 +397,11 @@ class TestPeriodJumps:
             assert np.all(phase >= 0)
 
     @pytest.mark.parametrize("n,omega", [(100, 2000.0), (101, 7070.0)])
-    @pytest.mark.parametrize("periods,span", [(0.0, 0.25), (3.87, 0.5)],
-                             ids=["quarter", "half"])
+    @pytest.mark.parametrize("periods", [0.0, 3.5], ids=["quarter", "half"])
     def test_symmetric_period_propagator_matches_direct_march(
-            self, monkeypatch, n, omega, periods, span):
-        # W_T = F W_h F W_h, with W_h from a quarter period at t_start = 0
-        # and from half a period at an off-grid t_start
+            self, monkeypatch, n, omega, periods):
+        # W_T = F W_h F W_h, with W_h from a quarter period, from a t_start on
+        # a whole period and from one on a half period
         spec = driven_spec(n, omega)
         t = period_of(omega)
         quarter = StepControl().quarter_steps(spec, n)
@@ -406,9 +411,8 @@ class TestPeriodJumps:
                                    [4 * quarter]):
             pass
         log = march_log(monkeypatch)
-        _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter,
-                                            periods == 0.0)
-        assert len(log) == 1 and log[0][1] == pytest.approx(span * t)
+        _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter)
+        assert len(log) == 1 and log[0][1] == pytest.approx(t / 4)
         for got, want in zip(jump, evolve._parity_blocks(block)):
             assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -456,8 +460,10 @@ class TestPeriodJumps:
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100), times)
 
-    def test_guard_sees_non_unitary_half_period_propagator(self, monkeypatch):
-        # as above from an off-grid start, so W_T is built from half a period
+    def test_guard_sees_reckless_lead_in(self, monkeypatch):
+        # from an off-grid start the run first marches one column to the
+        # next multiple of T/2, and that march's own guard trips before
+        # any W_T is built
         reckless(monkeypatch, 5)
         period = period_of(150.0)
         t_start = 3.87 * period
@@ -466,9 +472,9 @@ class TestPeriodJumps:
         assert phase[0] == 0.0 and evolve._jumps_pay(100, count[0])
         log = march_log(monkeypatch)
         with pytest.raises(IntegrationError,
-                           match=r"one-period propagator drift .* at t = .*N = 100, step .*"):
+                           match=r"^norm drift .* at t = .*N = 100, step .*"):
             driven_state_at(driven_spec(100, 150.0), css(100), t_start, t_end)
-        assert len(log) == 1 and log[0][1] == pytest.approx(period / 2)
+        assert len(log) == 1 and log[0][0] == 1 and log[0][1] < period / 2
 
     def test_reckless_grid_step_raises(self, monkeypatch):
         # 6 steps per quarter period: the grid takes T/24, and one such step
@@ -685,8 +691,9 @@ class TestMirroredReadout:
 
     @pytest.mark.parametrize("n", [40, 41, 10, 11])
     def test_off_grid_start_marches_half_a_period(self, monkeypatch, n):
-        # no mirror from a start off the multiples of T/2: stage 1 marches
-        # half a period, and stage 3 past T/4 to the knot below 0.4 T
+        # from a start off the multiples of T/2, one column marches to the
+        # next one (0.13 T on); from there W_T comes from a quarter period,
+        # and the sample 3.27 T on, past T/4, is mirrored below T/4
         omega = 128 * np.pi
         spec = driven_spec(n, omega, ratio=0.4)
         t = period_of(omega)
@@ -695,9 +702,9 @@ class TestMirroredReadout:
         t_end = t_start + 3.4 * t
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
-        (cols, span, steps), (_, _, readout) = log
-        assert cols == (n + 2) // 2 and span == pytest.approx(t / 2)
-        assert steps == 2 * quarter and quarter < readout < 2 * quarter
+        (cols, span, _), (width, _, steps), (_, _, readout) = log
+        assert cols == 1 and 0.12 * t < span <= 0.13 * t
+        assert width == (n + 2) // 2 and steps == quarter and readout < quarter
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -734,7 +741,7 @@ class TestCostGuard:
         span = default_t_max(n)
         count, _ = evolve._period_split(np.array([span]), 0.0, period_of(omega))
         args = (n, span, count[0], period_of(omega),
-                control.quarter_steps(driven_spec(n, omega), n), True)
+                control.quarter_steps(driven_spec(n, omega), n))
         if admitted:
             assert evolve._check_cost(*args)
         else:
@@ -745,15 +752,14 @@ class TestCostGuard:
     def test_costs_the_run_it_decides_on(self, monkeypatch, n, periods):
         # the float span / T reaches _jumps_pay's 1 + ((N+1)/75)^2 (1.30 at
         # N = 40, 401.5 at N = 1500) but the whole periods do not, so the run
-        # marches one column: about 9e5 column steps at N = 1500, within the
-        # budget, where costing a jump plan would have refused 1.7e6
+        # marches one column, and the estimate is that march's: about 9.0e5
+        # column steps at N = 1500 (a jump plan would count 8.5e5)
         spec = driven_spec(n, 70.0 * n)
         period = period_of(70.0 * n)
         count, _ = evolve._period_split(np.array([periods * period]), 0.0, period)
         assert evolve._jumps_pay(n, periods) and not evolve._jumps_pay(n, count[0])
         quarter = StepControl().quarter_steps(spec, n)
-        assert not evolve._check_cost(n, periods * period, count[0], period, quarter,
-                                      True)
+        assert not evolve._check_cost(n, periods * period, count[0], period, quarter)
         if n == 40:  # cheap enough to run: one column, no W_T
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
@@ -774,16 +780,25 @@ class TestCostGuard:
         (6, 128 * np.pi, np.r_[0.0, [2.99, 3.99, 5.99, 6.99]] * period_of(128 * np.pi)),
         (100, 2000.0, np.linspace(0, 0.3, 400)),
         (12, 840.0, np.linspace(0, default_t_max(12), 200)),
-    ], ids=["no-jumps", "few-starts", "driven-curve", "driven-scan-n"])
+        # one driven_state_at call from 0.02 T (T = 1/64): a lead-in of 30
+        # steps on one column to T/2, then two periods on, the sample at
+        # phase T/4, so both quarter marches take all 16 steps
+        (6, 128 * np.pi, np.array([0.02, 2.75]) * period_of(128 * np.pi)),
+    ], ids=["no-jumps", "few-starts", "driven-curve", "driven-scan-n", "lead-in"])
     def test_estimate_bounds_the_march(self, monkeypatch, n, omega, times):
-        # a budget one column step below what the run marches refuses it
+        # a budget one column step below what the run marches refuses it; a
+        # run whose times start past 0 is one driven_state_at call
         spec = driven_spec(n, omega)
+        if times[0] == 0.0:
+            run = partial(propagate_driven, spec, css(n), times)
+        else:
+            run = partial(driven_state_at, spec, css(n), *times)
         log = march_log(monkeypatch)
-        propagate_driven(spec, css(n), times)
+        run()
         marched = sum(cols * steps for cols, _, steps in log)
         monkeypatch.setattr(evolve, "_WORK_MAX", marched - 1)
         with pytest.raises(ValidationError, match="too costly"):
-            propagate_driven(spec, css(n), times)
+            run()
 
 
 class TestStepControl:

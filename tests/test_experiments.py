@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spinsqueeze import (DriveParams, FullDriven, OAT, SweepTable, TATxz,
-                         ValidationError, default_t_max, emit, experiments,
-                         fit_scaling, run_n_scaling, run_ratio_scan,
+                         ValidationError, default_t_max, emit, evolve,
+                         experiments, fit_scaling, run_n_scaling, run_ratio_scan,
                          run_time_curve)
 
 
@@ -36,6 +36,10 @@ class TestRunTimeCurve:
         with pytest.raises(ValidationError, match="t_max must be finite"):
             run_time_curve(OAT(), 8, "y", t_max, 5)
 
+    def test_rejects_non_integer_samples(self):
+        with pytest.raises(ValidationError, match="n_samples must be an integer"):
+            run_time_curve(OAT(), 10, "y", 0.1, 2.5)
+
 
 class TestScalingFit:
     def test_recovers_synthetic_power_law(self):
@@ -49,6 +53,23 @@ class TestScalingFit:
     def test_needs_five_points(self):
         with pytest.raises(ValidationError):
             fit_scaling([10, 20, 40, 80], [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("n_atoms,xi_opt", [
+        ([0, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2, 0.1]),
+        ([-10, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2, 0.1]),
+        ([10, 20, np.inf, 80, 160], [0.5, 0.4, 0.3, 0.2, 0.1]),
+        ([10, 20, 40, 80, 160], [0.5, 0.4, 0.0, 0.2, 0.1]),
+        ([10, 20, 40, 80, 160], [0.5, -0.4, 0.3, 0.2, 0.1]),
+        ([10, 20, 40, 80, 160], [0.5, 0.4, 0.3, np.nan, 0.1]),
+        ([10, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2, np.inf]),
+        ([10, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2]),
+        ([10, 20, 40, 80, 160, 320], [0.5, 0.4, 0.3, 0.2, 0.1]),
+    ], ids=["zero-n", "negative-n", "inf-n", "zero-xi2", "negative-xi2",
+            "nan-xi2", "inf-xi2", "fewer-xi2", "fewer-n"])
+    def test_rejects_bad_points(self, n_atoms, xi_opt):
+        # numpy warned or raised TypeError on these, or fitted NaN
+        with pytest.raises(ValidationError, match="scaling fit needs"):
+            fit_scaling(n_atoms, xi_opt)
 
 
 class TestRunNScaling:
@@ -119,6 +140,34 @@ class TestRunRatioScan:
     def test_rejects_negative_ratio(self):
         with pytest.raises(ValidationError):
             run_ratio_scan(10, "y", [-0.1], 300.0)
+
+
+class TestDrivenSweepTraffic:
+    def test_sweeps_jump_only_from_t_zero(self, monkeypatch):
+        # every one-period propagator W_T of a driven scan-n and scan-ratio
+        # point is built from t = 0, and no refinement restart (one sample
+        # time, from driven_state_at) jumps: no sweep makes a jumping run
+        # from a start off the multiples of T/2, which takes a lead-in
+        built, runs = [], []
+        build, states = evolve._period_propagator, evolve._driven_states
+
+        def spy_build(spec, n_atoms, t_start, *args):
+            built.append(t_start)
+            return build(spec, n_atoms, t_start, *args)
+
+        def spy_states(spec, n_atoms, psi, t_start, times, *args):
+            before = len(built)
+            rows = states(spec, n_atoms, psi, t_start, times, *args)
+            runs.append((len(times), len(built) - before))
+            return rows
+
+        monkeypatch.setattr(evolve, "_period_propagator", spy_build)
+        monkeypatch.setattr(evolve, "_driven_states", spy_states)
+        run_n_scaling([TATxz(), FullDriven(DriveParams(0.906, 1.0))], [4, 5, 6, 7, 8])
+        run_ratio_scan(32, "y", [0.2], 1000.0)
+        assert len(built) == 6 and set(built) == {0.0}
+        restarts = [jumped for samples, jumped in runs if samples == 1]
+        assert len(restarts) > 6 and not any(restarts)
 
 
 class TestDefaultTMax:

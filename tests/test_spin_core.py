@@ -103,6 +103,8 @@ class TestCoherentSpinState:
     def test_rejects_bad_direction(self):
         with pytest.raises(ValidationError):
             coherent_spin_state(4, "+z")
+        with pytest.raises(ValidationError, match="direction must be"):
+            coherent_spin_state(4, None)
 
     @pytest.mark.parametrize("n", [2, 10, 100, 1000])
     @pytest.mark.parametrize("axis", ["+x", "+y"])
