@@ -14,24 +14,24 @@ T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. Every
 march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps, and
 no sample cuts a step short. One march of the identity (giving W(t_k),
-applied to each period start) reaches the grid knot t_k at or below every
-sample phase tau; all samples then take their own last step, tau - t_k < h,
-together as one batched RK4 step. The index reversal F
+applied to each sample's start column) reaches the grid knot t_k at or
+below every sample phase tau; all samples then take their own last step,
+tau - t_k < h, together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
 co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h.
 A jumping run starts on a multiple of T/2: one from any other start
 first marches its one state there, a lead-in of less than half a period.
 From there A is also mirror-symmetric about the quarter period and
-A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. The
-identity march folds each phase tau >= T/2 onto tau - T/2, since
-W(T/2 + tau) = F W(tau) F W_h, and mirrors the second quarter onto the
-first, since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. A
-run spanning too few periods makes no jump: its samples are all phases
-of period 0, and the march carries the one start itself. A run whose
-estimated work is over budget is refused before any step. States are
-mapped back to the lab frame at every sample point, so trajectories
-always contain genuine psi(t).
+A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. Each
+sample is indexed by its half period k and its phase tau < T/2: it is
+F^k W(tau) r_k, with r_k = (F W_h)^k applied to the start. The identity
+march mirrors the second quarter onto the first, since W(T/2 - tau) =
+F conj(W(tau)) F W_h, so it ends at T/4. A run spanning too few periods
+makes no jump: its samples are all phases of period 0, and the march
+carries the one start itself. A run whose estimated work is over budget
+is refused before any step. States are mapped back to the lab frame at
+every sample point, so trajectories always contain genuine psi(t).
 """
 
 import cmath
@@ -312,10 +312,10 @@ def _normalize(block, times, n_atoms, dt):
 
 
 def _period_split(times, t_start, period):
-    """Whole periods n and phase tau in [0, T) with t = t_start + nT + tau.
+    """Whole periods n of P and phase tau in [0, P), t = t_start + nP + tau.
 
     n is a float, so an absurd span makes it inf, not an overflow error. A
-    phase within rounding of 0 or of T (a few ulps of t or t_start) is a
+    phase within rounding of 0 or of P (a few ulps of t or t_start) is a
     whole period: it becomes 0, and a tiny negative remainder is clamped to 0.
     """
     offsets = times - t_start
@@ -329,20 +329,18 @@ def _period_split(times, t_start, period):
     return count, phase
 
 
-# Stage 1 costs a quarter period of RK4 on (N+2)//2 columns, plus a few
-# (N+2)//2-square block products. Timing one state at P + 1/2 periods
-# (omega = 70 N chi, in-place block steps, one thread, noisy to about 1.5x),
-# the jumps broke even with the plain march at about P = 0.4-0.7 (N = 8,
-# 16), 0.9 (N = 32), 1.5 (N = 48, 64), 2.2-2.5 (N = 100), 5-6 (N = 130,
-# 160), 7 (N = 200) and 13-19 (N = 240) from an off-grid start, and at
-# 0.2-1.4 (N <= 64), 1.8-2.5 (N = 100), 3.4-3.8 (N = 160) and 8-12
-# (N = 240) from t = 0. 1 + ((N+1)/75)^2 whole periods tracks the off-grid
-# start. These figures were timed on marches that no longer exist: one that
-# stopped at every sample phase, stage 1 over half a period from an
-# off-grid start, and stage 3 to T/2 from any start. A jumping run now
-# marches a quarter period in each of stages 1 and 3, from a multiple of
-# T/2 (an off-grid start first marches one column there), so both
-# crossovers have likely moved lower; they have not been re-timed.
+# Stage 1 marches q RK4 steps on (N+2)//2 columns and stage 3 up to q more;
+# the plain march takes 4q one-column steps a period. With one BLAS thread a
+# one-column step costs 30-90 us and a block step 40-90 us (N <= 32), 0.2 ms
+# (N = 100), 1.2 ms (256) and 8-9 ms (512). One driven_state_at call at
+# omega = 70 N chi (CPU, best of 2-3, noisy to about 1.5x) broke even with
+# jumps at P whole periods, against 1 + ((N+1)/75)^2:
+#   N                          8-32     64   100  160      256    512
+#   from t = 0 over P + 1/4    0.6-0.8  1.8  3.0  3.9-6.8  16-20  92-98
+#   from 0.37 T over P + 1/2   0.5-0.7  1.0  1.8  4.4      16     90
+#   1 + ((N+1)/75)^2           1.0-1.2  1.8  2.8  5.6      12.7   48
+# It is within noise up to N = 256 and jumps early at N = 512, where block
+# steps are slow.
 def _jumps_pay(n_atoms, periods):
     return periods >= 1 + ((n_atoms + 1) / 75) ** 2
 
@@ -363,11 +361,12 @@ def _check_cost(n_atoms, span, periods, period, quarter):
 
     A run whose work would exceed _WORK_MAX is refused first, with its
     estimate, which bounds what `_driven_states` marches: with jumps, 2q
-    steps (q = `quarter`) on (N+2)//2 + 1 columns, for one column's lead-in
-    of less than half a period to the first multiple of T/2 and (N+2)//2
-    columns over stage 1's and stage 3's quarter periods, and one jump per
-    period (stage 2); without, one column over the span. Only floats are
-    used, so an absurd span cannot overflow a count.
+    steps (q = `quarter`) on (N+2)//2 + 1 columns (a lead-in of at most
+    2q - 1 steps on one column to the first multiple of T/2, and stage 1's
+    and stage 3's quarter periods on (N+2)//2) and one jump per period
+    (stage 2), the lead-in's spare step paying for the jump past the last
+    period that a mirrored sample may take; without, one column over the
+    span. Only floats are used, so an absurd span cannot overflow a count.
     """
     jumps = _jumps_pay(n_atoms, periods)
     if jumps:
@@ -435,8 +434,8 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
     W_T = F W_h F W_h; and A(s + T/2 - t) = A(s + t) with A^T = F A F, so
     W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states` uses the same two
-    symmetries: the first to fold the third and fourth quarters onto the
-    first two, the second to mirror the second quarter onto the first.
+    symmetries: the first to index every sample by its half period, the
+    second to mirror the second quarter onto the first.
     """
     h = period / 4 / quarter
     block = _parity_identity(n_atoms)
@@ -470,9 +469,9 @@ _CHUNK_ENTRIES = 4096
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     """Lab-frame states at `times` (increasing, >= t_start) as rows (T, N+1).
 
-    The rotating-frame Hamiltonian has period T = 2 pi / omega, so
-    phi(t_start + nT + tau) = W(tau) W_T^n phi(t_start), with W(tau) the
-    propagator from t_start. Every march steps on one grid from t_start,
+    The rotating-frame generator A has period T = 2 pi / omega, and the
+    index reversal F (k -> N - k) maps each half period onto the one before:
+    A(t + T/2) = F A(t) F. Every march steps on one grid from t_start,
     h = (T/4) / control.quarter_steps = (T/4) / q, so T/4 and T/2 are the
     knots q and 2q. `_check_cost` decides whether the run jumps, after
     refusing one whose estimated work exceeds the budget; `jumps` hands
@@ -482,27 +481,23 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     multiples of T/2 first marches phi to the next one, t_half, as a run
     that does not jump (its samples before t_half are read off this
     lead-in), and goes on from t_half. A run that jumps from a multiple of
-    T/2 makes every sample in three stages:
-    1. build W_T once (`_period_propagator`). The reflection F (index
-       k -> N - k) maps the drive's second half period onto its first, so
-       W_T = F W_h F W_h from the half period's W_h, which comes from a
+    T/2 splits each sample time once into whole half periods k and a phase
+    tau in [0, T/2). With W(tau) the propagator from t_start and W_h =
+    W(T/2), half period k starts from r_k = (F W_h)^k phi in the reflected
+    frame, and the sample is F^k W(tau) r_k. It is made in three stages:
+    1. build W_h and W_T = F W_h F W_h once (`_period_propagator`), from a
        quarter period;
-    2. reach each period-start state v_n = W_T v_(n-1) by one matvec, and
-       keep the v_n that samples need;
+    2. reach each even column r_2n = v_n = W_T v_(n-1) by one matvec, keep
+       those that samples need, and make the odd ones r_(2n+1) = F W_h v_n
+       from them in one batched product;
     3. march the (N+2)//2-column identity (`_parity_identity`), which gives
-       W(t_k), over the grid in one pass, and read each sample out as
-       W(t_k) x at its knot t_k (t_k <= tau < t_k + h), x its start column.
-       The quarters of a period pair up:
-       - 3rd and 4th: every phase tau >= T/2 folds onto tau - T/2, since
-         W(T/2 + tau) = F W(tau) F W_h. Such a sample is F W(tau) u_n with
-         start column u_n = F W_h v_n, so the march ends before T/2;
-       - 2nd onto 1st: A(T/2 - t) = A(t) and A^T = F A F, so
-         W(t_k) = F conj(W(t_(2q-k))) F W_h. A knot k in (q, 2q] reads off
-         knot 2q - k as F conj(W(t_(2q-k)) conj(y)), with y = F W_h x the
-         column's partner: u_n for v_n, v_(n+1) for u_n. The march ends at
-         T/4, and a folded phase within rounding below T/2 (knot 2q) reads
-         off knot 0 as F y.
-    Then every sample off its knot takes one RK4 step of tau - t_k < h from
+       W(t_j), over the grid to T/4 in one pass, and read each sample out at
+       its knot t_j (t_j <= tau < t_j + h). A(T/2 - t) = A(t) and
+       A^T = F A F give W(t_j) = F conj(W(t_(2q-j))) F W_h, so a sample
+       reads column r_(k+m), m = 1 if j > q: W(t_j) r_k, or
+       F conj(W(t_(2q-j)) conj(r_(k+1))) mirrored. A sample with odd k is
+       reversed once at the end.
+    Then every sample off its knot takes one RK4 step of tau - t_j < h from
     its own time, all of them batched in chunks of max((N+2)//2,
     4096 // (N+1)) columns, so at small N one chunk takes a whole sweep
     point. Each column steps on its own, so the chunking moves no bit.
@@ -516,10 +511,10 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     period = 2 * math.pi / omega
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
-    count, phase = _period_split(times, t_start, period)
+    count, phase = _period_split(times, t_start, period / 2)
     if jumps is None:
         jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
-                            count.max(initial=0), period, quarter)
+                            np.floor(count.max(initial=0) / 2), period, quarter)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     if jumps:
         halves, offset = _period_split(np.array([t_start]), 0.0, period / 2)
@@ -531,27 +526,8 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
             rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
                                   control, True)
             return np.vstack([head[:-1], rest])
-        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
-        needed, cols = np.unique(count.astype(int), return_inverse=True)
-        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
-        n = 0  # phi holds v_n
-        for col, target in enumerate(needed):
-            for _ in range(target - n):
-                phi = _apply_blocks(jump, phi)
-                phi /= np.linalg.norm(phi)
-            n = target
-            starts[:, col] = phi
-        # fold; columns from len(needed) on hold u_n, read out reversed
-        fold = phase >= period / 2
-        phase = np.where(fold, phase - period / 2, phase)
-        cols += len(needed) * fold
-        folded = _apply_blocks(half, starts)[::-1]
-        starts = np.hstack([starts, folded / np.linalg.norm(folded, axis=0)])
-        block = _parity_identity(n_atoms)
     else:  # the one start is marched itself
         phase = times - t_start
-        starts = block = phi[:, None]
-        cols = np.zeros(len(times), dtype=int)
     # each sample's knot: the last grid time k h at or below its phase. The
     # quotient may round one off either way; corrected, k h <= tau < (k+1) h
     # holds as computed, so a tau that is exactly k h takes no partial step
@@ -560,19 +536,31 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     knot -= knot * h > phase
     partial = phase - knot * h
     knot = knot.astype(int)
-    # the knot each sample is read out at, and whether mirrored from there
-    stop, mirror = knot, np.zeros(len(times), dtype=bool)
     if jumps:  # only here: a run that does not jump may count
         mirror = knot > quarter  # 3e303 steps per quarter, past any int
+        # a mirrored sample at knot j is read out at 2q - j, never 0: a phase
+        # within rounding below T/2 is the next half period's phase 0
         stop = np.where(mirror, 2 * quarter - knot, knot)
-        # a mirrored sample reads its column's partner y instead: u_n for
-        # v_n, and for u_n the v_(n+1) = F W_h u_n appended here
-        later = _apply_blocks(half, starts[:, len(needed):])[::-1]
-        starts = np.hstack([starts, later / np.linalg.norm(later, axis=0)])
-        cols += len(needed) * mirror
-    states = starts[:, cols]  # a copy; right already at knot 0, F y if mirrored
-    zero = mirror & (stop == 0)
-    states[:, zero] = states[::-1, zero]
+        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
+        # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
+        needed, cols = np.unique(count.astype(int) + mirror, return_inverse=True)
+        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
+        n = 0  # phi holds v_n
+        for col, target in enumerate((needed // 2).tolist()):
+            for _ in range(target - n):
+                phi = _apply_blocks(jump, phi)
+                phi /= np.linalg.norm(phi)
+            n = target
+            starts[:, col] = phi
+        odd = needed % 2 == 1
+        later = _apply_blocks(half, starts[:, odd])[::-1]
+        starts[:, odd] = later / np.linalg.norm(later, axis=0)
+        block = _parity_identity(n_atoms)
+    else:
+        stop = knot
+        starts = block = phi[:, None]
+        cols = np.zeros(len(times), dtype=int)
+    states = starts[:, cols]  # a copy; right already at knot 0
     knots = np.unique(stop[stop > 0])
     # samples grouped by knot: sorted order, cut where each knot begins
     order = np.argsort(stop, kind="stable")
@@ -582,7 +570,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     bounds = [*rises.tolist(), len(order)]
     for lo, hi, _ in zip(bounds, bounds[1:], marching):
         hit = order[lo:hi]
-        if jumps:  # W(t_k) x, or F conj(W(t_(2q-k)) conj(y)) if mirrored
+        if jumps:  # W(t_j) r_k; if mirrored, F conj(W(t_(2q-j)) conj(r_(k+1)))
             flip = mirror[hit]
             source = starts[:, cols[hit]]
             source[:, flip] = source[:, flip].conj()
@@ -603,8 +591,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
         chunk = states[:, hit]
         step(chunk, t_start + knot[hit] * h, partial[hit])
         states[:, hit] = _normalize(chunk, times[hit], n_atoms, h)
-    if jumps:
-        states[:, fold] = states[::-1, fold]
+    if jumps:  # F^k W(tau) r_k
+        odd = count % 2 == 1
+        states[:, odd] = states[::-1, odd]
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 

@@ -72,7 +72,7 @@ class ScalingFit:
 
 def fit_scaling(n_atoms, xi_opt):
     """Fit (log N, log xi2) by least squares; needs at least 5 points, as
-    many N as xi2, each finite and > 0."""
+    many N as xi2, each finite and > 0, and two distinct logs of each."""
     n_atoms = np.asarray(n_atoms, dtype=float)
     xi_opt = np.asarray(xi_opt, dtype=float)
     if n_atoms.ndim != 1 or n_atoms.shape != xi_opt.shape:
@@ -84,6 +84,8 @@ def fit_scaling(n_atoms, xi_opt):
         raise ValidationError("scaling fit needs every N and xi2 finite and > 0")
     log_n = np.log(n_atoms)
     log_x = np.log(xi_opt)
+    if np.ptp(log_n) == 0 or np.ptp(log_x) == 0:  # a singular fit, or r2 0/0
+        raise ValidationError("scaling fit needs two distinct N and two distinct xi2")
     slope, intercept = np.polyfit(log_n, log_x, 1)
     residuals = log_x - (slope * log_n + intercept)
     ss_tot = np.sum((log_x - log_x.mean()) ** 2)

@@ -18,6 +18,7 @@ parameter, default 1, so unit scaling stays testable).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -79,6 +80,11 @@ class HamiltonianSpec:
             raise ValidationError(
                 f"Bessel coefficient {a!r} is outside the "
                 f"reachable range [{BESSEL_J0_MIN}, 1]")
+        w = self.weights
+        if not (isinstance(w, tuple) and len(w) == 3 and all(
+                isinstance(x, numbers.Real) and math.isfinite(x) for x in w)):
+            raise ValidationError(
+                f"weights must be a tuple of three finite reals, got {w!r}")
 
 
 class FullDriven(HamiltonianSpec):

@@ -643,7 +643,8 @@ class TestGridReadout:
 
 class TestMirroredReadout:
     """From a start on a multiple of T/2, stage 3 marches only to T/4 and reads
-    every knot in (T/4, T/2] off knot 2q - k as F conj(W(t_(2q-k)) conj(y))."""
+    a sample at knot j in (q, 2q) of half period k off knot 2q - j, as
+    F conj(W(t_(2q-j)) conj(r_(k+1)))."""
 
     @pytest.mark.parametrize("n", [40, 41, 10, 11])
     def test_all_four_quarters_match_chain(self, monkeypatch, n):
@@ -667,27 +668,36 @@ class TestMirroredReadout:
             want = hopped(spec, css(n), 0.0, t_end)
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
-    @pytest.mark.parametrize("n", [40, 41, 10, 11])
+    @pytest.mark.parametrize("n", [40, 41, 10, 11, 4])
     def test_phase_rounding_onto_the_half_period_knot(self, n):
-        # a phase one ulp below T/2 whose knot is 2q, since 2q h < T/2 as
-        # computed; it mirrors onto knot 0 and is read out as F y
-        for omega in np.linspace(100.0, 110.0, 201):
+        # samples 12, 5, 2, 1 and 0 ulps below k T/2 (k = 1..4), from starts
+        # at 0 and at 7 T/2, on a grid where 2q h < T/2 as computed: a phase
+        # within rounding below T/2 is the next half period's phase 0, and
+        # every other one has a knot below 2q; each sample must match the
+        # state at k T/2, reached by hops of T/2. At N = 4, q = 16 and
+        # h = T/64 exactly near omega = 100, so the search starts at 25
+        low = 25.0 if n == 4 else 100.0
+        for omega in np.linspace(low, 1.1 * low, 201):
             spec = driven_spec(n, omega, ratio=0.4)
             t = period_of(omega)
-            h = grid_step(spec, n)
             quarter = StepControl().quarter_steps(spec, n)
-            tau = np.nextafter(t / 2, 0)
-            if 2 * quarter * h <= tau:
+            if 2 * quarter * grid_step(spec, n) <= np.nextafter(t / 2, 0):
                 break
         else:
             pytest.fail("no grid rounds T/2 onto knot 2q")
-        times = np.array([0.0, tau, 1.3 * t, 2 * t + tau])
-        count, phase = evolve._period_split(times[1:], 0.0, t)
-        assert evolve._jumps_pay(n, count[-1]) and phase[0] == tau
-        traj = propagate_driven(spec, css(n), times)
-        for got, t_end in zip(traj.states[1:], times[1:]):
-            want = hopped(spec, css(n), 0.0, t_end)
-            assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+        for t_start in (0.0, 3.5 * t):
+            ends = t_start + np.arange(1, 5) * (t / 2)
+            times = np.array([end - ulps * np.spacing(end)
+                              for end in ends for ulps in (12, 5, 2, 1, 0)])
+            count, _ = evolve._period_split(times, t_start, t)
+            assert evolve._jumps_pay(n, count[-1])
+            got = evolve._driven_states(spec, n, css(n).amplitudes, t_start,
+                                        times, None)
+            state, now = css(n), t_start
+            for rows, end in zip(got.reshape(4, 5, n + 1), ends):
+                state, now = hopped(spec, state, now, end), end
+                for row in rows:
+                    assert abs(np.vdot(row, state.amplitudes)) >= 1 - 1e-10
 
     @pytest.mark.parametrize("n", [40, 41, 10, 11])
     def test_off_grid_start_marches_half_a_period(self, monkeypatch, n):

@@ -64,10 +64,14 @@ class TestScalingFit:
         ([10, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2, np.inf]),
         ([10, 20, 40, 80, 160], [0.5, 0.4, 0.3, 0.2]),
         ([10, 20, 40, 80, 160, 320], [0.5, 0.4, 0.3, 0.2, 0.1]),
+        ([10] * 5, [1, 0.5, 0.3, 0.2, 0.1]),
+        ([10, 20, 40, 80, 160], [1] * 5),
     ], ids=["zero-n", "negative-n", "inf-n", "zero-xi2", "negative-xi2",
-            "nan-xi2", "inf-xi2", "fewer-xi2", "fewer-n"])
+            "nan-xi2", "inf-xi2", "fewer-xi2", "fewer-n", "one-n", "one-xi2"])
     def test_rejects_bad_points(self, n_atoms, xi_opt):
-        # numpy warned or raised TypeError on these, or fitted NaN
+        # numpy warned or raised TypeError on these, or fitted NaN; on one N
+        # polyfit warned and returned an arbitrary exponent, on one xi2 r2
+        # was 0/0
         with pytest.raises(ValidationError, match="scaling fit needs"):
             fit_scaling(n_atoms, xi_opt)
 

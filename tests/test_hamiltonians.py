@@ -161,6 +161,15 @@ class TestParamValidation:
             EffectiveMixed(1.2)
         EffectiveMixed(BESSEL_J0_MIN)  # boundary is allowed
 
+    @pytest.mark.parametrize("weights", [
+        (1.0, 0.0), (1.0, np.nan, 0.0), (1.0, 0.0, np.inf), (1.0, 1j, 0.0),
+    ], ids=["two", "nan", "inf", "complex"])
+    def test_rejects_bad_weights(self, weights):
+        # two weights failed later while unpacking; NaN and inf reached eigh,
+        # which did not converge
+        with pytest.raises(ValidationError, match="three finite reals"):
+            HamiltonianSpec("x", weights)
+
     def test_drive_only_on_full_driven(self):
         # the driven propagator integrates chi Jx^2 only; other weights
         # with a drive would be propagated as if static
