@@ -206,6 +206,8 @@ def propagate_static(hamiltonian, initial, times):
     block (`_eigen_blocks`); the trajectory's `advance` reuses the blocks.
     """
     times = _check_times(times)
+    if not isinstance(initial, DickeState):
+        raise ValidationError("propagate_static expects a DickeState")
     if isinstance(hamiltonian, FullDriven):
         raise ValidationError("a FullDriven spec needs propagate_driven")
     if isinstance(hamiltonian, HamiltonianSpec):
@@ -416,8 +418,10 @@ def _reflected(blocks, n_atoms):
 def _apply_blocks(blocks, vectors):
     """W @ vectors for (N+1,) or (N+1, C) vectors, W given as its parity blocks.
 
-    einsum, not @: on a 2-vCPU host threaded OpenBLAS took 10-16 ms for
-    one 51 x 51 complex product, einsum 0.5 ms.
+    einsum, not @, for CPU time: with default threads `@` is faster per
+    product (0.04 ms against 0.52 ms for one 51 x 51 complex product), but
+    its spinning OpenBLAS threads raised the driven-curve bench's cpu_s
+    from about 0.44 s to 0.53 s with no gain in wall time.
     """
     out = np.empty_like(vectors)
     for parity, w in enumerate(blocks):
@@ -449,7 +453,7 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
             for f, w in zip(_reflected(half, n_atoms), half)]
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
     # stage 2 renormalizes every period, so only this sees a non-unitary W
-    # (einsum, not @: see _apply_blocks)
+    # (einsum, not @, for CPU time: see _apply_blocks)
     error = max(np.max(np.abs(np.einsum("ij,ik->jk", w.conj(), w) - np.eye(len(w))))
                 for w in jump)
     if not error <= NORM_TOL:  # NaN fails too
@@ -461,8 +465,8 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
 
 
 # Batched partial steps take up to this many entries (64 KB of complex) per
-# work array, and never fewer columns than the parity identity's (N+2)//2:
-# a small-N sweep point's ~200 off-knot samples take one step, not dozens.
+# work array, so 4096 // (N+1) columns and at least one: a small-N sweep
+# point's ~200 off-knot samples take one step, not dozens.
 _CHUNK_ENTRIES = 4096
 
 
@@ -498,9 +502,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
        F conj(W(t_(2q-j)) conj(r_(k+1))) mirrored. A sample with odd k is
        reversed once at the end.
     Then every sample off its knot takes one RK4 step of tau - t_j < h from
-    its own time, all of them batched in chunks of max((N+2)//2,
-    4096 // (N+1)) columns, so at small N one chunk takes a whole sweep
-    point. Each column steps on its own, so the chunking moves no bit.
+    its own time, all of them batched in chunks of 4096 // (N+1) columns
+    (at least one), so at small N one chunk takes a whole sweep point.
+    Each column steps on its own, so the chunking moves no bit.
     Drift beyond NORM_TOL since the last renormalized state raises
     IntegrationError: a state read out at a knot is renormalized (the
     marched start with it), and so is each sample after its partial step.
@@ -561,12 +565,11 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
         starts = block = phi[:, None]
         cols = np.zeros(len(times), dtype=int)
     states = starts[:, cols]  # a copy; right already at knot 0
-    knots = np.unique(stop[stop > 0])
-    # samples grouped by knot: sorted order, cut where each knot begins
+    # samples grouped by knot: sorted order, cut where each knot > 0 begins
     order = np.argsort(stop, kind="stable")
-    rises = np.searchsorted(stop[order], knots)
+    rises = np.flatnonzero(np.diff(stop[order], prepend=0))
     step = _rk4_stepper(spec, n_atoms, block.shape[1])
-    marching = _rk4_march(step, block, t_start, h, knots.tolist())
+    marching = _rk4_march(step, block, t_start, h, stop[order][rises].tolist())
     bounds = [*rises.tolist(), len(order)]
     for lo, hi, _ in zip(bounds, bounds[1:], marching):
         hit = order[lo:hi]
@@ -579,13 +582,10 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
         else:
             reached = block
         states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
-    # the partial steps, batched in chunks: on the march's work arrays when
-    # its block is that wide, else on new ones
+    # the partial steps, batched in chunks on work arrays of their own
     off_knot = np.flatnonzero(partial > 0)
-    chunk = max((n_atoms + 2) // 2, _CHUNK_ENTRIES // (n_atoms + 1))
-    width = max(1, min(len(off_knot), chunk))
-    if width > block.shape[1]:
-        step = _rk4_stepper(spec, n_atoms, width)
+    width = max(1, min(len(off_knot), _CHUNK_ENTRIES // (n_atoms + 1)))
+    step = _rk4_stepper(spec, n_atoms, width)
     for lo in range(0, len(off_knot), width):
         hit = off_knot[lo:lo + width]
         chunk = states[:, hit]
@@ -606,11 +606,11 @@ def propagate_driven(spec, initial, times, control=None):
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
+    if not isinstance(initial, DickeState):
+        raise ValidationError("propagate_driven expects a DickeState")
     times = _check_times(times)
-    rows = _driven_states(spec, initial.n_atoms, initial.amplitudes, times[0],
-                          times[1:], control)
-    return Trajectory(times, np.vstack([initial.amplitudes, rows]),
-                      partial(driven_state_at, spec, control=control))
+    rows = _driven_states(spec, initial.n_atoms, initial.amplitudes, 0.0, times, control)
+    return Trajectory(times, rows, partial(driven_state_at, spec, control=control))
 
 
 def driven_state_at(spec, initial, t_start, t_end, control=None):
@@ -621,6 +621,8 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")
+    if not isinstance(initial, DickeState):
+        raise ValidationError("driven_state_at expects a DickeState")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValidationError(
             f"t_start and t_end must be finite, got {t_start}, {t_end}")

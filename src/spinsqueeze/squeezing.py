@@ -75,7 +75,8 @@ def _moments(n_atoms, psi):
 
 
 def _transverse_frame(n0):
-    """Deterministic orthonormal pair perpendicular to each unit row of n0 (T, 3).
+    """Deterministic orthonormal pair (n1, n2) perpendicular to each unit row
+    of n0 (T, 3), stacked as (T, 2, 3).
 
     n1 is n0 x z (n0 x x where that is shorter than 1e-8), normalized, and
     n2 = n0 x n1, written out for 3-vectors.
@@ -87,7 +88,8 @@ def _transverse_frame(n0):
     n1[along_z] = np.stack([zero, z, -y], axis=1)[along_z]
     n1 /= np.sqrt(np.einsum("ti,ti->t", n1, n1))[:, None]
     a, b, c = n1.T
-    return n1, np.stack([y * c - z * b, z * a - x * c, x * b - y * a], axis=1)
+    n2 = np.stack([y * c - z * b, z * a - x * c, x * b - y * a], axis=1)
+    return np.stack([n1, n2], axis=1)
 
 
 def _squeezing(n_atoms, psi):
@@ -101,15 +103,9 @@ def _squeezing(n_atoms, psi):
     degenerate = length < DEGENERATE_SPIN_FRACTION * (n_atoms / 2)
     n0 = np.tile([0.0, 0.0, 1.0], (len(mean), 1))
     np.divide(mean, length[:, None], out=n0, where=length[:, None] > 0)
-    n1, n2 = _transverse_frame(n0)
-    m1 = np.einsum("ti,ti->t", n1, mean)
-    m2 = np.einsum("ti,ti->t", n2, mean)
-    if np.any(~degenerate & (np.maximum(abs(m1), abs(m2)) > 1e-8)):
-        raise ValidationError(
-            "transverse mean spin did not vanish; inconsistent moments")
-    v11 = np.einsum("ti,tij,tj->t", n1, second, n1) - m1 * m1
-    v22 = np.einsum("ti,tij,tj->t", n2, second, n2) - m2 * m2
-    v12 = np.einsum("ti,tij,tj->t", n1, second, n2) - m1 * m2
+    frame = _transverse_frame(n0)
+    # n_a . <J> = 0 by construction, so these second moments are variances
+    (v11, v12), (_, v22) = np.einsum("tai,tij,tbj->abt", frame, second, frame)
 
     half_gap = np.sqrt((v11 - v22) ** 2 + 4 * v12 ** 2)
     lam_min = 0.5 * (v11 + v22 - half_gap)
@@ -172,14 +168,14 @@ def optimal_squeezing(traj):
                      [a[i_min:i_min + 1] for a in grid])
 
     lo, hi = max(i_min - 1, 0), min(i_min + 1, len(traj.times) - 1)
-    reached = dict(zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1]))
+    reached = {t: DickeState(n_atoms, row) for t, row in
+               zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1])}
     measured = {}
 
     def evaluate(t):
         t_from = max(s for s in reached if s <= t)
-        psi = traj.advance(DickeState(n_atoms, reached[t_from]), t_from, t).amplitudes
-        reached[t] = psi
-        measured[t] = _squeezing(n_atoms, psi[None, :])
+        reached[t] = traj.advance(reached[t_from], t_from, t)
+        measured[t] = _squeezing(n_atoms, reached[t].amplitudes[None, :])
         return measured[t][0][0]
 
     a, b = traj.times[lo], traj.times[hi]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze.cli import _parse_range, main
+from spinsqueeze.cli import _parse_n_list, _parse_range, main
 
 
 def run(capsys, *argv):
@@ -51,6 +51,31 @@ def test_static_scan_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_sweeps_load_no_masked_arrays_or_scipy(tmp_path):
+    # numpy.ma costs 10-14 ms of import (a bare np.unique loads it), scipy
+    # ~0.3 s; solve-ratio needs scipy and stays out
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    runs = [
+        ["evolve", "--hamiltonian", "full", "--n", "8", "--g", "90.6",
+         "--omega", "100", "--tmax", "0.3", "--samples", "40"],  # jumps
+        ["scan-ratio", "--n", "8", "--omega", "300", "--ratios", "0.5:0.9:0.4"],
+        ["scan-n", "--hamiltonians", "tat-xz,oat,full", "--n-list", "4,5,6,7,8"],
+        ["scan-n", "--hamiltonians", "tat-xz,oat,mixed", "--a", "0.5",
+         "--n-list", "4,5,6,7,8"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"{i}.csv")]
+             for i, argv in enumerate(runs)]
+    code = ("import sys; from spinsqueeze.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'numpy.ma' or m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert all((tmp_path / f"{i}.csv").exists() for i in range(len(runs)))
 
 
 class TestSolveRatio:
@@ -211,6 +236,9 @@ class TestScanN:
         assert code == 1
         assert err == f"error: --n-list entries must be integers, got '{token}'\n"
 
+    def test_empty_n_list_token_is_skipped(self):
+        assert _parse_n_list("4,,6") == [4, 6]
+
     def test_threads_flag_accepted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "scan-n", "--hamiltonians", "oat",
                          "--n-list", "4,5,6,7,8", "--threads", "2",
@@ -266,7 +294,7 @@ class TestScanRatio:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("ratios", ["1:0:-1", "0:nan:0.1", "0:inf:0.1",
-                                        "0:1:nan", "0:1e9:1e-3"])
+                                        "0:1:nan", "0:1e9:1e-3", "0:x:0.1"])
     def test_bad_range_is_exit_1(self, tmp_path, capsys, ratios):
         code, _, _ = run(capsys, "scan-ratio", "--n", "10", "--omega", "300",
                          "--ratios", ratios, "--out", str(tmp_path / "x.csv"))

@@ -114,6 +114,14 @@ class TestPropagateStatic:
         with pytest.raises(ValidationError, match="propagate_driven"):
             propagate_static(driven_spec(4, 300.0), css(4), [0.0, 0.1])
 
+    @pytest.mark.parametrize("hamiltonian, match", [
+        (lambda: np.eye(5), "static HamiltonianSpec or a CollectiveOperator"),
+        (lambda: build_hamiltonian(OAT(), 5), "disagree on N"),
+    ], ids=["not-an-operator", "wrong-n"])
+    def test_rejects_unusable_hamiltonian(self, hamiltonian, match):
+        with pytest.raises(ValidationError, match=match):
+            propagate_static(hamiltonian(), css(4), [0.0, 0.1])
+
     def test_energy_conserved(self):
         n = 20
         h = build_hamiltonian(TATxz(), n)
@@ -124,6 +132,18 @@ class TestPropagateStatic:
 
 def driven_spec(n, omega, ratio=0.906, chi=1.0):
     return FullDriven(DriveParams(ratio * omega, omega), chi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: propagate_static(OAT(), psi, [0.0, 0.1]),
+    lambda psi: propagate_driven(driven_spec(4, 50.0), psi, [0.0, 0.1]),
+    lambda psi: driven_state_at(driven_spec(4, 50.0), psi, 0.0, 0.1),
+    lambda psi: xi_squared(psi),
+], ids=["propagate_static", "propagate_driven", "driven_state_at", "xi_squared"])
+def test_rejects_bare_amplitudes(call):
+    # the propagators raised AttributeError on a bare array, reading .n_atoms
+    with pytest.raises(ValidationError, match="expects a DickeState"):
+        call(css(4).amplitudes)
 
 
 class TestPropagateDriven:
@@ -207,6 +227,18 @@ class TestPropagateDriven:
     def test_single_time_is_the_initial_state(self):
         traj = propagate_driven(driven_spec(4, 50.0), css(4), [0.0])
         assert np.array_equal(traj.amplitudes, css(4).amplitudes[None])
+
+    @pytest.mark.parametrize("spec, t_start, t_end, match", [
+        (OAT(), 0.0, 0.1, "FullDriven"),
+        (driven_spec(4, 50.0), 0.2, 0.1, "t_end must be >= t_start"),
+    ], ids=["static-spec", "backwards"])
+    def test_driven_state_at_rejects(self, spec, t_start, t_end, match):
+        with pytest.raises(ValidationError, match=match):
+            driven_state_at(spec, css(4), t_start, t_end)
+
+    def test_driven_state_at_zero_span_is_the_initial_state(self):
+        initial = css(4)
+        assert driven_state_at(driven_spec(4, 50.0), initial, 0.3, 0.3) is initial
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_times(self, bad):

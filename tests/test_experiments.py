@@ -40,6 +40,12 @@ class TestRunTimeCurve:
         with pytest.raises(ValidationError, match="n_samples must be an integer"):
             run_time_curve(OAT(), 10, "y", 0.1, 2.5)
 
+    @pytest.mark.parametrize("t_max, n_samples", [(-0.1, 5), (0.1, 0)],
+                             ids=["negative-t-max", "no-samples"])
+    def test_rejects_empty_window(self, t_max, n_samples):
+        with pytest.raises(ValidationError, match="need t_max >= 0 and n_samples >= 1"):
+            run_time_curve(OAT(), 8, "y", t_max, n_samples)
+
 
 class TestScalingFit:
     def test_recovers_synthetic_power_law(self):
@@ -109,6 +115,11 @@ class TestRunNScaling:
     def test_rejects_empty_spec_list(self):
         with pytest.raises(ValidationError, match="at least one Hamiltonian"):
             run_n_scaling([], [4, 5, 6, 7, 8])
+
+    def test_rejects_repeated_variant(self):
+        # two columns of one name would overwrite each other
+        with pytest.raises(ValidationError, match="duplicate Hamiltonian variants"):
+            run_n_scaling([OAT(), OAT()], [4, 5, 6, 7, 8])
 
     @pytest.mark.parametrize("bad", [4.5, float("nan")])
     def test_rejects_non_integer_n(self, bad):
@@ -222,6 +233,13 @@ class TestEmit:
         emit(table, "svg", path)
         text = path.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_of_one_row_is_an_empty_chart(self, tmp_path):
+        table = SweepTable("time_curve", {"time": [0.0], "xi_squared": [1.0]}, {})
+        path = tmp_path / "point.svg"
+        emit(table, "svg", path)
+        assert path.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480"/>\n')
 
     def test_unknown_format_rejected(self, tmp_path):
         table = run_time_curve(OAT(), 6, "y", 0.3, 5)

@@ -7,7 +7,7 @@ from spinsqueeze import (BESSEL_J0_MIN, DriveParams, EffectiveMixed,
                          ValidationError, bessel_j0, build_hamiltonian,
                          casimir, rwa_validity, solve_drive_ratio,
                          variant_name)
-from spinsqueeze.hamiltonians import VARIANTS
+from spinsqueeze.hamiltonians import RATIO_GRID_STEP, RATIO_MAX, VARIANTS
 
 import oracles
 
@@ -59,6 +59,18 @@ class TestSolveDriveRatio:
 
     def test_below_global_minimum(self):
         assert solve_drive_ratio(-0.5) == []
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValidationError, match="target_a must be finite"):
+            solve_drive_ratio(target)
+
+    def test_target_on_a_grid_point_is_that_point(self):
+        # J0 vanishes on no grid point, so take the target from one
+        grid = np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2,
+                         RATIO_GRID_STEP)
+        roots = solve_drive_ratio(float(scipy_j0(2 * grid[100])))
+        assert float(grid[100]) in roots
 
     @pytest.mark.parametrize("target", [0.9, 1 / 3, 0.0, -1 / 3, -0.39])
     def test_plugback(self, target):
@@ -178,6 +190,10 @@ class TestParamValidation:
 
     def test_ratio(self):
         assert DriveParams(4.0, 8.0).ratio == 0.5
+
+    def test_variant_name_rejects_non_spec(self):
+        with pytest.raises(ValidationError, match="unknown Hamiltonian spec"):
+            variant_name("oat")
 
 
 class TestRwaValidity:

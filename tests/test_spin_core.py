@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spinsqueeze import (DickeState, ValidationError, build_angular_momentum,
-                         build_hamiltonian, casimir, coherent_spin_state,
-                         default_t_max, expectation, OAT, propagate_static,
-                         symmetrized_covariance)
+from spinsqueeze import (CollectiveOperator, DickeState, ValidationError,
+                         build_angular_momentum, build_hamiltonian, casimir,
+                         coherent_spin_state, default_t_max, expectation, OAT,
+                         propagate_static, symmetrized_covariance)
 from spinsqueeze.spin_core import _jx2_bands
 
 import oracles
@@ -50,6 +50,14 @@ class TestAngularMomentum:
     def test_rejects_unknown_component(self):
         with pytest.raises(ValidationError):
             build_angular_momentum(4, "Jq")
+
+    @pytest.mark.parametrize("matrix, label, match", [
+        (np.zeros((4, 4)), "Hamiltonian", "expected \\(5, 5\\)"),
+        (np.zeros((5, 5)), "Jq", "unknown operator label"),
+    ], ids=["wrong-shape", "unknown-label"])
+    def test_operator_rejects_malformed(self, matrix, label, match):
+        with pytest.raises(ValidationError, match=match):
+            CollectiveOperator(4, matrix, label)
 
     def test_matches_independent_construction(self):
         jx, jy, jz = oracles.raw_spin_matrices(7)
@@ -152,6 +160,12 @@ class TestMoments:
         state = coherent_spin_state(2, "+y")
         jx = op(2, "Jx")
         assert symmetrized_covariance(jx, jx, state) == pytest.approx(0.5, abs=1e-12)
+
+    def test_covariance_rejects_non_hermitian(self):
+        # <J+> on CSS +y is i*J, as in test_non_hermitian_rejected
+        with pytest.raises(ValidationError, match="must be Hermitian"):
+            symmetrized_covariance(op(10, "Jplus"), op(10, "Jx"),
+                                   coherent_spin_state(10, "+y"))
 
     def test_covariance_cross_term_vanishes(self):
         for n in (2, 9, 30):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,48 @@ class TestXiSquared:
         for n in (2, 20):
             record = xi_squared(css(n))
             assert 0 < record.xi_squared <= 1 + 1e-12
+
+
+def unit_mean(n, psi):
+    """Mean spin of the rows of psi and its direction, z where it vanishes,
+    as `_squeezing` takes them."""
+    mean, _ = _moments(n, psi)
+    length = np.linalg.norm(mean, axis=1, keepdims=True)
+    n0 = np.tile([0.0, 0.0, 1.0], (len(mean), 1))
+    np.divide(mean, length, out=n0, where=length > 0)
+    return mean, n0
+
+
+def random_rows(n, rows=4):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(rows, n + 1)) + 1j * rng.normal(size=(rows, n + 1))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def dicke_row(n, k):
+    psi = np.zeros((1, n + 1), dtype=complex)
+    psi[0, k] = 1.0
+    return psi
+
+
+class TestTransverseFrame:
+    # _squeezing reads the frame's second moments as variances, which holds
+    # while the frame is perpendicular to the mean spin; this pins that
+    @pytest.mark.parametrize("n, psi", [
+        *[(n, random_rows(n)) for n in (1, 2, 7, 40, 2000)],
+        (7, dicke_row(7, 0)), (40, dicke_row(40, 0)),  # |J, J>, mean along +z
+        (7, dicke_row(7, 7)), (40, dicke_row(40, 40)),  # |J, -J>, along -z
+        (2, dicke_row(2, 1)), (40, dicke_row(40, 20)),  # |J, 0>, zero mean
+    ], ids=[*(f"random-{n}" for n in (1, 2, 7, 40, 2000)), "top-7", "top-40",
+            "bottom-7", "bottom-40", "middle-2", "middle-40"])
+    def test_orthonormal_and_transverse(self, n, psi):
+        mean, n0 = unit_mean(n, psi)
+        frame = squeezing._transverse_frame(n0)
+        assert frame.shape == (len(psi), 2, 3)
+        gram = np.einsum("tai,tbi->tab", frame, frame)
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(np.einsum("tai,ti->ta", frame, n0))) <= 1e-15
+        assert np.max(np.abs(np.einsum("tai,ti->ta", frame, mean))) <= 1e-12 * n
 
 
 class TestBandedMoments:
@@ -232,6 +276,35 @@ class TestOptimalSqueezing:
         record = optimal_squeezing(traj)
         assert len(built) == 3 and record.time in built
         assert record.xi_squared == pytest.approx(0.1381, rel=0.02)
+
+    @pytest.mark.parametrize("kind", ["static", "driven"])
+    def test_builds_each_state_once(self, monkeypatch, kind):
+        # the three bracket samples once, then the one state that each
+        # advance returns, which the next evaluation continues as it is
+        if kind == "static":
+            made = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
+                                    np.linspace(0, 0.6, 40))
+        else:
+            made = propagate_driven(FullDriven(DriveParams(0.906 * 300, 300.0)),
+                                    css(10), np.linspace(0, 0.6, 40))
+        advanced = []
+
+        def counted(state, t_from, t_to):
+            advanced.append(t_to)
+            return made.advance(state, t_from, t_to)
+
+        traj = dataclasses.replace(made, advance=counted)
+        built = []
+        post_init = DickeState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(DickeState, "__post_init__", counting)
+        optimal_squeezing(traj)
+        assert advanced
+        assert len(built) == 3 + len(advanced)
 
     def test_driven_refinement_uses_trajectory_control(self, monkeypatch):
         seen = []
