@@ -12,26 +12,27 @@ so the stiff diagonal piece is handled analytically and RK4 only has to
 track the co-rotated twisting term. That term has the drive's period
 T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. Every
-march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps, and
-no sample cuts a step short. One march of the identity (giving W(t_k),
-applied to each sample's start column) reaches the grid knot t_k at or
-below every sample phase tau; all samples then take their own last step,
-tau - t_k < h, together as one batched RK4 step. The index reversal F
+march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps: each
+sample's time from the start is whole grid steps, to its knot t_k, plus a
+remainder below h. One march of the identity (giving W(t_k), applied to
+each sample's start column) reaches every knot; all samples then take
+their remainders together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
 co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h.
 A jumping run starts on a multiple of T/2: one from any other start
 first marches its one state there, a lead-in of less than half a period.
 From there A is also mirror-symmetric about the quarter period and
-A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. Each
-sample is indexed by its half period k and its phase tau < T/2: it is
-F^k W(tau) r_k, with r_k = (F W_h)^k applied to the start. The identity
-march mirrors the second quarter onto the first, since W(T/2 - tau) =
-F conj(W(tau)) F W_h, so it ends at T/4. A run spanning too few periods
-makes no jump: its samples are all phases of period 0, and the march
-carries the one start itself. A run whose estimated work is over budget
-is refused before any step. States are mapped back to the lab frame at
-every sample point, so trajectories always contain genuine psi(t).
+A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. A
+sample's grid steps, over the 2q of a half period, give its half period k
+and phase tau < T/2: it is F^k W(tau) r_k, r_k = (F W_h)^k applied to the
+start. The identity march mirrors the second quarter onto the first,
+since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. A run
+spanning too few periods makes no jump: its samples are all phases of
+period 0, and the march carries the one start itself. A run whose
+estimated work is over budget is refused before any step. States are
+mapped back to the lab frame at every sample point, so trajectories
+always contain genuine psi(t).
 """
 
 import cmath
@@ -238,8 +239,9 @@ def _rk4_stepper(spec, n_atoms, width):
     Jx^2 is real with only the 0 and +-2 diagonals, and m falls by one per
     index, so co-rotating multiplies its upper band by exp(2i theta) and its
     lower band by the conjugate. The four work arrays are allocated here,
-    once, and a step allocates nothing of the block's size: with one t per
-    column, the band coefficients are built in place in `tmp`.
+    once. A step with scalar t allocates nothing of the block's size; with
+    one t per column it builds each band's per-column coefficients, at most
+    4096 entries in a partial-step chunk (`_CHUNK_ENTRIES`) below N = 4096.
     """
     diag, upper = _jx2_bands(n_atoms)
     diag = -1j * spec.chi * diag[:, None]
@@ -250,19 +252,15 @@ def _rk4_stepper(spec, n_atoms, width):
     whole = tuple(work)
 
     def deriv(t, src, k, tmp):  # k = A(t) src
-        per_column = isinstance(t, np.ndarray)
-        if per_column:  # one phase per column, each the scalar's bits
+        if isinstance(t, np.ndarray):  # one phase per column, each the scalar's bits
             phase = np.array([cmath.exp(2j * r * math.sin(omega * x))
                               for x in t.tolist()])
         else:
             phase = cmath.exp(2j * r * math.sin(omega * t))
         np.multiply(diag, src, out=k)
-        up = np.multiply(phase, band, out=tmp[:-2]) if per_column else phase * band
-        np.multiply(up, src[2:], out=tmp[:-2])
+        np.multiply(phase * band, src[2:], out=tmp[:-2])
         k[:-2] += tmp[:-2]
-        down = phase.conjugate()
-        down = np.multiply(down, band, out=tmp[2:]) if per_column else down * band
-        np.multiply(down, src[:-2], out=tmp[2:])
+        np.multiply(phase.conjugate() * band, src[:-2], out=tmp[2:])
         k[2:] += tmp[2:]
 
     def step(block, t, dt):
@@ -313,22 +311,19 @@ def _normalize(block, times, n_atoms, dt):
     return block
 
 
-def _period_split(times, t_start, period):
-    """Whole periods n of P and phase tau in [0, P), t = t_start + nP + tau.
+def _grid_split(elapsed, step):
+    """Whole grid steps k and remainder r of each elapsed time: elapsed = k step + r.
 
-    n is a float, so an absurd span makes it inf, not an overflow error. A
-    phase within rounding of 0 or of P (a few ulps of t or t_start) is a
-    whole period: it becomes 0, and a tiny negative remainder is clamped to 0.
+    The quotient may round one off either way; corrected, k step <= elapsed
+    < (k+1) step holds as computed (for any k below 2**53), so r >= 0, and
+    an elapsed time of exactly k step has r = 0. k is a float, so an absurd
+    span makes it inf, not an overflow error.
     """
-    offsets = times - t_start
     with np.errstate(over="ignore"):
-        count = np.floor(offsets / period)
-    phase = offsets - count * period
-    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(times), abs(t_start))
-    wrap = phase >= period - tol
-    count[wrap] += 1
-    phase[wrap | (phase <= tol)] = 0.0
-    return count, phase
+        k = np.floor(elapsed / step)
+    k += (k + 1) * step <= elapsed
+    k -= k * step > elapsed
+    return k, elapsed - k * step
 
 
 # Stage 1 marches q RK4 steps on (N+2)//2 columns and stage 3 up to q more;
@@ -358,29 +353,32 @@ def _jumps_pay(n_atoms, periods):
 _WORK_MAX = 1e6
 
 
-def _check_cost(n_atoms, span, periods, period, quarter):
-    """Whether the run jumps its `periods` whole periods (`_jumps_pay`).
+def _check_cost(n_atoms, last, quarter):
+    """Whether the run jumps its whole periods (`_jumps_pay`), given the grid
+    step `last` of its last sample (q = `quarter` steps per quarter period).
 
     A run whose work would exceed _WORK_MAX is refused first, with its
-    estimate, which bounds what `_driven_states` marches: with jumps, 2q
-    steps (q = `quarter`) on (N+2)//2 + 1 columns (a lead-in of at most
-    2q - 1 steps on one column to the first multiple of T/2, and stage 1's
-    and stage 3's quarter periods on (N+2)//2) and one jump per period
+    estimate in grid steps, which bounds what `_driven_states` marches: with
+    jumps, 2q steps on (N+2)//2 + 1 columns (a lead-in of at most 2q - 1
+    steps on one column to the first multiple of T/2, and stage 1's and
+    stage 3's quarter periods on (N+2)//2) and one jump per whole period
     (stage 2), the lead-in's spare step paying for the jump past the last
-    period that a mirrored sample may take; without, one column over the
-    span. Only floats are used, so an absurd span cannot overflow a count.
+    period that a mirrored sample may take; without, last + 1 steps on one
+    column (to the last knot, and its partial step). An absurd span makes
+    the float `last` inf, which fails the budget.
     """
+    periods = np.floor(last / (4 * quarter))
     jumps = _jumps_pay(n_atoms, periods)
     if jumps:
         steps, width = 2.0 * quarter, (n_atoms + 2) // 2 + 1
     else:
-        steps, width, periods = float(span) / period * 4 * quarter, 1, 0.0
+        steps, width, periods = last + 1, 1, 0.0
     if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
         raise ValidationError(
             f"driven run too costly: about {steps:.3g} RK4 steps on {width} "
             f"columns and {periods:.3g} period jumps, over the budget of "
-            f"{_WORK_MAX:.0e} column steps (N = {n_atoms}, span {span:g}, "
-            f"drive period {period:g})")
+            f"{_WORK_MAX:.0e} column steps (N = {n_atoms}, q = {quarter:g} steps "
+            "per quarter period)")
     return jumps
 
 
@@ -477,18 +475,21 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     index reversal F (k -> N - k) maps each half period onto the one before:
     A(t + T/2) = F A(t) F. Every march steps on one grid from t_start,
     h = (T/4) / control.quarter_steps = (T/4) / q, so T/4 and T/2 are the
-    knots q and 2q. `_check_cost` decides whether the run jumps, after
-    refusing one whose estimated work exceeds the budget; `jumps` hands
-    that one decision to the two parts of a run split below. A run that
-    does not jump marches its one start phi over the grid, every sample at
-    phase tau = t - t_start. A run that jumps from a start off the
-    multiples of T/2 first marches phi to the next one, t_half, as a run
-    that does not jump (its samples before t_half are read off this
+    knots q and 2q. One rule (`_grid_split`) splits each sample's elapsed
+    time t - t_start once into whole grid steps K and a remainder
+    rho in [0, h). `_check_cost` decides from the last K whether the run
+    jumps, after refusing one whose estimated work exceeds the budget;
+    `jumps` hands that one decision to the two parts of a run split below.
+    A run that does not jump marches its one start phi over the grid, and
+    reads each sample out at its knot K. A run that jumps from a start off
+    the multiples of T/2 first marches phi to the next one, t_half, as a
+    run that does not jump (its samples before t_half are read off this
     lead-in), and goes on from t_half. A run that jumps from a multiple of
-    T/2 splits each sample time once into whole half periods k and a phase
-    tau in [0, T/2). With W(tau) the propagator from t_start and W_h =
-    W(T/2), half period k starts from r_k = (F W_h)^k phi in the reflected
-    frame, and the sample is F^k W(tau) r_k. It is made in three stages:
+    T/2 divides each K by 2q into whole half periods k and a knot j < 2q,
+    so the sample's phase is tau = j h + rho in [0, T/2). With W(tau) the
+    propagator from t_start and W_h = W(T/2), half period k starts from
+    r_k = (F W_h)^k phi in the reflected frame, and the sample is
+    F^k W(tau) r_k. It is made in three stages:
     1. build W_h and W_T = F W_h F W_h once (`_period_propagator`), from a
        quarter period;
     2. reach each even column r_2n = v_n = W_T v_(n-1) by one matvec, keep
@@ -496,13 +497,13 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
        from them in one batched product;
     3. march the (N+2)//2-column identity (`_parity_identity`), which gives
        W(t_j), over the grid to T/4 in one pass, and read each sample out at
-       its knot t_j (t_j <= tau < t_j + h). A(T/2 - t) = A(t) and
+       its knot t_j = j h. A(T/2 - t) = A(t) and
        A^T = F A F give W(t_j) = F conj(W(t_(2q-j))) F W_h, so a sample
        reads column r_(k+m), m = 1 if j > q: W(t_j) r_k, or
        F conj(W(t_(2q-j)) conj(r_(k+1))) mirrored. A sample with odd k is
        reversed once at the end.
-    Then every sample off its knot takes one RK4 step of tau - t_j < h from
-    its own time, all of them batched in chunks of 4096 // (N+1) columns
+    Then every sample off its knot takes one RK4 step of rho < h from its
+    knot's time, all of them batched in chunks of 4096 // (N+1) columns
     (at least one), so at small N one chunk takes a whole sweep point.
     Each column steps on its own, so the chunking moves no bit.
     Drift beyond NORM_TOL since the last renormalized state raises
@@ -515,13 +516,13 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     period = 2 * math.pi / omega
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
-    count, phase = _period_split(times, t_start, period / 2)
+    knot, partial = _grid_split(times - t_start, h)
     if jumps is None:
-        jumps = _check_cost(n_atoms, times.max(initial=t_start) - t_start,
-                            np.floor(count.max(initial=0) / 2), period, quarter)
+        jumps = _check_cost(n_atoms, knot[-1], quarter)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
+    knot = knot.astype(int)
     if jumps:
-        halves, offset = _period_split(np.array([t_start]), 0.0, period / 2)
+        halves, offset = _grid_split(np.array([t_start]), period / 2)
         if offset[0] > 0.0:  # the lead-in, then on from t_half
             t_half = (halves[0] + 1) * (period / 2)
             lead = times < t_half
@@ -530,24 +531,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
             rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
                                   control, True)
             return np.vstack([head[:-1], rest])
-    else:  # the one start is marched itself
-        phase = times - t_start
-    # each sample's knot: the last grid time k h at or below its phase. The
-    # quotient may round one off either way; corrected, k h <= tau < (k+1) h
-    # holds as computed, so a tau that is exactly k h takes no partial step
-    knot = np.floor(phase / h)
-    knot += (knot + 1) * h <= phase
-    knot -= knot * h > phase
-    partial = phase - knot * h
-    knot = knot.astype(int)
-    if jumps:  # only here: a run that does not jump may count
-        mirror = knot > quarter  # 3e303 steps per quarter, past any int
-        # a mirrored sample at knot j is read out at 2q - j, never 0: a phase
-        # within rounding below T/2 is the next half period's phase 0
+        # half period k and knot j < 2q; a mirrored sample at knot j is read
+        # out at 2q - j, never 0
+        count, knot = np.divmod(knot, 2 * quarter)
+        mirror = knot > quarter
         stop = np.where(mirror, 2 * quarter - knot, knot)
         half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
         # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
-        needed, cols = np.unique(count.astype(int) + mirror, return_inverse=True)
+        needed, cols = np.unique(count + mirror, return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
         n = 0  # phi holds v_n
         for col, target in enumerate((needed // 2).tolist()):
@@ -560,7 +551,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
         later = _apply_blocks(half, starts[:, odd])[::-1]
         starts[:, odd] = later / np.linalg.norm(later, axis=0)
         block = _parity_identity(n_atoms)
-    else:
+    else:  # the one start is marched itself
         stop = knot
         starts = block = phi[:, None]
         cols = np.zeros(len(times), dtype=int)

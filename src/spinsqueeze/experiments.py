@@ -92,7 +92,7 @@ def fit_scaling(n_atoms, xi_opt):
     r2 = 1.0 - np.sum(residuals ** 2) / ss_tot
     return ScalingFit(exponent=float(slope), prefactor=float(math.exp(intercept)),
                       r_squared=float(r2),
-                      n_range=(int(n_atoms[0]), int(n_atoms[-1])))
+                      n_range=(int(n_atoms.min()), int(n_atoms.max())))
 
 
 def default_t_max(n_atoms, chi=1.0):

@@ -73,7 +73,11 @@ class HamiltonianSpec:
     def __post_init__(self):
         if not (math.isfinite(self.chi) and self.chi > 0):
             raise ValidationError(f"chi must be finite and > 0, got {self.chi!r}")
-        if self.drive is not None and not isinstance(self, FullDriven):
+        if isinstance(self, FullDriven):
+            if not isinstance(self.drive, DriveParams):
+                raise ValidationError(
+                    f"a FullDriven spec needs DriveParams, got {self.drive!r}")
+        elif self.drive is not None:
             raise ValidationError("only a FullDriven spec carries a drive")
         a = self.bessel_coeff
         if a is not None and not (BESSEL_J0_MIN - 1e-12 <= a <= 1.0):

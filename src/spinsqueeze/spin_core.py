@@ -170,7 +170,7 @@ def coherent_spin_state(n_atoms, direction):
     phase for +y. Binomials go through log-space so large N stays finite.
     """
     n = _check_n_atoms(n_atoms)
-    axis = direction.lstrip("+") if isinstance(direction, str) else None
+    axis = direction.removeprefix("+") if isinstance(direction, str) else None
     if axis not in ("x", "y"):
         raise ValidationError(f"direction must be '+x' or '+y', got {direction!r}")
     j = n / 2

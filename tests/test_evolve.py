@@ -292,25 +292,34 @@ def period_of(omega):
 
 def multiples_of_period(omega):
     # k T as rounded: the remainder t - floor(t/T) T comes out 0, T - ulp,
-    # +ulp or -ulp; the last sample's phase T - 1e-15 is beyond rounding
+    # +ulp or -ulp; the last sample's phase is T - 1e-15
     t = period_of(omega)
     return np.array([0.0, t, np.nextafter(2 * t, 0), 3 * t, np.nextafter(4 * t, 1),
                      np.nextafter(7 * t, 0), 8 * t, 9 * t - 1e-15])
+
+
+def assert_grid_rule(elapsed, step, k, r):
+    """k step <= elapsed < (k+1) step as computed, and 0 <= r < step."""
+    assert np.all(k * step <= elapsed) and np.all(elapsed < (k + 1) * step)
+    assert np.all((0 <= r) & (r < step))
 
 
 class TestPeriodJumps:
     """The one-period propagator W_T and the jumps it makes between periods."""
 
     def test_multiples_of_period_hit_every_rounding_case(self):
+        # the plain floor's remainder is 0, negative or within an ulp below
+        # T; the corrected split keeps k T <= t < (k+1) T as computed, and
+        # a time that is exactly k T as computed has r = 0
         times = multiples_of_period(200.0)[1:]
         period = period_of(200.0)
         raw = times - np.floor(times / period) * period
         assert np.any(raw == 0) and np.any(raw < 0)
         assert np.any((raw > period - 1e-15) & (raw < period))
-        count, phase = evolve._period_split(times, 0.0, period)
-        assert list(count) == [1, 2, 3, 4, 7, 8, 8]
-        assert list(phase[:-1]) == [0.0] * 6
-        assert period - 1e-14 < phase[-1] < period
+        count, phase = evolve._grid_split(times, period)
+        assert_grid_rule(times, period, count, phase)
+        exact = times == np.array([1, 2, 3, 4, 7, 8, 9]) * period
+        assert list(count[exact]) == [1, 3, 8] and not phase[exact].any()
 
     @pytest.mark.parametrize("n,omega,times,jumps", [
         (6, 200.0, multiples_of_period(200.0), True),
@@ -324,7 +333,7 @@ class TestPeriodJumps:
     ])
     def test_matches_chain_of_single_column_marches(self, n, omega, times, jumps):
         spec = driven_spec(n, omega)
-        count, _ = evolve._period_split(times[1:], 0.0, period_of(omega))
+        count, _ = evolve._grid_split(times[1:], period_of(omega))
         assert evolve._jumps_pay(n, count[-1]) == jumps
         traj = propagate_driven(spec, css(n), times)
         for got, want in zip(traj.states, chained(spec, n, times)):
@@ -339,10 +348,10 @@ class TestPeriodJumps:
         times = np.array([0.0, 0.5 * t, t, 2.5 * t, 3 * t, 3.5 * t,
                           np.nextafter(5 * t, 0),  # phase one ulp short of T
                           6 * t - 1e-15, 7.25 * t])
-        count, phase = evolve._period_split(times[1:], 0.0, t)
+        count, phase = evolve._grid_split(times[1:], t)
         assert len(np.unique(count)) > (n + 2) // 2
-        assert list(count) == [0, 1, 2, 3, 3, 5, 5, 7]
-        assert phase[5] == 0.0 and np.sum(phase == t / 2) == 3
+        assert list(count) == [0, 1, 2, 3, 3, 4, 5, 7]
+        assert t - phase[5] == np.spacing(5 * t) and np.sum(phase == t / 2) == 3
         log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
@@ -369,7 +378,7 @@ class TestPeriodJumps:
         t = period_of(omega)
         times = np.array([0.0, 0.3, 0.5, 1.8, 2.5, 3.25, 3.5, 4.75, 6 - 1e-13,
                           7.5, 8.1]) * t
-        count, phase = evolve._period_split(times[1:], 0.0, t)
+        count, phase = evolve._grid_split(times[1:], t)
         assert len(np.unique(count)) > (n + 2) // 2
         assert np.sum(phase < t / 2) == 3 and np.sum(phase == t / 2) == 4
         assert np.sum(phase > t / 2) == 3
@@ -397,7 +406,7 @@ class TestPeriodJumps:
         spec = driven_spec(n, omega)
         t = period_of(omega)
         t_start, t_end = start * t, (start + span) * t
-        count, _ = evolve._period_split(np.array([t_end]), t_start, t)
+        count, _ = evolve._grid_split(np.array([t_end - t_start]), t)
         assert evolve._jumps_pay(n, count[0])
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
@@ -407,15 +416,15 @@ class TestPeriodJumps:
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
     def test_whole_periods_from_a_negative_start_match_chain(self):
-        # t_end - t_start comes out a hair below 33 T: the phase is a whole
-        # period, not one step of about h from knot -1
+        # t_end - t_start comes out a hair below 33 T: the sample is the
+        # last knot of period 32 and a partial step of about h
         n, omega = 40, 2040.0
         spec = driven_spec(n, omega)
         t = period_of(omega)
         t_start = -0.3
         t_end = t_start + 33 * t
-        count, phase = evolve._period_split(np.array([t_end]), t_start, t)
-        assert count[0] == 33 and phase[0] == 0.0
+        count, phase = evolve._grid_split(np.array([t_end - t_start]), t)
+        assert count[0] == 32 and 0 < t - phase[0] < 1e-16
         got = driven_state_at(spec, css(n), t_start, t_end)
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
@@ -424,9 +433,32 @@ class TestPeriodJumps:
         # whole periods from negative starts, the later ones past t = 0
         t = period_of(2040.0)
         for t_start in (-0.3, -0.05, -1e-3):
-            times = t_start + np.arange(1, 200) * t
-            _, phase = evolve._period_split(times, t_start, t)
-            assert np.all(phase >= 0)
+            elapsed = t_start + np.arange(1, 200) * t - t_start
+            count, phase = evolve._grid_split(elapsed, t)
+            assert_grid_rule(elapsed, t, count, phase)
+
+    def test_absurd_quotient_is_inf_without_warning(self):
+        # 1e10 over steps of 1e-301: the count is inf, and no overflow
+        # warning (an error in this suite) comes before the cost guard
+        count, _ = evolve._grid_split(np.array([1e10, 1.0]), 1e-301)
+        assert count[0] == np.inf and 0 < count[1] < np.inf
+
+    @pytest.mark.parametrize("omega,start", [
+        (200.0, 0.37), (200.0, 0.61), (150.0, 3.87), (2800.0, 1.3),
+        (2000.0, 3.87), (2040.0, -0.3 / period_of(2040.0)),
+    ], ids=["0.37T", "0.61T", "3.87T", "1.3T", "3.87T-n100", "negative"])
+    def test_next_half_period_start_is_on_the_grid(self, omega, start):
+        # the lead-in from t_start = start T ends at t_half = (k + 1) T/2,
+        # the rule's own product, so the run from t_half splits its start
+        # with no remainder
+        half = period_of(omega) / 2
+        t_start = np.array([start * period_of(omega)])
+        k, r = evolve._grid_split(t_start, half)
+        assert_grid_rule(t_start, half, k, r)
+        assert r[0] > 0
+        t_half = (k + 1) * half
+        k_half, r_half = evolve._grid_split(t_half, half)
+        assert k_half[0] == k[0] + 1 and r_half[0] == 0.0
 
     @pytest.mark.parametrize("n,omega", [(100, 2000.0), (101, 7070.0)])
     @pytest.mark.parametrize("periods", [0.0, 3.5], ids=["quarter", "half"])
@@ -486,7 +518,7 @@ class TestPeriodJumps:
         reckless(monkeypatch, 5)
         period = period_of(150.0)
         times = np.concatenate([[0.0], period * np.arange(2, 9)])
-        count, phase = evolve._period_split(times[1:], 0.0, period)
+        count, phase = evolve._grid_split(times[1:], period)
         assert not phase.any() and evolve._jumps_pay(100, count[-1])
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 100, step .*"):
@@ -500,7 +532,7 @@ class TestPeriodJumps:
         period = period_of(150.0)
         t_start = 3.87 * period
         t_end = t_start + 8 * period
-        count, phase = evolve._period_split(np.array([t_end]), t_start, period)
+        count, phase = evolve._grid_split(np.array([t_end - t_start]), period)
         assert phase[0] == 0.0 and evolve._jumps_pay(100, count[0])
         log = march_log(monkeypatch)
         with pytest.raises(IntegrationError,
@@ -654,17 +686,15 @@ class TestGridReadout:
         omega = 70.0 * n
         spec = driven_spec(n, omega)
         times = np.linspace(0, periods, 301) * period_of(omega)
-        count, phase = evolve._period_split(times[1:], 0.0, period_of(omega))
+        _, phase = evolve._grid_split(times[1:], period_of(omega))
         width = 1 if branch == "no-jumps" else (n + 2) // 2
         log = march_log(monkeypatch)
         chunks = partial_steps(monkeypatch)
         traj = propagate_driven(spec, css(n), times)
         assert [cols for cols, _, _ in log][-1] == width
-        widths = [len(t) for t in chunks]
-        # chunks of max((N+2)//2, 4096 // (N+1)) columns: 585 at N = 6 and
-        # 512 at N = 7, so all 300 off-knot samples take one batched step
-        chunk = max((n + 2) // 2, 4096 // (n + 1))
-        assert max(widths) == min(chunk, 300) and sum(widths) <= 300
+        # chunks of 4096 // (N+1) columns: 585 at N = 6 and 512 at N = 7, so
+        # every off-knot sample of the 300 takes one batched step
+        assert len(chunks) == 1 and len(chunks[0]) <= 300 < 4096 // (n + 1)
         if branch != "no-jumps":
             assert np.any(phase < period_of(omega) / 2)
             assert np.any(phase > period_of(omega) / 2)
@@ -688,7 +718,7 @@ class TestMirroredReadout:
         quarter = StepControl().quarter_steps(spec, n)
         times = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 1.6, 1.75, 1.9, 2.0, 2.3,
                           2.5, 2.7, 3.75, 3.99]) * t
-        count, phase = evolve._period_split(times[1:], 0.0, t)
+        count, phase = evolve._grid_split(times[1:], t)
         assert evolve._jumps_pay(n, count[-1])
         for q in range(4):
             assert np.any((phase >= q * t / 4) & (phase < (q + 1) * t / 4))
@@ -703,10 +733,10 @@ class TestMirroredReadout:
     @pytest.mark.parametrize("n", [40, 41, 10, 11, 4])
     def test_phase_rounding_onto_the_half_period_knot(self, n):
         # samples 12, 5, 2, 1 and 0 ulps below k T/2 (k = 1..4), from starts
-        # at 0 and at 7 T/2, on a grid where 2q h < T/2 as computed: a phase
-        # within rounding below T/2 is the next half period's phase 0, and
-        # every other one has a knot below 2q; each sample must match the
-        # state at k T/2, reached by hops of T/2. At N = 4, q = 16 and
+        # at 0 and at 7 T/2, on a grid where 2q h < T/2 as computed: each
+        # sample is knot 0 of half period k, or knot 2q - 1 of half period
+        # k - 1 (mirrored) and a partial step of about h; each must match
+        # the state at k T/2, reached by hops of T/2. At N = 4, q = 16 and
         # h = T/64 exactly near omega = 100, so the search starts at 25
         low = 25.0 if n == 4 else 100.0
         for omega in np.linspace(low, 1.1 * low, 201):
@@ -721,8 +751,8 @@ class TestMirroredReadout:
             ends = t_start + np.arange(1, 5) * (t / 2)
             times = np.array([end - ulps * np.spacing(end)
                               for end in ends for ulps in (12, 5, 2, 1, 0)])
-            count, _ = evolve._period_split(times, t_start, t)
-            assert evolve._jumps_pay(n, count[-1])
+            last, _ = evolve._grid_split(times - t_start, grid_step(spec, n))
+            assert evolve._check_cost(n, last[-1], quarter)
             got = evolve._driven_states(spec, n, css(n).amplitudes, t_start,
                                         times, None)
             state, now = css(n), t_start
@@ -780,10 +810,10 @@ class TestCostGuard:
     def test_budget_admits_the_paper_scale(self, n, control, admitted):
         # scan-n's driven points: omega = 70 N chi over default_t_max
         omega = 70.0 * n
-        span = default_t_max(n)
-        count, _ = evolve._period_split(np.array([span]), 0.0, period_of(omega))
-        args = (n, span, count[0], period_of(omega),
-                control.quarter_steps(driven_spec(n, omega), n))
+        quarter = control.quarter_steps(driven_spec(n, omega), n)
+        last, _ = evolve._grid_split(np.array([default_t_max(n)]),
+                                     period_of(omega) / 4 / quarter)
+        args = (n, last[0], quarter)
         if admitted:
             assert evolve._check_cost(*args)
         else:
@@ -794,14 +824,15 @@ class TestCostGuard:
     def test_costs_the_run_it_decides_on(self, monkeypatch, n, periods):
         # the float span / T reaches _jumps_pay's 1 + ((N+1)/75)^2 (1.30 at
         # N = 40, 401.5 at N = 1500) but the whole periods do not, so the run
-        # marches one column, and the estimate is that march's: about 9.0e5
+        # marches one column, and the estimate is that march's: 903022
         # column steps at N = 1500 (a jump plan would count 8.5e5)
         spec = driven_spec(n, 70.0 * n)
         period = period_of(70.0 * n)
-        count, _ = evolve._period_split(np.array([periods * period]), 0.0, period)
+        count, _ = evolve._grid_split(np.array([periods * period]), period)
         assert evolve._jumps_pay(n, periods) and not evolve._jumps_pay(n, count[0])
         quarter = StepControl().quarter_steps(spec, n)
-        assert not evolve._check_cost(n, periods * period, count[0], period, quarter)
+        last, _ = evolve._grid_split(np.array([periods * period]), period / 4 / quarter)
+        assert not evolve._check_cost(n, last[0], quarter)
         if n == 40:  # cheap enough to run: one column, no W_T
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)

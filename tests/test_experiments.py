@@ -56,6 +56,10 @@ class TestScalingFit:
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.n_range == (10, 160)
 
+    def test_n_range_spans_unsorted_points(self):
+        ns = np.array([40, 10, 20, 80, 160])
+        assert fit_scaling(ns, 2.5 * ns ** -0.8).n_range == (10, 160)
+
     def test_needs_five_points(self):
         with pytest.raises(ValidationError):
             fit_scaling([10, 20, 40, 80], [1, 1, 1, 1])

@@ -188,6 +188,14 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             HamiltonianSpec("tat-yz", (0.0, 1 / 3, -1 / 3), drive=DriveParams(1.0, 2.0))
 
+    @pytest.mark.parametrize("drive", [None, "x", (1.0, 2.0)],
+                             ids=["none", "str", "tuple"])
+    def test_full_driven_needs_drive_params(self, drive):
+        # without a DriveParams the spec built, and propagation failed later
+        # with an AttributeError on drive.frequency_omega
+        with pytest.raises(ValidationError, match="needs DriveParams"):
+            FullDriven(drive)
+
     def test_ratio(self):
         assert DriveParams(4.0, 8.0).ratio == 0.5
 

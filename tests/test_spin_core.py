@@ -113,6 +113,9 @@ class TestCoherentSpinState:
             coherent_spin_state(4, "+z")
         with pytest.raises(ValidationError, match="direction must be"):
             coherent_spin_state(4, None)
+        for doubled in ("++x", "+++y"):  # one leading + at most
+            with pytest.raises(ValidationError, match="direction must be"):
+                coherent_spin_state(4, doubled)
 
     @pytest.mark.parametrize("n", [2, 10, 100, 1000])
     @pytest.mark.parametrize("axis", ["+x", "+y"])
