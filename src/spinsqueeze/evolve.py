@@ -105,14 +105,17 @@ class Trajectory:
     """Sampled states |psi(t_i)> as the rows of `amplitudes` (T, N+1), t_0 = 0.
 
     Both arrays are read-only; every row has unit norm, checked once here.
-    `advance(state, t_from, t_to)` continues the evolution with the
-    propagator (eigenbasis, or RK4 under its StepControl) that made it.
-    Every propagator sets it; it is None only on hand-built trajectories.
+    `advance(psi, t_from, times)` continues the evolution of a state row
+    psi (N+1,) at t_from to the increasing times (>= t_from) of a 1-d
+    array, returning their rows (len(times), N+1), with the propagator
+    (eigenbasis, or RK4 under its StepControl) that made it: the
+    propagator's own row function, which made the rows from t = 0. Every
+    propagator sets it; it is None only on hand-built trajectories.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
-    advance: Optional[Callable[[DickeState, float, float], DickeState]] = field(
+    advance: Optional[Callable[[np.ndarray, float, np.ndarray], np.ndarray]] = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,16 +182,17 @@ def _apply(matrix, vectors):
     return matrix @ vectors
 
 
-def _static_states(blocks, psi, durations):
-    """Rows exp(-i H dt)|psi> for each dt, as V exp(-i Lambda dt) V^dag |psi>.
+def _static_states(blocks, psi, t_from, times):
+    """Rows exp(-i H dt)|psi> for each dt = t - t_from of `times`, as
+    V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from.
 
     Two products per block make every row. A row whose norm drifts beyond
     spin_core.NORM_TOL (NaN too) raises IntegrationError.
     """
-    out = np.empty((len(durations), len(psi)), dtype=complex)
+    out = np.empty((len(times), len(psi)), dtype=complex)
     for rows, evals, evecs in blocks:
         coeffs = _apply(evecs.conj().T, psi[rows, None])
-        phased = np.exp(np.multiply.outer(-1j * evals, durations)) * coeffs
+        phased = np.exp(np.multiply.outer(-1j * evals, np.subtract(times, t_from))) * coeffs
         out[:, rows] = _apply(evecs, phased).T
     norms = np.linalg.norm(out, axis=1)
     drift = np.abs(norms - 1.0)
@@ -204,7 +208,8 @@ def propagate_static(hamiltonian, initial, times):
 
     `hamiltonian` is a static HamiltonianSpec, decomposed from its bands
     (`_band_blocks`), or a Hermitian CollectiveOperator, decomposed block by
-    block (`_eigen_blocks`); the trajectory's `advance` reuses the blocks.
+    block (`_eigen_blocks`). The trajectory's `advance` is `_static_states`
+    on those blocks, which makes its rows from t = 0.
     """
     times = _check_times(times)
     if not isinstance(initial, DickeState):
@@ -222,12 +227,8 @@ def propagate_static(hamiltonian, initial, times):
         if not hamiltonian.is_hermitian():
             raise ValidationError("static propagation requires a Hermitian Hamiltonian")
         blocks = _eigen_blocks(hamiltonian.matrix)
-
-    def advance(state, t_from, t_to):
-        psi, = _static_states(blocks, state.amplitudes, [t_to - t_from])
-        return DickeState(initial.n_atoms, psi)
-
-    return Trajectory(times, _static_states(blocks, initial.amplitudes, times), advance)
+    advance = partial(_static_states, blocks)
+    return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 
 def _rk4_stepper(spec, n_atoms, width):
@@ -469,7 +470,9 @@ _CHUNK_ENTRIES = 4096
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
-    """Lab-frame states at `times` (increasing, >= t_start) as rows (T, N+1).
+    """Lab-frame states at `times` (increasing, >= t_start) as rows (T, N+1),
+    from the state row psi at t_start; a time before t_start or before the
+    one ahead of it, or a non-finite one, raises ValidationError.
 
     The rotating-frame generator A has period T = 2 pi / omega, and the
     index reversal F (k -> N - k) maps each half period onto the one before:
@@ -510,6 +513,10 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     IntegrationError: a state read out at a knot is renormalized (the
     marched start with it), and so is each sample after its partial step.
     """
+    if not (math.isfinite(t_start) and np.all(np.isfinite(times))):
+        raise ValidationError("driven run times must be finite")
+    if not np.all(np.diff(times, prepend=t_start) >= 0):  # _check_cost reads the last
+        raise ValidationError(f"driven sample times must increase from the start {t_start:g}")
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     mz = _jz_diagonal(n_atoms)
@@ -593,22 +600,24 @@ def propagate_driven(spec, initial, times, control=None):
 
     States are renormalized at each sample point; drift beyond NORM_TOL
     since the previous renormalized state is a failure. The trajectory's
-    `advance` is `driven_state_at` under the same `control`.
+    `advance` is `_driven_states` under the same `control`, which makes its
+    rows from t = 0.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
     if not isinstance(initial, DickeState):
         raise ValidationError("propagate_driven expects a DickeState")
     times = _check_times(times)
-    rows = _driven_states(spec, initial.n_atoms, initial.amplitudes, 0.0, times, control)
-    return Trajectory(times, rows, partial(driven_state_at, spec, control=control))
+    advance = partial(_driven_states, spec, initial.n_atoms, control=control)
+    return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 
 def driven_state_at(spec, initial, t_start, t_end, control=None):
     """Single lab-frame state at t_end, starting from `initial` at t_start.
 
     The drive phase is tied to absolute time, so this is exactly the segment
-    [t_start, t_end] of the full evolution.
+    [t_start, t_end] of the full evolution: the one row that a driven
+    trajectory's `advance` gives from `initial.amplitudes` at t_start.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")

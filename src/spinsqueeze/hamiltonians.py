@@ -31,7 +31,8 @@ from .spin_core import (CollectiveOperator, _check_n_atoms, _jz_diagonal,
 # Global minimum of J0, attained at x ~ 3.8317
 BESSEL_J0_MIN = -0.4027593957661289
 
-# solve_drive_ratio brackets roots on this grid of g/omega in (0, RATIO_MAX]
+# solve_drive_ratio brackets roots on this grid of g/omega in (0, RATIO_MAX],
+# after the first bracket [0, RATIO_GRID_STEP]
 RATIO_MAX, RATIO_GRID_STEP = 3.0, 0.01
 
 
@@ -145,27 +146,25 @@ def bessel_j0(x):
 def solve_drive_ratio(target_a):
     """All roots r of J0(2r) = target_a in the open-left window (0, RATIO_MAX].
 
-    Grid scan for sign changes, then Brent's method on each bracket.
-    Returns an empty list when no root exists (e.g. target below the J0
-    minimum).
+    Grid scan for sign changes from r = 0, where J0 = 1, then Brent's
+    method on each bracket; the root r = 0 of target 1 lies outside the
+    window. Returns an empty list when no root exists (e.g. target below
+    the J0 minimum).
     """
     if not math.isfinite(target_a):
         raise ValidationError(f"target_a must be finite, got {target_a!r}")
     # imported here: scipy adds ~0.3 s to every CLI start otherwise
     from scipy.optimize import brentq
     from scipy.special import j0
-
-    def f(r):
-        return bessel_j0(2 * r) - target_a
-
-    grid = np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2, RATIO_GRID_STEP)
+    grid = np.r_[0.0, np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2,
+                                RATIO_GRID_STEP)]
     values = j0(2 * grid) - target_a
     roots = []
-    for i, (r, fr) in enumerate(zip(grid, values)):
+    for r0, r, f0, fr in zip(grid, grid[1:], values, values[1:]):
         if fr == 0.0:
             roots.append(float(r))
-        elif i and values[i - 1] * fr < 0:
-            roots.append(float(brentq(f, grid[i - 1], r)))
+        elif f0 * fr < 0:
+            roots.append(float(brentq(lambda x: j0(2 * x) - target_a, r0, r)))
     return roots
 
 

@@ -143,13 +143,13 @@ def squeezing_curve(traj):
 def optimal_squeezing(traj):
     """Record at the minimum of xi^2(t), grid minimum refined by golden section.
 
-    Each off-grid state continues the latest state reached at or before it
-    (the bracket's samples, then every state evaluated) with the
-    trajectory's own `advance`. The search compares bare xi^2 from
-    `_squeezing`; degenerate (over-squeezed) states are excluded only from
-    the picks, and records are built only for the grid minimum and the two
-    final candidates. If every sample is degenerate the trajectory has no
-    usable optimum.
+    Each off-grid state continues the latest state row reached at or
+    before it (the bracket's samples, then every row evaluated) with the
+    trajectory's own `advance`, one time per call; no DickeState is built.
+    The search compares bare xi^2 from `_squeezing`; degenerate
+    (over-squeezed) states are excluded only from the picks, and records
+    are built only for the grid minimum and the two final candidates. If
+    every sample is degenerate the trajectory has no usable optimum.
     """
     if len(traj.times) < 3:
         raise ValidationError("optimal_squeezing needs at least 3 samples")
@@ -168,14 +168,13 @@ def optimal_squeezing(traj):
                      [a[i_min:i_min + 1] for a in grid])
 
     lo, hi = max(i_min - 1, 0), min(i_min + 1, len(traj.times) - 1)
-    reached = {t: DickeState(n_atoms, row) for t, row in
-               zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1])}
+    reached = dict(zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1]))
     measured = {}
 
     def evaluate(t):
         t_from = max(s for s in reached if s <= t)
-        reached[t] = traj.advance(reached[t_from], t_from, t)
-        measured[t] = _squeezing(n_atoms, reached[t].amplitudes[None, :])
+        reached[t], = traj.advance(reached[t_from], t_from, np.array([t]))
+        measured[t] = _squeezing(n_atoms, reached[t][None, :])
         return measured[t][0][0]
 
     a, b = traj.times[lo], traj.times[hi]

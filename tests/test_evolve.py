@@ -84,8 +84,8 @@ class TestPropagateStatic:
                                 [0.0, 0.2, t])
         want = oracles.evolve_expm(h, css(n).amplitudes, t)
         assert np.allclose(traj.states[-1].amplitudes, want, atol=1e-10)
-        again = traj.advance(traj.states[1], 0.2, t)
-        assert np.allclose(again.amplitudes, want, atol=1e-10)
+        again, = traj.advance(traj.amplitudes[1], 0.2, np.array([t]))
+        assert np.allclose(again, want, atol=1e-10)
 
     def test_norm_guard_fails_on_nan(self):
         # an infinite duration makes NaN phases; the public entry points
@@ -93,7 +93,7 @@ class TestPropagateStatic:
         blocks = evolve._eigen_blocks(build_hamiltonian(TATxz(), 6).matrix)
         with pytest.raises(IntegrationError, match="lost norm"), \
                 np.errstate(invalid="ignore"):
-            evolve._static_states(blocks, css(6).amplitudes, [0.0, np.inf])
+            evolve._static_states(blocks, css(6).amplitudes, 0.0, [0.0, np.inf])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
     @pytest.mark.parametrize("spec", [
@@ -106,9 +106,9 @@ class TestPropagateStatic:
         by_spec = propagate_static(spec, css(n), times)
         by_operator = propagate_static(build_hamiltonian(spec, n), css(n), times)
         assert np.array_equal(by_spec.amplitudes, by_operator.amplitudes)
-        start = by_spec.states[3]
-        assert np.array_equal(by_spec.advance(start, times[3], 0.41).amplitudes,
-                              by_operator.advance(start, times[3], 0.41).amplitudes)
+        start = by_spec.amplitudes[3]
+        assert np.array_equal(by_spec.advance(start, times[3], np.array([0.41])),
+                              by_operator.advance(start, times[3], np.array([0.41])))
 
     def test_rejects_driven_spec(self):
         with pytest.raises(ValidationError, match="propagate_driven"):
@@ -894,6 +894,47 @@ class TestStepControl:
     ])
     def test_quarter_steps(self, n, omega, quarter):
         assert StepControl().quarter_steps(driven_spec(n, omega), n) == quarter
+
+
+class TestAdvance:
+    """A trajectory's `advance` continues one sample row to many times."""
+
+    # at omega = 300 the short times lie within one drive period of the
+    # row's (a one-column march), the long ones also 2.5 and 3.3 past it
+    @pytest.mark.parametrize("propagate, one_time_tol", [
+        (lambda psi, t: propagate_static(build_hamiltonian(TATxz(), 8), psi, t), 1e-13),
+        # the march renormalizes its column at each knot it reads a sample
+        # at, so one call per time differs from the batch by rounding only
+        (lambda psi, t: propagate_driven(driven_spec(8, 300.0), psi, t), 1e-15),
+    ], ids=["static", "driven"])
+    def test_batch_continues_a_row(self, propagate, one_time_tol):
+        traj = propagate(css(8), np.linspace(0, 0.5, 26))
+        t_from, row = traj.times[5], traj.amplitudes[5]
+        short = t_from + np.array([0.1, 0.35, 0.7, 0.9]) * period_of(300.0)
+        many = traj.advance(row, t_from, short)
+        assert many.shape == (4, 9)
+        one = np.vstack([traj.advance(row, t_from, np.array([t])) for t in short])
+        assert np.allclose(many, one, rtol=0, atol=one_time_tol)
+        long = np.r_[short, t_from + np.array([2.5, 3.3]) * period_of(300.0)]
+        fresh = propagate(css(8), np.r_[0.0, long]).amplitudes[1:]
+        for got, want in zip(traj.advance(row, t_from, long), fresh):
+            assert abs(np.vdot(got, want)) >= 1 - 1e-10
+        same, = traj.advance(row, t_from, np.array([t_from]))
+        assert np.allclose(same, row, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("t_from, times, match", [
+        (0.2, [0.1], "increase from the start 0.2"),
+        # _check_cost budgets the last time only, so this run would escape
+        # the refusal its sorted times get
+        (0.2, [1e6, 0.3], "increase from the start 0.2"),
+        (0.2, [0.3, np.nan], "finite"),
+        (0.2, [0.3, np.inf], "finite"),
+        (np.nan, [0.3], "finite"),
+    ], ids=["before-start", "decreasing", "nan-time", "inf-time", "nan-start"])
+    def test_driven_advance_rejects_bad_times(self, t_from, times, match):
+        traj = propagate_driven(driven_spec(10, 300.0), css(10), np.linspace(0, 0.4, 41))
+        with pytest.raises(ValidationError, match=match):
+            traj.advance(traj.amplitudes[20], t_from, np.array(times))
 
 
 class TestTrajectory:

@@ -165,8 +165,9 @@ class TestDrivenSweepTraffic:
     def test_sweeps_jump_only_from_t_zero(self, monkeypatch):
         # every one-period propagator W_T of a driven scan-n and scan-ratio
         # point is built from t = 0, and no refinement restart (one sample
-        # time, from driven_state_at) jumps: no sweep makes a jumping run
-        # from a start off the multiples of T/2, which takes a lead-in
+        # time, from the trajectory's advance) jumps: no sweep makes a
+        # jumping run from a start off the multiples of T/2, which takes a
+        # lead-in
         built, runs = [], []
         build, states = evolve._period_propagator, evolve._driven_states
 
@@ -174,9 +175,9 @@ class TestDrivenSweepTraffic:
             built.append(t_start)
             return build(spec, n_atoms, t_start, *args)
 
-        def spy_states(spec, n_atoms, psi, t_start, times, *args):
+        def spy_states(spec, n_atoms, psi, t_start, times, *args, **kwargs):
             before = len(built)
-            rows = states(spec, n_atoms, psi, t_start, times, *args)
+            rows = states(spec, n_atoms, psi, t_start, times, *args, **kwargs)
             runs.append((len(times), len(built) - before))
             return rows
 

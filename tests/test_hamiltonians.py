@@ -57,6 +57,15 @@ class TestSolveDriveRatio:
         # J0(2r) = 1 only at r = 0, which sits outside the open window
         assert solve_drive_ratio(1.0) == []
 
+    @pytest.mark.parametrize("target", [0.99995, 0.99990001, 1 - 1e-12])
+    def test_root_left_of_the_first_grid_step(self, target):
+        # every target in (J0(2 RATIO_GRID_STEP), 1) has its one root in
+        # (0, RATIO_GRID_STEP); near 0, J0(2r) = 1 - r^2 + O(r^4)
+        roots = solve_drive_ratio(target)
+        assert len(roots) == 1 and 0 < roots[0] < RATIO_GRID_STEP
+        assert roots[0] == pytest.approx(np.sqrt(1 - target), rel=1e-4)
+        assert abs(bessel_j0(2 * roots[0]) - target) < 1e-12
+
     def test_below_global_minimum(self):
         assert solve_drive_ratio(-0.5) == []
 

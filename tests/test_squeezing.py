@@ -279,19 +279,20 @@ class TestOptimalSqueezing:
 
     @pytest.mark.parametrize("kind", ["static", "driven"])
     def test_builds_each_state_once(self, monkeypatch, kind):
-        # the three bracket samples once, then the one state that each
-        # advance returns, which the next evaluation continues as it is
+        # no DickeState: each advance continues, as it is, a bracket sample's
+        # row or the row that an earlier advance returned
         if kind == "static":
             made = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
                                     np.linspace(0, 0.6, 40))
         else:
             made = propagate_driven(FullDriven(DriveParams(0.906 * 300, 300.0)),
                                     css(10), np.linspace(0, 0.6, 40))
-        advanced = []
+        calls = []
 
-        def counted(state, t_from, t_to):
-            advanced.append(t_to)
-            return made.advance(state, t_from, t_to)
+        def counted(psi, t_from, times):
+            rows = made.advance(psi, t_from, times)
+            calls.append((psi, t_from, times, rows))
+            return rows
 
         traj = dataclasses.replace(made, advance=counted)
         built = []
@@ -303,21 +304,27 @@ class TestOptimalSqueezing:
 
         monkeypatch.setattr(DickeState, "__post_init__", counting)
         optimal_squeezing(traj)
-        assert advanced
-        assert len(built) == 3 + len(advanced)
+        assert calls and not built
+        i_min = int(np.argmin([r.xi_squared for r in squeezing_curve(made)]))
+        rows_at = dict(zip(traj.times[i_min - 1:i_min + 2].tolist(),
+                           traj.amplitudes[i_min - 1:i_min + 2]))
+        for psi, t_from, times, rows in calls:
+            assert np.shares_memory(psi, rows_at[t_from])
+            rows_at.update(zip(times.tolist(), rows))
 
     def test_driven_refinement_uses_trajectory_control(self, monkeypatch):
         seen = []
-        real = evolve.driven_state_at
+        real = evolve._driven_states
 
-        def spy(spec, initial, t_start, t_end, control=None):
+        def spy(spec, n_atoms, psi, t_start, times, control, *args):
             seen.append(control)
-            return real(spec, initial, t_start, t_end, control)
+            return real(spec, n_atoms, psi, t_start, times, control, *args)
 
-        monkeypatch.setattr(evolve, "driven_state_at", spy)
+        monkeypatch.setattr(evolve, "_driven_states", spy)
         spec = FullDriven(DriveParams(0.906 * 300, 300.0))
         control = StepControl().refined(2)
         traj = propagate_driven(spec, css(10), np.linspace(0, 0.6, 40), control)
+        seen.clear()
         optimal_squeezing(traj)
         assert seen
         assert all(c == control for c in seen)
