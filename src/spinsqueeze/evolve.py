@@ -89,13 +89,32 @@ class StepControl:
         return max(QUARTER_STEPS * self.factor, math.ceil(ratio))
 
 
-def _check_times(times):
+def _check_span(t_from, times):
+    """`times` as a float array, checked as the span of a row function from
+    t_from: 1-d, finite, none before t_from or before the one ahead of it.
+    An empty `times` passes. Finiteness is tested first, then order.
+
+    O(1) checks and one slice comparison: with the first time >= t_from and
+    each >= the one before, a finite last time bounds them all (a NaN fails
+    the comparison).
+    """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValidationError("need a non-empty 1-d vector of sample times")
-    if not math.isfinite(times[-1]):  # then increasing from 0 bounds the rest
+    if times.ndim != 1:
+        raise ValidationError(f"sample times must form a 1-d vector, got shape {times.shape}")
+    if not len(times):
+        return times
+    if not (math.isfinite(t_from) and math.isfinite(times[-1])):
         raise ValidationError("sample times must be finite")
-    if times[0] != 0.0 or not np.all(np.diff(times) > 0):
+    if not (times[0] >= t_from and np.all(times[1:] >= times[:-1])):
+        raise ValidationError(f"sample times must increase from the start {t_from:g}")
+    return times
+
+
+def _check_times(times):
+    times = _check_span(0.0, times)
+    if len(times) == 0:
+        raise ValidationError("need a non-empty 1-d vector of sample times")
+    if times[0] != 0.0 or not np.all(times[1:] > times[:-1]):
         raise ValidationError("sample times must start at 0 and increase strictly")
     return times
 
@@ -106,11 +125,14 @@ class Trajectory:
 
     Both arrays are read-only; every row has unit norm, checked once here.
     `advance(psi, t_from, times)` continues the evolution of a state row
-    psi (N+1,) at t_from to the increasing times (>= t_from) of a 1-d
-    array, returning their rows (len(times), N+1), with the propagator
-    (eigenbasis, or RK4 under its StepControl) that made it: the
-    propagator's own row function, which made the rows from t = 0. Every
-    propagator sets it; it is None only on hand-built trajectories.
+    psi (N+1,) at t_from to `times`, returning their rows (len(times), N+1),
+    with the propagator (eigenbasis, or RK4 under its StepControl) that
+    made it: the propagator's own row function, which made the rows from
+    t = 0. Every propagator sets it; it is None only on hand-built
+    trajectories. Both propagators keep one time rule (`_check_span`):
+    `times` is a 1-d array or list of finite times, none before t_from or
+    before the one ahead of it; no times give no rows, and anything else
+    raises ValidationError.
     """
 
     times: np.ndarray
@@ -186,9 +208,11 @@ def _static_states(blocks, psi, t_from, times):
     """Rows exp(-i H dt)|psi> for each dt = t - t_from of `times`, as
     V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from.
 
-    Two products per block make every row. A row whose norm drifts beyond
-    spin_core.NORM_TOL (NaN too) raises IntegrationError.
+    Two products per block make every row. Times that break `_check_span`
+    raise ValidationError, and a row whose norm drifts beyond
+    spin_core.NORM_TOL (NaN too) IntegrationError.
     """
+    times = _check_span(t_from, times)
     out = np.empty((len(times), len(psi)), dtype=complex)
     for rows, evals, evecs in blocks:
         coeffs = _apply(evecs.conj().T, psi[rows, None])
@@ -470,9 +494,8 @@ _CHUNK_ENTRIES = 4096
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
-    """Lab-frame states at `times` (increasing, >= t_start) as rows (T, N+1),
-    from the state row psi at t_start; a time before t_start or before the
-    one ahead of it, or a non-finite one, raises ValidationError.
+    """Lab-frame states at `times` as rows (T, N+1), from the state row psi
+    at t_start; times that break `_check_span` raise ValidationError.
 
     The rotating-frame generator A has period T = 2 pi / omega, and the
     index reversal F (k -> N - k) maps each half period onto the one before:
@@ -513,10 +536,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     IntegrationError: a state read out at a knot is renormalized (the
     marched start with it), and so is each sample after its partial step.
     """
-    if not (math.isfinite(t_start) and np.all(np.isfinite(times))):
-        raise ValidationError("driven run times must be finite")
-    if not np.all(np.diff(times, prepend=t_start) >= 0):  # _check_cost reads the last
-        raise ValidationError(f"driven sample times must increase from the start {t_start:g}")
+    times = _check_span(t_start, times)  # _check_cost reads the last time
+    if not len(times):
+        return np.empty((0, n_atoms + 1), dtype=complex)
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     mz = _jz_diagonal(n_atoms)
@@ -623,13 +645,9 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
         raise ValidationError("driven_state_at requires a FullDriven spec")
     if not isinstance(initial, DickeState):
         raise ValidationError("driven_state_at expects a DickeState")
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
-        raise ValidationError(
-            f"t_start and t_end must be finite, got {t_start}, {t_end}")
-    if t_end < t_start:
-        raise ValidationError("t_end must be >= t_start")
+    times = _check_span(t_start, [t_end])
     if t_end == t_start:
         return initial
     lab, = _driven_states(spec, initial.n_atoms, initial.amplitudes, t_start,
-                          np.array([t_end], dtype=float), control)
+                          times, control)
     return DickeState(initial.n_atoms, lab)

@@ -28,8 +28,9 @@ from .errors import ValidationError
 from .spin_core import (CollectiveOperator, _check_n_atoms, _jz_diagonal,
                         _quadratic_bands)
 
-# Global minimum of J0, attained at x ~ 3.8317
-BESSEL_J0_MIN = -0.4027593957661289
+# Global minimum of J0, J0(j_(1,1)) at the first zero j_(1,1) = 3.8317... of
+# J1 (scipy's j0 there, which is also the nearest double to the true value)
+BESSEL_J0_MIN = -0.402759395702553
 
 # solve_drive_ratio brackets roots on this grid of g/omega in (0, RATIO_MAX],
 # after the first bracket [0, RATIO_GRID_STEP]
@@ -149,7 +150,11 @@ def solve_drive_ratio(target_a):
     Grid scan for sign changes from r = 0, where J0 = 1, then Brent's
     method on each bracket; the root r = 0 of target 1 lies outside the
     window. Returns an empty list when no root exists (e.g. target below
-    the J0 minimum).
+    the J0 minimum). The grid holds J0's minimum, r* = j_(1,1) / 2: a
+    target just above BESSEL_J0_MIN has a root on each side of r* within
+    one grid cell, and J0(2r) is monotone on each side of r* up to
+    RATIO_MAX (its next extremum is at r ~ 3.51), so each cell holds at
+    most one root.
     """
     if not math.isfinite(target_a):
         raise ValidationError(f"target_a must be finite, got {target_a!r}")
@@ -157,7 +162,8 @@ def solve_drive_ratio(target_a):
     from scipy.optimize import brentq
     from scipy.special import j0
     grid = np.r_[0.0, np.arange(RATIO_GRID_STEP, RATIO_MAX + RATIO_GRID_STEP / 2,
-                                RATIO_GRID_STEP)]
+                                RATIO_GRID_STEP), 1.9158529851037562]  # r* = j_(1,1) / 2
+    grid.sort()
     values = j0(2 * grid) - target_a
     roots = []
     for r0, r, f0, fr in zip(grid, grid[1:], values, values[1:]):

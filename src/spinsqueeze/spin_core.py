@@ -4,9 +4,8 @@ For N spin-1/2 atoms the fully symmetric sector has total spin J = N/2 and
 dimension N+1. Basis index k in [0, N] labels the Jz eigenstate |J, J-k>,
 i.e. k = 0 is the top of the ladder (m = +J) and k = N the bottom (m = -J).
 The public operators are dense complex matrices. The numerical paths never
-build them: every quadratic form in Jx, Jy, Jz is real with only the main
-and +-2 diagonals, and its bands come in O(N) from the J+ coefficients and
-the Jz diagonal. hbar = 1.
+build them: they read the few bands of J they need (of J+, J+ (2 Jz + 1),
+Jx^2, Jy^2 and Jz^2) from one cached table per N, `_bands`. hbar = 1.
 """
 
 import math
@@ -108,41 +107,44 @@ def _jz_diagonal(n_atoms):
 
 
 @lru_cache(maxsize=None)
-def _jplus_coeffs(n_atoms):
-    """c_k = J+[k-1, k] for k = 1..N, padded with c_0 = c_(N+1) = 0; read-only.
+def _bands(n_atoms):
+    """The bands of J in the Dicke basis, one read-only table per N.
 
-    J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, and m+1 lives at index k-1.
+    With c_k = J+[k-1, k] = sqrt(J(J+1) - m_k (m_k + 1)) for k = 1..N
+    (J+ raises m_k at index k to m_(k-1) at k-1), and c_0 = c_(N+1) = 0,
+    it holds, in order:
+      c_k, the +1 band of J+;
+      c_k (m_(k-1) + m_k), the +1 band of J+ (2 Jz + 1);
+      (c_k^2 + c_(k+1)^2) / 4, k = 0..N, the diagonal that Jx^2 and Jy^2
+        share (from J+J- + J-J+);
+      c_(k+1) c_(k+2) / 4, k = 0..N-2, the +2 band of Jx^2 (from J+^2),
+        whose negative is that of Jy^2;
+      m^2, the diagonal of Jz^2.
+    Every quadratic form in Jx, Jy, Jz is real with only the main and +-2
+    diagonals, and mirrors its +2 band on the -2.
     """
     j = n_atoms / 2
-    m = _jz_diagonal(n_atoms)[1:]
+    m = _jz_diagonal(n_atoms)
     c = np.zeros(n_atoms + 2)
-    c[1:-1] = np.sqrt(j * (j + 1) - m * (m + 1))
-    return _frozen(c)
+    c[1:-1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    c2 = c * c
+    return tuple(map(_frozen, (c[1:-1], c[1:-1] * (m[:-1] + m[1:]),
+                               (c2[:-1] + c2[1:]) / 4, c[1:-2] * c[2:-1] / 4, m * m)))
 
 
 def _raw_matrices(n_atoms):
     """Dense (Jx, Jy, Jz, Jplus, Jminus), built afresh for the public operators."""
-    jp = np.diag(_jplus_coeffs(n_atoms)[1:-1], 1).astype(complex)
+    jp = np.diag(_bands(n_atoms)[0], 1).astype(complex)
     jm = jp.conj().T
     jz = np.diag(_jz_diagonal(n_atoms)).astype(complex)
     return (jp + jm) / 2, (jp - jm) / 2j, jz, jp, jm
 
 
 def _quadratic_bands(n_atoms, weights):
-    """Main and +2 diagonals of the real wx Jx^2 + wy Jy^2 + wz Jz^2, in O(N).
-
-    With c_k = J+[k-1, k], Jx^2 and Jy^2 share the diagonal
-    (c_k^2 + c_(k+1)^2) / 4 (from J+J- + J-J+), and their (k, k+2) entries
-    are +c_(k+1) c_(k+2) / 4 and its negative (from J+^2); Jz^2 is diag(m^2).
-    The -2 band mirrors the +2.
-    """
+    """Main and +2 diagonals of the real wx Jx^2 + wy Jy^2 + wz Jz^2, in O(N)."""
     wx, wy, wz = weights
-    c = _jplus_coeffs(n_atoms)
-    c2 = c * c
-    side = (c2[:-1] + c2[1:]) / 4
-    upper = c[1:-2] * c[2:-1] / 4
-    m = _jz_diagonal(n_atoms)
-    return wx * side + wy * side + wz * (m * m), wx * upper - wy * upper
+    _, _, side, upper, m2 = _bands(n_atoms)
+    return wx * side + wy * side + wz * m2, wx * upper - wy * upper
 
 
 def _jx2_bands(n_atoms):

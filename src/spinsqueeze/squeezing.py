@@ -5,8 +5,8 @@ the mean spin. The 2x2 transverse covariance matrix gives the minimum in
 closed form; the minimizing direction comes from its eigenvector.
 
 The mean spin and the symmetrized second moments come from |psi|^2 and the
-J+, J+^2 and J+ Jz bands: each is an O(N) reduction, made for all samples
-of a trajectory at once.
+bands of J (`spin_core._bands`): each is an O(N) reduction, made for all
+samples of a trajectory at once.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import DickeState, _jplus_coeffs, _jz_diagonal
+from .spin_core import DickeState, _bands, _jz_diagonal
 
 # Below this fraction of the maximal spin length J the mean-spin direction
 # is numerically meaningless (over-squeezed regime); results get flagged
@@ -45,30 +45,28 @@ class SqueezingRecord:
 def _moments(n_atoms, psi):
     """Mean spin (T, 3) and symmetrized second moments (T, 3, 3) of the rows of psi.
 
-    With c_k = J+[k-1, k] and J+ = Jx + i Jy:
+    With J+ = Jx + i Jy, and the bands of `spin_core._bands`:
       <J+> = <Jx> + i <Jy>,
-      <Jx^2>, <Jy^2> = (<J+J- + J-J+> +- 2 Re<J+^2>) / 4,
-      <JxJy + JyJx> / 2 = Im<J+^2> / 2,
-      <JxJz + JzJx> / 2 + i <JyJz + JzJy> / 2 = <J+ (2 Jz + 1)> / 2,
-    and J+ (2 Jz + 1) has the (k-1, k) entry c_k (m_(k-1) + m_k).
+      <Jx^2>, <Jy^2> = <shared diagonal> +- 2 Re<Jx^2's +2 band>,
+      <JxJy + JyJx> / 2 = 2 Im<Jx^2's +2 band>,
+      <JxJz + JzJx> / 2 + i <JyJz + JzJy> / 2 = <J+ (2 Jz + 1)> / 2.
     Sums are einsum or element-wise: a `@` here would hand each row's
     reduction to threaded BLAS.
     """
-    c = _jplus_coeffs(n_atoms)
+    jp_band, jpz_band, side, upper, m2 = _bands(n_atoms)
     m = _jz_diagonal(n_atoms)
     prob = psi.real ** 2 + psi.imag ** 2
     hop1 = psi[:, :-1].conj() * psi[:, 1:]
-    hop2 = psi[:, :-2].conj() * psi[:, 2:]
-    jp = np.einsum("tk,k->t", hop1, c[1:-1])
-    jpz = np.einsum("tk,k->t", hop1, c[1:-1] * (m[:-1] + m[1:]))
-    jp2 = np.einsum("tk,k->t", hop2, c[1:-2] * c[2:-1])
-    ladder = np.einsum("tk,k->t", prob, c[:-1] ** 2 + c[1:] ** 2)
+    jp = np.einsum("tk,k->t", hop1, jp_band)
+    jpz = np.einsum("tk,k->t", hop1, jpz_band)
+    jx2_upper = np.einsum("tk,k->t", psi[:, :-2].conj() * psi[:, 2:], upper)
+    shared = np.einsum("tk,k->t", prob, side)
     mean = np.stack([jp.real, jp.imag, np.einsum("tk,k->t", prob, m)], axis=1)
     second = np.empty((len(psi), 3, 3))
-    second[:, 0, 0] = (ladder + 2 * jp2.real) / 4
-    second[:, 1, 1] = (ladder - 2 * jp2.real) / 4
-    second[:, 2, 2] = np.einsum("tk,k->t", prob, m * m)
-    second[:, 0, 1] = second[:, 1, 0] = jp2.imag / 2
+    second[:, 0, 0] = shared + 2 * jx2_upper.real
+    second[:, 1, 1] = shared - 2 * jx2_upper.real
+    second[:, 2, 2] = np.einsum("tk,k->t", prob, m2)
+    second[:, 0, 1] = second[:, 1, 0] = 2 * jx2_upper.imag
     second[:, 0, 2] = second[:, 2, 0] = jpz.real / 2
     second[:, 1, 2] = second[:, 2, 1] = jpz.imag / 2
     return mean, second

@@ -88,12 +88,14 @@ class TestPropagateStatic:
         assert np.allclose(again, want, atol=1e-10)
 
     def test_norm_guard_fails_on_nan(self):
-        # an infinite duration makes NaN phases; the public entry points
-        # reject it up front (test_rejects_bad_times)
+        # a NaN state row makes NaN rows; the time rule refuses a non-finite
+        # time before any row is made (TestAdvance)
         blocks = evolve._eigen_blocks(build_hamiltonian(TATxz(), 6).matrix)
+        row = css(6).amplitudes.copy()
+        row[2] = np.nan
         with pytest.raises(IntegrationError, match="lost norm"), \
                 np.errstate(invalid="ignore"):
-            evolve._static_states(blocks, css(6).amplitudes, 0.0, [0.0, np.inf])
+            evolve._static_states(blocks, row, 0.0, [0.0, 0.1])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
     @pytest.mark.parametrize("spec", [
@@ -230,7 +232,7 @@ class TestPropagateDriven:
 
     @pytest.mark.parametrize("spec, t_start, t_end, match", [
         (OAT(), 0.0, 0.1, "FullDriven"),
-        (driven_spec(4, 50.0), 0.2, 0.1, "t_end must be >= t_start"),
+        (driven_spec(4, 50.0), 0.2, 0.1, "increase from the start 0.2"),
     ], ids=["static-spec", "backwards"])
     def test_driven_state_at_rejects(self, spec, t_start, t_end, match):
         with pytest.raises(ValidationError, match=match):
@@ -935,6 +937,26 @@ class TestAdvance:
         traj = propagate_driven(driven_spec(10, 300.0), css(10), np.linspace(0, 0.4, 41))
         with pytest.raises(ValidationError, match=match):
             traj.advance(traj.amplitudes[20], t_from, np.array(times))
+
+
+    @pytest.mark.parametrize("times, rows", [
+        ([], 0), ([0.3], 1), ([0.1], None), ([np.nan], None), ([[0.3]], None),
+        (0.3, None),
+    ], ids=["empty", "list", "before-start", "nan", "2-d", "scalar"])
+    @pytest.mark.parametrize("propagate", [
+        lambda psi, t: propagate_static(build_hamiltonian(TATxz(), 10), psi, t),
+        lambda psi, t: propagate_driven(driven_spec(10, 300.0), psi, t),
+    ], ids=["static", "driven"])
+    def test_one_time_rule(self, propagate, times, rows):
+        # both row functions take no times and lists; anything else a
+        # ValidationError
+        traj = propagate(css(10), np.linspace(0, 0.4, 41))
+        if rows is None:
+            with pytest.raises(ValidationError):
+                traj.advance(traj.amplitudes[25], 0.25, times)
+        else:
+            got = traj.advance(traj.amplitudes[25], 0.25, times)
+            assert got.shape == (rows, 11)
 
 
 class TestTrajectory:

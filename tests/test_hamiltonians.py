@@ -69,6 +69,16 @@ class TestSolveDriveRatio:
     def test_below_global_minimum(self):
         assert solve_drive_ratio(-0.5) == []
 
+    def test_targets_at_and_just_above_the_minimum(self):
+        # J0(2r) is least at r* = j_(1,1) / 2; -0.40275 has both its roots
+        # within the one grid cell [1.91, 1.92] around r*
+        r_star = 1.9158529851037562
+        assert solve_drive_ratio(BESSEL_J0_MIN) == [r_star]
+        low, high = solve_drive_ratio(-0.40275)
+        assert low == pytest.approx(1.912439, abs=1e-6)
+        assert high == pytest.approx(1.919269, abs=1e-6)
+        assert bessel_j0(2 * r_star) == BESSEL_J0_MIN
+
     @pytest.mark.parametrize("target", [np.nan, np.inf])
     def test_rejects_non_finite_target(self, target):
         with pytest.raises(ValidationError, match="target_a must be finite"):

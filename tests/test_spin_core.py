@@ -5,7 +5,7 @@ from spinsqueeze import (CollectiveOperator, DickeState, ValidationError,
                          build_angular_momentum, build_hamiltonian, casimir,
                          coherent_spin_state, default_t_max, expectation, OAT,
                          propagate_static, symmetrized_covariance)
-from spinsqueeze.spin_core import _jx2_bands
+from spinsqueeze.spin_core import _bands, _jx2_bands
 
 import oracles
 
@@ -91,6 +91,21 @@ class TestAngularMomentum:
         banded = np.diag(diag) + np.diag(upper, 2) + np.diag(upper, -2)
         assert len(upper) == n - 1
         assert np.max(np.abs(banded - jx2)) <= 1e-12 * n * n
+        # every band of the table against the oracle's own ladder matrices
+        jx, jy, jz = oracles.raw_spin_matrices(n)
+        jp = jx + 1j * jy
+        table = _bands(n)
+        jp_band, jpz_band, side, upper, m2 = table
+        for band, dense in [
+                (jp_band, np.diag(jp, 1)),
+                (jpz_band, np.diag(jp @ (2 * jz + np.eye(n + 1)), 1)),
+                (side, np.diag(jx @ jx)), (upper, np.diag(jx @ jx, 2)),
+                (side, np.diag(jy @ jy)), (-upper, np.diag(jy @ jy, 2)),
+                (m2, np.diag(jz @ jz))]:
+            assert band.shape == dense.shape
+            assert np.allclose(band, dense, rtol=0, atol=1e-12 * n * n)
+        assert not any(band.flags.writeable for band in table)
+        assert all(a is b for a, b in zip(table, _bands(n)))
 
 
 class TestCoherentSpinState:
