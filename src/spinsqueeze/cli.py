@@ -74,45 +74,44 @@ def build_parser():
                     "one-axis-twisting model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--chi", type=float, default=1.0)
+    common.add_argument("--axis", choices=["x", "y"], default="y")
+    common.add_argument("--out", required=True, help="output file path")
+    common.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
-    p = sub.add_parser("evolve", help="xi^2(t) time curve for one Hamiltonian")
-    p.add_argument("--hamiltonian", required=True,
-                   choices=list(VARIANTS))
+    p = sub.add_parser("evolve", parents=[common],
+                       help="xi^2(t) time curve for one Hamiltonian")
+    p.set_defaults(run=_cmd_evolve)
+    p.add_argument("--hamiltonian", required=True, choices=list(VARIANTS))
     p.add_argument("--n", type=int, required=True, help="number of atoms")
-    p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--g", type=float, help="drive amplitude (full only)")
     p.add_argument("--omega", type=float, help="drive frequency (full only)")
     p.add_argument("--a", type=float, help="Bessel coefficient (mixed only)")
-    p.add_argument("--axis", choices=["x", "y"], default="y")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--samples", type=int, default=400)
-    add_output(p)
 
-    p = sub.add_parser("scan-n", help="optimal xi^2 vs atom number, with power-law fit")
+    p = sub.add_parser("scan-n", parents=[sweep],
+                       help="optimal xi^2 vs atom number, with power-law fit")
+    p.set_defaults(run=_cmd_scan_n)
     p.add_argument("--hamiltonians", required=True,
                    help="comma list of " + ",".join(VARIANTS))
     p.add_argument("--n-list", required=True, help="comma list of atom numbers")
-    p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--ratio", type=float, default=0.906,
                    help="g/omega for full templates (omega is set per N)")
     p.add_argument("--a", type=float, help="Bessel coefficient for mixed")
-    p.add_argument("--axis", choices=["x", "y"], default="y")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    add_output(p)
 
-    p = sub.add_parser("scan-ratio", help="optimal xi^2 vs drive ratio g/omega")
+    p = sub.add_parser("scan-ratio", parents=[sweep],
+                       help="optimal xi^2 vs drive ratio g/omega")
+    p.set_defaults(run=_cmd_scan_ratio)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--ratios", required=True, help="start:stop:step")
-    p.add_argument("--chi", type=float, default=1.0)
-    p.add_argument("--axis", choices=["x", "y"], default="y")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    add_output(p)
 
     p = sub.add_parser("solve-ratio", help="drive ratios r with J0(2r) = target")
+    p.set_defaults(run=_cmd_solve_ratio)
     p.add_argument("--target-a", type=float, required=True)
 
     return parser
@@ -153,18 +152,10 @@ def _cmd_solve_ratio(args):
         print("%.12g" % r)
 
 
-_COMMANDS = {
-    "evolve": _cmd_evolve,
-    "scan-n": _cmd_scan_n,
-    "scan-ratio": _cmd_scan_ratio,
-    "solve-ratio": _cmd_solve_ratio,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (ValidationError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ import numpy as np
 from . import spin_core
 from .errors import IntegrationError, ValidationError
 from .hamiltonians import FullDriven, HamiltonianSpec
-from .spin_core import (CollectiveOperator, DickeState, _frozen, _jx2_bands,
+from .spin_core import (CollectiveOperator, DickeState, _bands, _frozen,
                         _jz_diagonal, _quadratic_bands, _unit_rows)
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
@@ -92,18 +92,23 @@ class StepControl:
 def _check_span(t_from, times):
     """`times` as a float array, checked as the span of a row function from
     t_from: 1-d, finite, none before t_from or before the one ahead of it.
-    An empty `times` passes. Finiteness is tested first, then order.
+    An empty `times` passes. Times that do not convert to float, or a t_from
+    that is not a real number, fail first; then the shape, finiteness, order.
 
     O(1) checks and one slice comparison: with the first time >= t_from and
     each >= the one before, a finite last time bounds them all (a NaN fails
     the comparison).
     """
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+        finite_from = math.isfinite(t_from)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("sample times and their start must be real numbers") from None
     if times.ndim != 1:
         raise ValidationError(f"sample times must form a 1-d vector, got shape {times.shape}")
     if not len(times):
         return times
-    if not (math.isfinite(t_from) and math.isfinite(times[-1])):
+    if not (finite_from and math.isfinite(times[-1])):
         raise ValidationError("sample times must be finite")
     if not (times[0] >= t_from and np.all(times[1:] >= times[:-1])):
         raise ValidationError(f"sample times must increase from the start {t_from:g}")
@@ -268,7 +273,7 @@ def _rk4_stepper(spec, n_atoms, width):
     one t per column it builds each band's per-column coefficients, at most
     4096 entries in a partial-step chunk (`_CHUNK_ENTRIES`) below N = 4096.
     """
-    diag, upper = _jx2_bands(n_atoms)
+    diag, upper = _bands(n_atoms)[2:4]  # Jx^2's diagonal and +2 band
     diag = -1j * spec.chi * diag[:, None]
     band = -1j * spec.chi * upper[:, None]
     omega = spec.drive.frequency_omega

@@ -241,6 +241,7 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0):
     ratios = [float(r) for r in ratio_grid]
     if any(r < 0 for r in ratios):
         raise ValidationError("drive ratios must be >= 0")
+    undriven = DriveParams(0.0, omega)  # refuses a bad omega before any spec is built
     t_max = default_t_max(n_atoms, chi)
 
     results = [_optimal_point(FullDriven(DriveParams(r * omega, omega), chi),
@@ -248,7 +249,7 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0):
                for r in ratios]
 
     tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis, t_max)
-    diag = rwa_validity(FullDriven(DriveParams(0.0, omega), chi), n_atoms)
+    diag = rwa_validity(FullDriven(undriven, chi), n_atoms)
     metadata = {
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),

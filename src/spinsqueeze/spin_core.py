@@ -147,11 +147,6 @@ def _quadratic_bands(n_atoms, weights):
     return wx * side + wy * side + wz * m2, wx * upper - wy * upper
 
 
-def _jx2_bands(n_atoms):
-    """Main and +2 diagonals of Jx^2, the bands of the driven twisting term."""
-    return _quadratic_bands(n_atoms, (1.0, 0.0, 0.0))
-
-
 def build_angular_momentum(n_atoms, component):
     """Collective J operator for the given component label.
 

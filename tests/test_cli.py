@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze.cli import _parse_n_list, _parse_range, main
+from spinsqueeze import cli
+from spinsqueeze.cli import _parse_n_list, _parse_range, build_parser, main
 
 
 def run(capsys, *argv):
@@ -76,6 +77,56 @@ def test_sweeps_load_no_masked_arrays_or_scipy(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
     assert all((tmp_path / f"{i}.csv").exists() for i in range(len(runs)))
+
+
+SHARED = {"chi": 1.0, "axis": "y", "out": "o", "format": "csv"}
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    # the four perfbench workloads, at their first pool value
+    (["scan-ratio", "--n", "32", "--omega", "1000", "--ratios", "0.20:1.00:0.4",
+      "--threads", "1", "--format", "csv"],
+     dict(SHARED, command="scan-ratio", threads=1, n=32, omega=1000.0,
+          ratios="0.20:1.00:0.4")),
+    (["evolve", "--hamiltonian", "full", "--n", "100", "--g", "1812", "--omega", "2000",
+      "--tmax", "0.3", "--samples", "400", "--format", "json"],
+     dict(SHARED, command="evolve", format="json", hamiltonian="full", n=100, g=1812.0,
+          omega=2000.0, a=None, tmax=0.3, samples=400)),
+    (["scan-n", "--hamiltonians", "tat-xz,oat,mixed", "--a", "0.50",
+      "--n-list", "100,200,300,400,600", "--threads", "1", "--format", "json"],
+     dict(SHARED, command="scan-n", format="json", threads=1,
+          hamiltonians="tat-xz,oat,mixed", n_list="100,200,300,400,600",
+          ratio=0.906, a=0.5)),
+    (["scan-n", "--hamiltonians", "tat-xz,oat,full", "--n-list", "4,6,8,10,12",
+      "--ratio", "0.906", "--threads", "2", "--format", "json"],
+     dict(SHARED, command="scan-n", format="json", threads=2,
+          hamiltonians="tat-xz,oat,full", n_list="4,6,8,10,12", ratio=0.906, a=None)),
+    # minimal lines: every default
+    (["evolve", "--hamiltonian", "oat", "--n", "4", "--tmax", "1"],
+     dict(SHARED, command="evolve", hamiltonian="oat", n=4, g=None, omega=None,
+          a=None, tmax=1.0, samples=400)),
+    (["scan-n", "--hamiltonians", "oat", "--n-list", "4,5"],
+     dict(SHARED, command="scan-n", threads=1, hamiltonians="oat", n_list="4,5",
+          ratio=0.906, a=None)),
+    (["scan-ratio", "--n", "4", "--omega", "300", "--ratios", "0:1:0.5"],
+     dict(SHARED, command="scan-ratio", threads=1, n=4, omega=300.0, ratios="0:1:0.5")),
+    (["solve-ratio", "--target-a", "0.5"], {"command": "solve-ratio", "target_a": 0.5}),
+    # evolve has no --threads
+    (["evolve", "--hamiltonian", "oat", "--n", "4", "--tmax", "1", "--threads", "1"],
+     None),
+], ids=["driven-ratio", "driven-curve", "static-scan-n", "driven-scan-n",
+        "evolve", "scan-n", "scan-ratio", "solve-ratio", "evolve-threads"])
+def test_parser_reads_each_line(capsys, argv, parsed):
+    argv = argv + (["--out", "o"] if argv[0] != "solve-ratio" else [])
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        return
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("run") is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+    assert args == parsed
 
 
 class TestSolveRatio:

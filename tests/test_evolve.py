@@ -958,6 +958,24 @@ class TestAdvance:
             got = traj.advance(traj.amplitudes[25], 0.25, times)
             assert got.shape == (rows, 11)
 
+    @pytest.mark.parametrize("call", [
+        lambda static, driven: propagate_static(TATxz(), css(10), ["x"]),
+        lambda static, driven: propagate_static(TATxz(), css(10), [0, 1 + 2j]),
+        lambda static, driven: static.advance(static.amplitudes[25], 0.25, ["a"]),
+        lambda static, driven: static.advance(static.amplitudes[25], "0.25", [0.3]),
+        lambda static, driven: driven.advance(driven.amplitudes[25], None, [0.3]),
+        lambda static, driven: Trajectory(["a"], static.amplitudes[:1]),
+    ], ids=["static-str-time", "static-complex-time", "advance-str-time",
+            "advance-str-start", "driven-none-start", "trajectory-str-time"])
+    def test_non_numeric_times_are_validation_errors(self, call):
+        # a time or start that does not convert is refused like any other
+        # bad time, not left to escape as numpy's or math's own error
+        times = np.linspace(0, 0.4, 41)
+        static = propagate_static(TATxz(), css(10), times)
+        driven = propagate_driven(driven_spec(10, 300.0), css(10), times)
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            call(static, driven)
+
 
 class TestTrajectory:
     def test_rejects_nonzero_start(self):

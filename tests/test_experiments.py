@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,15 @@ class TestRunRatioScan:
     def test_rejects_negative_ratio(self):
         with pytest.raises(ValidationError):
             run_ratio_scan(10, "y", [-0.1], 300.0)
+
+    @pytest.mark.parametrize("ratios, omega", [([0.5], -5.0), ([0.0], math.inf),
+                                               ([0.5], math.nan), ([], -1.0)],
+                             ids=["negative", "inf", "nan", "no-ratios"])
+    def test_bad_omega_is_named_before_any_spec(self, ratios, omega):
+        # omega is checked before any r * omega, so a bad omega is named as
+        # such, not as a drive amplitude of -2.5 or nan
+        with pytest.raises(ValidationError, match=r"drive frequency must be finite and > 0"):
+            run_ratio_scan(10, "y", ratios, omega)
 
 
 class TestDrivenSweepTraffic:

@@ -5,7 +5,7 @@ from spinsqueeze import (CollectiveOperator, DickeState, ValidationError,
                          build_angular_momentum, build_hamiltonian, casimir,
                          coherent_spin_state, default_t_max, expectation, OAT,
                          propagate_static, symmetrized_covariance)
-from spinsqueeze.spin_core import _bands, _jx2_bands
+from spinsqueeze.spin_core import _bands
 
 import oracles
 
@@ -87,7 +87,7 @@ class TestAngularMomentum:
     def test_jx2_bands_match_dense_product(self, n):
         jx = op(n, "Jx").matrix
         jx2 = jx @ jx
-        diag, upper = _jx2_bands(n)
+        diag, upper = _bands(n)[2:4]
         banded = np.diag(diag) + np.diag(upper, 2) + np.diag(upper, -2)
         assert len(upper) == n - 1
         assert np.max(np.abs(banded - jx2)) <= 1e-12 * n * n
