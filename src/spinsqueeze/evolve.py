@@ -77,12 +77,13 @@ class StepControl:
 
     def quarter_steps(self, spec, n_atoms):
         """RK4 steps per quarter drive period, the one place the grid is set;
-        a period too long for a finite count raises ValidationError."""
+        a period whose step count (4 quarters) is not a finite float raises
+        ValidationError."""
         j = n_atoms / 2
         period = 2 * math.pi / spec.drive.frequency_omega
         twist = TWIST_STEP_SCALE / self.factor / (spec.chi * j * (j + 1))
         ratio = period / 4 / twist
-        if not math.isfinite(ratio):
+        if not math.isfinite(4 * ratio):
             raise ValidationError(
                 f"drive period {period:g} is too long for the RK4 step grid "
                 f"(twisting step {twist:g})")

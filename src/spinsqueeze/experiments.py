@@ -239,8 +239,9 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0):
     Metadata carries the two-axis-twisting reference optimum for this N.
     """
     ratios = [float(r) for r in ratio_grid]
-    if any(r < 0 for r in ratios):
-        raise ValidationError("drive ratios must be >= 0")
+    for r in ratios:
+        if not (math.isfinite(r) and r >= 0):
+            raise ValidationError(f"drive ratios must be finite and >= 0, got {r!r}")
     undriven = DriveParams(0.0, omega)  # refuses a bad omega before any spec is built
     t_max = default_t_max(n_atoms, chi)
 

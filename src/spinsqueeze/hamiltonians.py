@@ -51,6 +51,10 @@ class DriveParams:
             raise ValidationError(
                 f"drive frequency must be finite and > 0 (the omega=0 limit is "
                 f"out of scope), got {self.frequency_omega!r}")
+        if not math.isfinite(self.ratio):
+            raise ValidationError(
+                f"drive ratio g/omega must be finite, got {self.amplitude_g!r}"
+                f"/{self.frequency_omega!r}")
 
     @property
     def ratio(self):

@@ -162,18 +162,13 @@ def optimal_squeezing(traj):
             "trajectory carries no propagator to refine with; build it with "
             "propagate_static or propagate_driven")
     i_min = usable[np.argmin(xi2[usable])]
-    best, = _records(traj.times[i_min:i_min + 1],
-                     [a[i_min:i_min + 1] for a in grid])
-
     lo, hi = max(i_min - 1, 0), min(i_min + 1, len(traj.times) - 1)
     reached = dict(zip(traj.times[lo:hi + 1].tolist(), traj.amplitudes[lo:hi + 1]))
-    measured = {}
 
     def evaluate(t):
         t_from = max(s for s in reached if s <= t)
         reached[t], = traj.advance(reached[t_from], t_from, np.array([t]))
-        measured[t] = _squeezing(n_atoms, reached[t][None, :])
-        return measured[t][0][0]
+        return _squeezing(n_atoms, reached[t][None, :])
 
     a, b = traj.times[lo], traj.times[hi]
     x1 = b - _GOLDEN * (b - a)
@@ -183,7 +178,7 @@ def optimal_squeezing(traj):
     width = math.inf
     while REFINE_TIME_TOL < b - a < width:
         width = b - a
-        if r1 < r2:
+        if r1[0] < r2[0]:
             b, x2, r2 = x2, x1, r1
             x1 = b - _GOLDEN * (b - a)
             r1 = evaluate(x1)
@@ -191,8 +186,7 @@ def optimal_squeezing(traj):
             a, x1, r1 = x1, x2, r2
             x2 = a + _GOLDEN * (b - a)
             r2 = evaluate(x2)
-    for t in (x1, x2):
-        candidate, = _records([t], measured[t])
-        if not candidate.degenerate_flag and candidate.xi_squared < best.xi_squared:
-            best = candidate
-    return best
+    # min keeps the first of equal xi^2: the grid minimum, then x1, then x2
+    candidates = [_records([t], arrays)[0] for t, arrays in (
+        (traj.times[i_min], [col[i_min:i_min + 1] for col in grid]), (x1, r1), (x2, r2))]
+    return min((r for r in candidates if not r.degenerate_flag), key=lambda r: r.xi_squared)

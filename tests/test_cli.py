@@ -200,6 +200,20 @@ class TestEvolve:
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("g, omega, message", [
+        ("1e300", "1e-10", "drive ratio g/omega must be finite, got 1e+300/1e-10"),
+        ("0", "2.09e-305", "too long for the RK4 step grid"),
+    ], ids=["ratio-overflow", "period-steps-overflow"])
+    def test_drive_past_float_range_is_exit_1(self, tmp_path, capsys, g, omega, message):
+        # an inf g/omega failed the norm drift check, which blamed the step;
+        # 4 quarters of 1e308 steps crashed with an OverflowError
+        code, out, err = run(capsys, "evolve", "--hamiltonian", "full", "--n", "8",
+                             "--g", g, "--omega", omega, "--tmax", "0.5",
+                             "--samples", "5", "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_absurd_sample_count_is_refused(self, tmp_path, capsys):
         # 1e13 rows of 5 amplitudes: refused before the time grid is built
         code, out, err = run(capsys, "evolve", "--hamiltonian", "oat",

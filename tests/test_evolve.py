@@ -799,6 +799,10 @@ class TestCostGuard:
         # counts about 3e303 steps, and the short run is cheap
         with pytest.raises(ValidationError, match="too long for the RK4 step grid"):
             propagate_driven(FullDriven(DriveParams(0.0, 5e-324)), css(10), [0.0, 0.1])
+        # at omega = 2.09e-305 a quarter counts about 1.5e308 steps, a finite
+        # float, but the period's 4 quarters do not fit in one
+        with pytest.raises(ValidationError, match="too long for the RK4 step grid"):
+            propagate_driven(FullDriven(DriveParams(0.0, 2.09e-305)), css(10), [0.0, 0.1])
         slow = propagate_driven(FullDriven(DriveParams(0.0, 1e-300)), css(10), [0.0, 0.1])
         oat = propagate_static(OAT(), css(10), [0.0, 0.1])
         assert abs(np.vdot(slow.amplitudes[-1], oat.amplitudes[-1])) >= 1 - 1e-10

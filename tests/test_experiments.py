@@ -161,6 +161,12 @@ class TestRunRatioScan:
         with pytest.raises(ValidationError):
             run_ratio_scan(10, "y", [-0.1], 300.0)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_ratio(self, ratio):
+        # these were let through to DriveParams, which named the amplitude
+        with pytest.raises(ValidationError, match=r"drive ratios must be finite and >= 0"):
+            run_ratio_scan(10, "y", [ratio], 300.0)
+
     @pytest.mark.parametrize("ratios, omega", [([0.5], -5.0), ([0.0], math.inf),
                                                ([0.5], math.nan), ([], -1.0)],
                              ids=["negative", "inf", "nan", "no-ratios"])

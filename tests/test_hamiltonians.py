@@ -181,6 +181,12 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             DriveParams(-1.0, 5.0)
 
+    def test_rejects_overflowing_ratio(self):
+        # g and omega are each fine, but g/omega is inf; the driven run then
+        # failed its norm drift check, which blamed the step
+        with pytest.raises(ValidationError, match="drive ratio g/omega must be finite"):
+            DriveParams(1e300, 1e-10)
+
     def test_rejects_bad_chi(self):
         with pytest.raises(ValidationError):
             OAT(chi=0.0)

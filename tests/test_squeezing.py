@@ -312,6 +312,55 @@ class TestOptimalSqueezing:
             assert np.shares_memory(psi, rows_at[t_from])
             rows_at.update(zip(times.tolist(), rows))
 
+    @pytest.mark.parametrize("kind", ["static", "driven"])
+    def test_measures_each_state_once(self, monkeypatch, kind):
+        # one _squeezing call on the grid, then one on each row an advance
+        # returns; the candidates' records reuse those arrays
+        if kind == "static":
+            made = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
+                                    np.linspace(0, 0.6, 40))
+        else:
+            made = propagate_driven(FullDriven(DriveParams(0.906 * 300, 300.0)),
+                                    css(10), np.linspace(0, 0.6, 40))
+        advanced, measured = [], []
+
+        def counted_advance(psi, t_from, times):
+            advanced.append(t_from)
+            return made.advance(psi, t_from, times)
+
+        real = squeezing._squeezing
+
+        def counted(n_atoms, psi):
+            measured.append(len(psi))
+            return real(n_atoms, psi)
+
+        monkeypatch.setattr(squeezing, "_squeezing", counted)
+        optimal_squeezing(dataclasses.replace(made, advance=counted_advance))
+        assert advanced and measured[0] == len(made.times)
+        assert len(measured) == 1 + len(advanced)
+
+    def test_degenerate_refined_points_lose_to_the_grid(self, monkeypatch):
+        # every refined point reports xi^2 = 0, below the grid minimum, with
+        # a degenerate mean spin: the pick must leave them out. A real
+        # zero-mean state would not do: its mean spin is rounding noise, so
+        # its frame and xi^2 are arbitrary
+        traj = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
+                                np.linspace(0, 0.6, 40))
+        grid_best = min(squeezing_curve(traj), key=lambda r: r.xi_squared)
+        real = squeezing._squeezing
+
+        def over_squeezed(n_atoms, psi):
+            xi2, mean, length, angle, degenerate = real(n_atoms, psi)
+            if len(psi) == 1:
+                xi2, degenerate = np.zeros(1), np.ones(1, dtype=bool)
+            return xi2, mean, length, angle, degenerate
+
+        monkeypatch.setattr(squeezing, "_squeezing", over_squeezed)
+        record = optimal_squeezing(traj)
+        assert record.time == grid_best.time
+        assert record.xi_squared == grid_best.xi_squared
+        assert not record.degenerate_flag
+
     def test_driven_refinement_uses_trajectory_control(self, monkeypatch):
         seen = []
         real = evolve._driven_states
