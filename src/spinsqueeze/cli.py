@@ -127,6 +127,8 @@ def _cmd_evolve(args):
 def _cmd_scan_n(args):
     names = [s.strip() for s in args.hamiltonians.split(",") if s.strip()]
     # full templates carry the ratio as g at omega = 1; the sweep sets omega per N
+    if "full" in names and not (math.isfinite(args.ratio) and args.ratio >= 0):
+        raise ValidationError(f"--ratio (g/omega) must be finite and >= 0, got {args.ratio!r}")
     specs = [_make_spec(name, args.chi, g=args.ratio, omega=1.0, a=args.a)
              for name in names]
     table, fits = run_n_scaling(specs, _parse_n_list(args.n_list), args.axis)

@@ -1,10 +1,11 @@
 """State propagation: exact for constant Hamiltonians, RK4 for the driven one.
 
-A constant Hamiltonian is eigendecomposed once, on its two index-parity
-blocks when it never couples even to odd indices (every variant here), in
-real arithmetic when a block is real. A static spec's blocks are real
-symmetric tridiagonal and come straight from its quadratic form's bands,
-so no dense (N+1)^2 operator is built for it.
+A constant Hamiltonian is eigendecomposed once. A static spec's H never
+couples even to odd indices, so it splits into two index-parity blocks,
+real symmetric tridiagonal, which come straight from its quadratic form's
+bands: no dense (N+1)^2 operator is built for it. A dense Hermitian
+operator is decomposed whole, by one complex eigh, an independent dense
+reference for the banded route.
 
 The driven integrator works in the exact rotating frame of the drive term:
 psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
@@ -77,11 +78,15 @@ class StepControl:
 
     def quarter_steps(self, spec, n_atoms):
         """RK4 steps per quarter drive period, the one place the grid is set;
-        a period whose step count (4 quarters) is not a finite float raises
+        a twisting step that is not > 0 (chi J(J+1) overflows), or a period
+        whose step count (4 quarters) is not a finite float, raises
         ValidationError."""
         j = n_atoms / 2
         period = 2 * math.pi / spec.drive.frequency_omega
         twist = TWIST_STEP_SCALE / self.factor / (spec.chi * j * (j + 1))
+        if not twist > 0:
+            raise ValidationError(
+                f"chi={spec.chi!r} leaves no RK4 twisting step at N = {n_atoms}")
         ratio = period / 4 / twist
         if not math.isfinite(4 * ratio):
             raise ValidationError(
@@ -160,35 +165,15 @@ class Trajectory:
         return tuple(DickeState(self.n_atoms, row) for row in self.amplitudes)
 
 
-def _eigen_blocks(matrix):
-    """(rows, evals, evecs) for each block of H that evolves on its own.
-
-    An H with no entry between even and odd indices (every quadratic form
-    in J, drive included) splits into its two index-parity blocks; any
-    other H is one block. A block with zero imaginary part is
-    eigendecomposed in real arithmetic.
-    """
-    if np.any(matrix[0::2, 1::2]) or np.any(matrix[1::2, 0::2]):
-        parts = [slice(None)]
-    else:
-        parts = [slice(0, None, 2), slice(1, None, 2)]
-    blocks = []
-    for rows in parts:
-        block = matrix[rows, rows]
-        if not np.any(block.imag):
-            block = block.real
-        blocks.append((rows, *np.linalg.eigh(block)))
-    return blocks
-
-
 def _band_blocks(spec, n_atoms):
-    """`_eigen_blocks` of a static spec's H, with no dense (N+1)^2 operator.
+    """(rows, evals, evecs) for each index-parity block of a static spec's
+    H, with no dense (N+1)^2 operator.
 
-    Parity block p is real symmetric tridiagonal, with diagonal diag[p::2]
-    and off-diagonal upper[p::2]: the very numbers `_eigen_blocks` reads
-    out of the dense operator, so eigh gives the same bits.
+    A quadratic form in J has only the main and +-2 diagonals, so it never
+    couples even to odd indices: parity block p is real symmetric
+    tridiagonal, with diagonal diag[p::2] and off-diagonal upper[p::2].
     """
-    diag, upper = _quadratic_bands(n_atoms, [spec.chi * w for w in spec.weights])
+    diag, upper = _quadratic_bands(n_atoms, spec.chi, spec.weights)
     blocks = []
     for parity in (0, 1):
         size = len(diag[parity::2])
@@ -214,11 +199,19 @@ def _static_states(blocks, psi, t_from, times):
     """Rows exp(-i H dt)|psi> for each dt = t - t_from of `times`, as
     V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from.
 
-    Two products per block make every row. Times that break `_check_span`
-    raise ValidationError, and a row whose norm drifts beyond
+    Two products per block make every row. Times that break `_check_span`,
+    or a span whose largest phase |lambda| (t - t_from) is not a finite
+    float, raise ValidationError, and a row whose norm drifts beyond
     spin_core.NORM_TOL (NaN too) IntegrationError.
     """
     times = _check_span(t_from, times)
+    if len(times):  # eigh sorts each block's evals: the largest |lambda| is an end one
+        top = float(max(max(-evals[0], evals[-1]) for _, evals, _ in blocks))
+        # Python floats overflow to inf without a numpy warning
+        if not math.isfinite(top * (float(times[-1]) - float(t_from))):
+            raise ValidationError(
+                f"the phase exp(-i lambda t) overflows at t = {times[-1]:g} "
+                f"from t = {t_from:g} (largest |lambda| {top:g})")
     out = np.empty((len(times), len(psi)), dtype=complex)
     for rows, evals, evecs in blocks:
         coeffs = _apply(evecs.conj().T, psi[rows, None])
@@ -236,10 +229,11 @@ def _static_states(blocks, psi, t_from, times):
 def propagate_static(hamiltonian, initial, times):
     """Exact evolution under a constant Hamiltonian via one eigendecomposition.
 
-    `hamiltonian` is a static HamiltonianSpec, decomposed from its bands
-    (`_band_blocks`), or a Hermitian CollectiveOperator, decomposed block by
-    block (`_eigen_blocks`). The trajectory's `advance` is `_static_states`
-    on those blocks, which makes its rows from t = 0.
+    `hamiltonian` is a static HamiltonianSpec, decomposed on its parity
+    blocks from its bands (`_band_blocks`), or a Hermitian
+    CollectiveOperator, decomposed whole as one complex block. The
+    trajectory's `advance` is `_static_states` on those blocks, which makes
+    its rows from t = 0.
     """
     times = _check_times(times)
     if not isinstance(initial, DickeState):
@@ -256,7 +250,7 @@ def propagate_static(hamiltonian, initial, times):
             raise ValidationError("Hamiltonian and initial state disagree on N")
         if not hamiltonian.is_hermitian():
             raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-        blocks = _eigen_blocks(hamiltonian.matrix)
+        blocks = [(slice(None), *np.linalg.eigh(hamiltonian.matrix))]
     advance = partial(_static_states, blocks)
     return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 

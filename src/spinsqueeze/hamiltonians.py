@@ -186,7 +186,7 @@ def build_hamiltonian(spec, n_atoms, time=0.0):
     drive term carries cos(omega t).
     """
     n = _check_n_atoms(n_atoms)
-    diag, upper = _quadratic_bands(n, [spec.chi * w for w in spec.weights])
+    diag, upper = _quadratic_bands(n, spec.chi, spec.weights)
     if spec.drive is not None:
         g, omega = spec.drive.amplitude_g, spec.drive.frequency_omega
         diag = diag + g * np.cos(omega * time) * _jz_diagonal(n)

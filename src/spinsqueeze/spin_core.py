@@ -140,9 +140,18 @@ def _raw_matrices(n_atoms):
     return (jp + jm) / 2, (jp - jm) / 2j, jz, jp, jm
 
 
-def _quadratic_bands(n_atoms, weights):
-    """Main and +2 diagonals of the real wx Jx^2 + wy Jy^2 + wz Jz^2, in O(N)."""
-    wx, wy, wz = weights
+def _quadratic_bands(n_atoms, chi, weights):
+    """Main and +2 diagonals of the real chi (wx Jx^2 + wy Jy^2 + wz Jz^2), in O(N).
+
+    Every entry and eigenvalue is at most chi (|wx| + |wy| + |wz|) J(J+1) in
+    size; a chi that makes this bound overflow raises ValidationError
+    before any array is formed.
+    """
+    wx, wy, wz = (float(chi) * float(w) for w in weights)  # Python floats: no numpy warning
+    j = n_atoms / 2
+    if not math.isfinite((abs(wx) + abs(wy) + abs(wz)) * j * (j + 1)):
+        raise ValidationError(
+            f"chi={chi!r} makes the Hamiltonian's entries overflow at N = {n_atoms}")
     _, _, side, upper, m2 = _bands(n_atoms)
     return wx * side + wy * side + wz * m2, wx * upper - wy * upper
 

@@ -129,6 +129,23 @@ def test_parser_reads_each_line(capsys, argv, parsed):
     assert args == parsed
 
 
+def readme_cli_lines():
+    """Every `spinsqueeze ...` command of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.split()[1:] for line in joined.splitlines()
+            if line.startswith("spinsqueeze ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = readme_cli_lines()
+    assert len(lines) == 5
+    for argv in lines:
+        args = build_parser().parse_args(argv)
+        assert args.run is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+
+
 class TestSolveRatio:
     def test_prints_first_root(self, capsys):
         code, out, _ = run(capsys, "solve-ratio", "--target-a", "0.3333333333")
@@ -212,6 +229,19 @@ class TestEvolve:
                              "--samples", "5", "--out", str(tmp_path / "x.csv"))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("drive", [[], ["--g", "1", "--omega", "10"]],
+                             ids=["oat", "full"])
+    def test_chi_past_float_range_is_exit_1(self, tmp_path, capsys, drive):
+        # the static run died in eigh, the driven one on a zero RK4 step
+        name = "full" if drive else "oat"
+        code, out, err = run(capsys, "evolve", "--hamiltonian", name, "--n", "8",
+                             *drive, "--tmax", "1", "--samples", "3", "--chi", "1e308",
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: chi=1e+308 ") and "N = 8" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_absurd_sample_count_is_refused(self, tmp_path, capsys):
@@ -305,6 +335,23 @@ class TestScanN:
                            "--out", str(tmp_path / "scaling.csv"))
         assert code == 1
         assert err == f"error: --n-list entries must be integers, got '{token}'\n"
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-1"])
+    def test_bad_ratio_is_exit_1(self, tmp_path, capsys, ratio):
+        # the full template's g at omega = 1 was blamed as a drive amplitude
+        out_file = tmp_path / "scaling.json"
+        code, out, err = run(capsys, "scan-n", "--hamiltonians", "full",
+                             "--n-list", "4,6,8,10,12", "--ratio", ratio,
+                             "--out", str(out_file))
+        assert code == 1 and out == ""
+        assert err == f"error: --ratio (g/omega) must be finite and >= 0, got {float(ratio)!r}\n"
+        assert not out_file.exists()
+
+    def test_ratio_ignored_without_full(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "scan-n", "--hamiltonians", "oat",
+                         "--n-list", "4,6,8,10,12", "--ratio", "nan",
+                         "--out", str(tmp_path / "scaling.csv"))
+        assert code == 0
 
     def test_empty_n_list_token_is_skipped(self):
         assert _parse_n_list("4,,6") == [4, 6]

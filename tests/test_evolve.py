@@ -69,8 +69,8 @@ class TestPropagateStatic:
 
     @pytest.mark.parametrize("couplings", ["odd", "complex-even"])
     def test_non_variant_operator_matches_expm_oracle(self, couplings):
-        # odd couplings keep H one block; complex even couplings give two
-        # complex parity blocks
+        # odd couplings and complex even-only couplings: the operator is
+        # decomposed whole either way
         n, t = 7, 0.41
         rng = np.random.default_rng(11)
         a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
@@ -90,7 +90,7 @@ class TestPropagateStatic:
     def test_norm_guard_fails_on_nan(self):
         # a NaN state row makes NaN rows; the time rule refuses a non-finite
         # time before any row is made (TestAdvance)
-        blocks = evolve._eigen_blocks(build_hamiltonian(TATxz(), 6).matrix)
+        blocks = evolve._band_blocks(TATxz(), 6)
         row = css(6).amplitudes.copy()
         row[2] = np.nan
         with pytest.raises(IntegrationError, match="lost norm"), \
@@ -102,15 +102,17 @@ class TestPropagateStatic:
         OAT(), TATxz(), TATyz(), EffectiveMixed(0.5), EffectiveMixed(-0.3)],
         ids=["oat", "tat-xz", "tat-yz", "mixed+0.5", "mixed-0.3"])
     def test_spec_gives_the_operators_bits(self, spec, n):
-        # a spec's blocks come from its bands, the operator's from its dense
-        # matrix; eigh sees the same numbers, so every bit agrees
+        # a spec's parity blocks come from its bands, the operator is
+        # decomposed whole: two independent routes, which agree to 1e-12
+        # (the last bits differ; the name is kept for its 25 case ids)
         times = np.linspace(0.0, 0.7, 9)
         by_spec = propagate_static(spec, css(n), times)
         by_operator = propagate_static(build_hamiltonian(spec, n), css(n), times)
-        assert np.array_equal(by_spec.amplitudes, by_operator.amplitudes)
+        assert np.max(np.abs(by_spec.amplitudes - by_operator.amplitudes)) <= 1e-12
         start = by_spec.amplitudes[3]
-        assert np.array_equal(by_spec.advance(start, times[3], np.array([0.41])),
-                              by_operator.advance(start, times[3], np.array([0.41])))
+        ahead = [traj.advance(start, times[3], np.array([0.41]))
+                 for traj in (by_spec, by_operator)]
+        assert np.max(np.abs(ahead[0] - ahead[1])) <= 1e-12
 
     def test_rejects_driven_spec(self):
         with pytest.raises(ValidationError, match="propagate_driven"):
@@ -146,6 +148,31 @@ def test_rejects_bare_amplitudes(call):
     # the propagators raised AttributeError on a bare array, reading .n_atoms
     with pytest.raises(ValidationError, match="expects a DickeState"):
         call(css(4).amplitudes)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: build_hamiltonian(OAT(1e308), 8), "entries overflow at N = 8"),
+    (lambda: propagate_static(OAT(1e308), css(8), [0.0, 1.0]),
+     "entries overflow at N = 8"),
+    (lambda: propagate_driven(FullDriven(DriveParams(1.0, 10.0), 1e308), css(8),
+                              [0.0, 1.0]), "no RK4 twisting step at N = 8"),
+], ids=["build_hamiltonian", "propagate_static", "propagate_driven"])
+def test_chi_past_float_range_is_refused(call, match):
+    # the dense and banded routes failed eigh or lost norm to NaN, with
+    # overflow warnings; the driven step grid divided by a zero step
+    with pytest.raises(ValidationError, match=r"chi=1e\+308 .*" + match):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: propagate_static(TATxz(), css(8), [0.0, 1e308]),
+    lambda: propagate_static(TATxz(), css(8), [0.0, 1.0]).advance(
+        css(8).amplitudes, 0.0, [1e308]),
+], ids=["propagate_static", "advance"])
+def test_static_phase_past_float_range_is_refused(call):
+    # the phase overflowed with a warning, and the NaN rows blamed the norm
+    with pytest.raises(ValidationError, match=r"overflows at t = 1e\+308"):
+        call()
 
 
 class TestPropagateDriven:
