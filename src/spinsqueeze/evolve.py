@@ -28,10 +28,13 @@ A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. A
 sample's grid steps, over the 2q of a half period, give its half period k
 and phase tau < T/2: it is F^k W(tau) r_k, r_k = (F W_h)^k applied to the
 start. The identity march mirrors the second quarter onto the first,
-since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. A run
-spanning too few periods makes no jump: its samples are all phases of
-period 0, and the march carries the one start itself. A run whose
-estimated work is over budget is refused before any step. States are
+since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. Over less
+than a period W is banded to machine precision, so every propagator is
+held by its 2b+1 diagonals, b set by the march itself: O(bN) memory and
+work, not O(N^2). A run jumps when it spans a whole period and its
+estimated work, counted in stored entries stepped, is lower that way;
+otherwise the march carries the one start itself. A run whose estimated
+work is over budget is refused before any step. States are
 mapped back to the lab frame at every sample point, so trajectories
 always contain genuine psi(t).
 """
@@ -40,7 +43,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,9 +56,11 @@ from .spin_core import (CollectiveOperator, DickeState, _bands, _frozen,
 
 NORM_TOL = 1e-8  # driven RK4 norm drift allowed between renormalizations
 
-# The driven RK4 grid resolves the drive (QUARTER_STEPS per quarter period)
-# and the co-rotated twisting (steps of at most TWIST_STEP_SCALE / (chi
-# J(J+1)), binding at large N); halving its step moves xi^2 by < 1e-6.
+# The driven RK4 grid resolves the drive (QUARTER_STEPS per quarter period,
+# times g/omega when that is above 1: the co-rotated phase 2 (g/omega)
+# sin(omega t) turns at up to 2 g) and the co-rotated twisting (steps of
+# at most TWIST_STEP_SCALE / (chi J(J+1)), binding at large N); halving its
+# step moves xi^2 by < 1e-6.
 QUARTER_STEPS = 16
 TWIST_STEP_SCALE = 0.015
 
@@ -77,10 +82,11 @@ class StepControl:
         return StepControl(self.factor * factor)
 
     def quarter_steps(self, spec, n_atoms):
-        """RK4 steps per quarter drive period, the one place the grid is set;
-        a twisting step that is not > 0 (chi J(J+1) overflows), or a period
-        whose step count (4 quarters) is not a finite float, raises
-        ValidationError."""
+        """RK4 steps per quarter drive period, the one place the grid is set:
+        q = max(ceil(16 f max(1, g/omega)), ceil((T/4) / twisting step)) for
+        the refinement factor f. A twisting step that is not > 0 (chi J(J+1)
+        overflows), or a period whose step count (4 quarters) is not a
+        finite float, raises ValidationError."""
         j = n_atoms / 2
         period = 2 * math.pi / spec.drive.frequency_omega
         twist = TWIST_STEP_SCALE / self.factor / (spec.chi * j * (j + 1))
@@ -88,11 +94,12 @@ class StepControl:
             raise ValidationError(
                 f"chi={spec.chi!r} leaves no RK4 twisting step at N = {n_atoms}")
         ratio = period / 4 / twist
-        if not math.isfinite(4 * ratio):
+        drive = QUARTER_STEPS * self.factor * max(1.0, spec.drive.ratio)
+        if not math.isfinite(4 * max(ratio, drive)):
             raise ValidationError(
                 f"drive period {period:g} is too long for the RK4 step grid "
-                f"(twisting step {twist:g})")
-        return max(QUARTER_STEPS * self.factor, math.ceil(ratio))
+                f"(twisting step {twist:g}, g/omega {spec.drive.ratio:g})")
+        return max(math.ceil(drive), math.ceil(ratio))
 
 
 def _check_span(t_from, times):
@@ -255,49 +262,54 @@ def propagate_static(hamiltonian, initial, times):
     return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 
-def _rk4_stepper(spec, n_atoms, width):
-    """step(block, t, dt): one RK4 step of rotating-frame states, in place.
+def _rk4_core(spec, diag, band, shift, work):
+    """step(block, t, dt): one RK4 step of rotating-frame columns, in place.
 
-    `block` holds the states as the columns of (N+1, C), C <= width. t and
-    dt are scalars, or arrays with one value per column: then each column
-    steps from its own time, at its own drive phase, by its own dt.
-    Jx^2 is real with only the 0 and +-2 diagonals, and m falls by one per
-    index, so co-rotating multiplies its upper band by exp(2i theta) and its
-    lower band by the conjugate. The four work arrays are allocated here,
-    once. A step with scalar t allocates nothing of the block's size; with
-    one t per column it builds each band's per-column coefficients, at most
-    4096 entries in a partial-step chunk (`_CHUNK_ENTRIES`) below N = 4096.
+    The co-rotated generator is A(t) = -i chi (D + e^(2i theta) U + h.c.),
+    theta = (g/omega) sin(omega t), with D the diagonal of Jx^2 and U its +2
+    band: Jx^2 is real with only the 0 and +-2 diagonals, and m falls by one
+    per index, so co-rotating multiplies U by exp(2i theta) and U^T by the
+    conjugate. `diag` holds D and `band` U laid out like the block, where a
+    +2 neighbour lies `shift` rows down. `work` holds the four work arrays,
+    (4, rows, width), allocated once by the caller. t and dt are scalars,
+    or arrays with one value per column: then each column steps from its
+    own time, at its own drive phase, by its own dt, and each band's
+    per-column coefficients are built for the step.
     """
-    diag, upper = _bands(n_atoms)[2:4]  # Jx^2's diagonal and +2 band
-    diag = -1j * spec.chi * diag[:, None]
-    band = -1j * spec.chi * upper[:, None]
+    diag = -1j * spec.chi * diag
+    band = -1j * spec.chi * band
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
-    work = np.empty((4, n_atoms + 1, width), dtype=complex)
+    width = work.shape[2]
     whole = tuple(work)
 
-    def deriv(t, src, k, tmp):  # k = A(t) src
+    def coefficients(t):  # the two bands' co-rotated coefficients at t
         if isinstance(t, np.ndarray):  # one phase per column, each the scalar's bits
             phase = np.array([cmath.exp(2j * r * math.sin(omega * x))
                               for x in t.tolist()])
         else:
             phase = cmath.exp(2j * r * math.sin(omega * t))
+        return phase * band, phase.conjugate() * band
+
+    def deriv(src, coeffs, k, tmp):  # k = A(t) src
+        above, below = coeffs
         np.multiply(diag, src, out=k)
-        np.multiply(phase * band, src[2:], out=tmp[:-2])
-        k[:-2] += tmp[:-2]
-        np.multiply(phase.conjugate() * band, src[:-2], out=tmp[2:])
-        k[2:] += tmp[2:]
+        np.multiply(above, src[shift:], out=tmp[:-shift])
+        k[:-shift] += tmp[:-shift]
+        np.multiply(below, src[:-shift], out=tmp[shift:])
+        k[shift:] += tmp[shift:]
 
     def step(block, t, dt):
-        # block += dt/3 (k1/2 + k2 + k3 + k4/2)
+        # block += dt/3 (k1/2 + k2 + k3 + k4/2); k2 and k3 share a phase
         cols = block.shape[1]
         k, y, acc, tmp = whole if cols == width else work[:, :, :cols]
-        deriv(t, block, k, tmp)
+        deriv(block, coefficients(t), k, tmp)
         np.multiply(k, 0.5, out=acc)
-        for frac in (0.5, 0.5, 1.0):
+        middle = coefficients(t + 0.5 * dt)
+        for frac, coeffs in ((0.5, middle), (0.5, middle), (1.0, coefficients(t + dt))):
             np.multiply(k, frac * dt, out=y)
             y += block
-            deriv(t + frac * dt, y, k, tmp)
+            deriv(y, coeffs, k, tmp)
             if frac == 1.0:
                 k *= 0.5
             acc += k
@@ -307,19 +319,222 @@ def _rk4_stepper(spec, n_atoms, width):
     return step
 
 
-def _rk4_march(step, block, t, h, knots):
-    """Advance `block` in place by RK4 steps of h, on the grid t + j h.
+def _rk4_stepper(spec, n_atoms, width):
+    """step(block, t, dt): one RK4 step of rotating-frame states, in place.
 
-    Yields once `block` holds the states at each knot index j of the
-    increasing `knots`. No step is ever cut short: a time between knots is
-    reached from the knot below it (see `_driven_states`).
+    `block` holds the states as the columns of (N+1, C), C <= width. t and
+    dt are scalars, or arrays with one value per column (`_rk4_core`). The
+    four work arrays are allocated here, once. A step with scalar t
+    allocates nothing of the block's size; with one t per column it builds
+    each band's per-column coefficients, at most 4096 entries in a
+    partial-step chunk (`_CHUNK_ENTRIES`) below N = 4096.
+    """
+    diag, upper = _bands(n_atoms)[2:4]  # Jx^2's diagonal and +2 band
+    work = np.empty((4, n_atoms + 1, width), dtype=complex)
+    return _rk4_core(spec, diag[:, None], upper[:, None], 2, work)
+
+
+# A propagator W over less than a drive period is held by its diagonals,
+# B[s + b, c] = W[c + 2s, c] for s = -b..b: shape (2b+1, N+1), zero where
+# c + 2s falls off the matrix, O(bN) memory and work, not O(N^2). Jx^2 moves
+# an index by 0 or 2, so W never couples even to odd indices, and the
+# exponential of a banded generator decays faster than exponentially away
+# from its diagonal (Iserles, N. Z. J. Math. 29, 2000): over a quarter
+# period no entry past b = 13 reaches 1e-16 at N = 100 (omega = 2000 chi),
+# nor past 15 at N = 512 (scan-n's omega = 70 N chi). An entry k diagonals
+# out is at most rho^k / k! exp(rho^2 / (k + 1)) (the Dyson series' paths
+# of k net +2 moves), with rho the quarter period times chi times the
+# largest entry of Jx^2's +2 band (`_band_estimate`).
+#
+# A march starts from the identity's band, b = 0, and drops the diagonals
+# past its band. Before every step it looks at its two outer diagonals,
+# and adds EDGE_WIDEN zero diagonals on each side once either holds an
+# entry above EDGE_TOL. That is the reach of one RK4 step, a polynomial of
+# degree 4 in h A, so a step drops nothing from a band it has just
+# widened; any other step drops what flows past an edge below EDGE_TOL, at
+# most about h chi |U| <= rho / q of it per step (the diagonals further in
+# add only higher powers of rho / q). Over the march's q steps that is at
+# most about rho EDGE_TOL per entry: rho is below 3 at every point of
+# scan-n up to N = 2000, so the loss stays below the rounding that the
+# march's own q steps leave in an entry of size 1.
+EDGE_TOL = 2.0 ** -53  # the unit roundoff
+EDGE_WIDEN = 4
+
+
+def _band_layout(values, b, n_atoms):
+    """values[c + 2s] at [s + b, c] for s = -b..b, zero off `values`: a band of
+    a matrix's diagonal (len N+1) or +2 band (len N-1) in band storage, read
+    off one zero-padded copy through a sliding window."""
+    padded = np.zeros(n_atoms + 1 + 4 * b)
+    padded[2 * b:2 * b + len(values)] = values
+    item = padded.itemsize
+    return np.ndarray((2 * b + 1, n_atoms + 1), float, padded,
+                      strides=(2 * item, item)).copy()
+
+
+def _band_stepper(spec, n_atoms):
+    """step(band, t, dt) -> band: one RK4 step of a propagator in band storage.
+
+    A's diagonal D[c + 2s] acts on row s of column c, and its +2 band
+    U[c + 2s] couples rows s and s + 1 of the same column, so the step is
+    the dense one's arithmetic on (2b+1, N+1) arrays with shift 1, and the
+    entries it keeps take the same bits as in a dense march. Each step
+    first widens the band by EDGE_WIDEN zero diagonals a side if an outer
+    one holds an entry above EDGE_TOL, capped at b = N // 2, where the band
+    holds the whole matrix; then it returns the new array, and its work
+    arrays are made anew.
+    """
+    diag, upper = _bands(n_atoms)[2:4]
+    cap = n_atoms // 2
+    core = None
+
+    def step(band, t, dt):
+        nonlocal core
+        b = len(band) // 2
+        if b < cap and np.abs(band[::max(1, 2 * b)]).max() > EDGE_TOL:
+            b = min(cap, b + EDGE_WIDEN)
+            band = _widened(band, b)
+            core = None
+        if core is None:
+            work = np.empty((4, *band.shape), dtype=complex)
+            core = _rk4_core(spec, _band_layout(diag, b, n_atoms),
+                             _band_layout(upper, b, n_atoms)[:-1], 1, work)
+        core(band, t, dt)
+        return band
+
+    return step
+
+
+def _band_identity(n_atoms):
+    """The identity in band storage, b = 0."""
+    return np.ones((1, n_atoms + 1), dtype=complex)
+
+
+def _widened(band, b):
+    """`band` with zero diagonals added out to half-width b."""
+    out = np.zeros((2 * b + 1, band.shape[1]), dtype=complex)
+    extra = b - len(band) // 2
+    out[extra:len(out) - extra] = band
+    return out
+
+
+def _trimmed(band):
+    """`band` without its outer diagonal pairs whose entries are all <= EDGE_TOL."""
+    b = len(band) // 2
+    big = np.flatnonzero(np.abs(band).max(axis=1) > EDGE_TOL)
+    keep = int(np.abs(big - b).max()) if len(big) else 0
+    return band[b - keep:b + keep + 1]
+
+
+def _reflected(band):
+    """F W F in band storage, for W in band storage; F reverses the index,
+    k -> N - k, so F W F [c + 2s, c] = W[N - c - 2s, N - c]."""
+    return band[::-1, ::-1]
+
+
+def _transposed(band):
+    """W^T in band storage: W^T [c + 2s, c] = W[c, c + 2s], row b - s of the
+    band read 2s columns on, through a strided view of one padded copy."""
+    rows, size = band.shape
+    b = rows // 2
+    padded = np.zeros((rows, size + 4 * b), dtype=complex)
+    padded[:, 2 * b:2 * b + size] = band
+    item = padded.itemsize
+    view = np.ndarray(band.shape, complex, padded, offset=4 * b * item,
+                      strides=(padded.strides[0] - 2 * item, item))
+    return view[::-1].copy()
+
+
+def _band_product(x, y):
+    """X Y in band storage, trimmed (`_trimmed`), for X and Y in band storage.
+
+    Column c of Y holds Y[c + 2t, c] at row t, and column c + 2t of X holds
+    X[c + 2t + 2u, c + 2t] at row u, so each t adds one product of arrays
+    (2bx+1, N+1) to rows t + u of the result: 2by+1 of them in all.
+    """
+    bx, by = len(x) // 2, len(y) // 2
+    size = x.shape[1]
+    b = min(bx + by, (size - 1) // 2)
+    out = np.zeros((2 * (bx + by) + 1, size), dtype=complex)
+    for t in range(-by, by + 1):
+        lo, hi = max(0, -2 * t), min(size, size - 2 * t)
+        rows = out[by + t:by + t + 2 * bx + 1, lo:hi]
+        rows += x[:, lo + 2 * t:hi + 2 * t] * y[by + t, lo:hi]
+    return _trimmed(out[bx + by - b:bx + by + b + 1])
+
+
+# Batched partial steps take up to this many entries (64 KB of complex) per
+# work array, so 4096 // (N+1) columns and at least one: a small-N sweep
+# point's ~200 off-knot samples take one step, not dozens.
+_CHUNK_ENTRIES = 4096
+
+
+def _band_apply(band, vectors):
+    """W @ vectors for (N+1,) or (N+1, C) vectors, W in band storage.
+
+    Row s of W's band, times a vector, goes into a zero-padded buffer at
+    column 2b + c for column c; (W v)[i] sums each row s's entry at column
+    i + 4b - 2s, which a strided view lines up, so the work is two passes
+    over (2b+1)(N+1) entries per vector, whatever b is. Vectors go through
+    in chunks whose buffer holds at most _CHUNK_ENTRIES * 8 entries
+    (512 KB), or one vector.
+    """
+    rows, size = band.shape
+    b = rows // 2
+    wide = size + 4 * b
+    width = max(1, _CHUNK_ENTRIES * 8 // (rows * wide))
+    if vectors.ndim == 2 and vectors.shape[1] > width:
+        return np.hstack([_band_apply(band, vectors[:, lo:lo + width])
+                          for lo in range(0, vectors.shape[1], width)])
+    cols = vectors.size // size
+    if not cols:
+        return np.empty_like(vectors)
+    buf = np.zeros((rows, cols, wide), dtype=complex)
+    np.multiply(band[:, None], vectors.T, out=buf[:, :, 2 * b:2 * b + size])
+    item = buf.itemsize
+    summed = np.ndarray((rows, cols, size), complex, buf, offset=4 * b * item,
+                        strides=((cols * wide - 2) * item, wide * item, item)).sum(axis=0)
+    return summed.T if vectors.ndim == 2 else summed[0]
+
+
+def _band_matvec(band):
+    """v -> W v, one (N+1,) vector at a time, W in band storage.
+
+    W's rows, W[i, i + 2s], are laid out once (`_transposed`), and each
+    product sums them against a sliding window of one zero-padded buffer:
+    two passes over (2b+1)(N+1) entries in three numpy calls per vector.
+    """
+    rows = _transposed(band)
+    b = len(rows) // 2
+    size = rows.shape[1]
+    padded = np.zeros(size + 4 * b, dtype=complex)
+    window = np.ndarray(rows.shape, complex, padded,
+                        strides=(2 * padded.itemsize, padded.itemsize))
+
+    def matvec(vector):
+        padded[2 * b:2 * b + size] = vector
+        return (rows * window).sum(axis=0)
+
+    return matvec
+
+
+def _rk4_march(step, block, t, h, knots):
+    """Advance `block` by RK4 steps of h, on the grid t + j h.
+
+    Yields the block once it holds the states at each knot index j of the
+    increasing `knots`: the one it was given, stepped in place, or the
+    wider array that a band stepper (which returns its band) has moved it
+    to. No step is ever cut short: a time between knots is reached from
+    the knot below it (see `_driven_states`).
     """
     done = 0
     for knot in knots:
         for j in range(done, knot):
-            step(block, t + j * h, h)
+            stepped = step(block, t + j * h, h)
+            if stepped is not None:  # a band stepper's band, maybe widened
+                block = stepped
         done = knot
-        yield
+        yield block
 
 
 def _normalize(block, times, n_atoms, dt):
@@ -351,113 +566,78 @@ def _grid_split(elapsed, step):
     return k, elapsed - k * step
 
 
-# Stage 1 marches q RK4 steps on (N+2)//2 columns and stage 3 up to q more;
-# the plain march takes 4q one-column steps a period. With one BLAS thread a
-# one-column step costs 30-90 us and a block step 40-90 us (N <= 32), 0.2 ms
-# (N = 100), 1.2 ms (256) and 8-9 ms (512). One driven_state_at call at
-# omega = 70 N chi (CPU, best of 2-3, noisy to about 1.5x) broke even with
-# jumps at P whole periods, against 1 + ((N+1)/75)^2:
-#   N                          8-32     64   100  160      256    512
-#   from t = 0 over P + 1/4    0.6-0.8  1.8  3.0  3.9-6.8  16-20  92-98
-#   from 0.37 T over P + 1/2   0.5-0.7  1.0  1.8  4.4      16     90
-#   1 + ((N+1)/75)^2           1.0-1.2  1.8  2.8  5.6      12.7   48
-# It is within noise up to N = 256 and jumps early at N = 512, where block
-# steps are slow.
-def _jumps_pay(n_atoms, periods):
-    return periods >= 1 + ((n_atoms + 1) / 75) ** 2
+@lru_cache(maxsize=256)
+def _band_estimate(spec, n_atoms, quarter_time):
+    """An upper bound on the half-width b that a march over quarter_time
+    reaches: the first multiple of EDGE_WIDEN (or N // 2) at or past the
+    first k whose bound rho^k / k! exp(rho^2 / (k + 1)) is <= EDGE_TOL,
+    rho = quarter_time chi max|U|, with U Jx^2's +2 band."""
+    cap = n_atoms // 2
+    upper = _bands(n_atoms)[3]
+    rho = quarter_time * spec.chi * float(upper.max(initial=0.0))
+    k = 0  # Python floats: an absurd rho makes inf or NaN, and takes the cap
+    while k < cap and not (rho == 0.0 or k * math.log(rho) - math.lgamma(k + 1)
+                           + rho * rho / (k + 1) <= math.log(EDGE_TOL)):
+        k += 1
+    return min(cap, -(-k // EDGE_WIDEN) * EDGE_WIDEN)
 
 
-# Work budget of one driven run, in column steps: one RK4 grid step on one
-# state column, or one period jump (a matvec on one period start). Timed
-# with one thread, a column step costs 4 us inside a 51-column block
-# (N = 100), 34 us in a 257-column one (N = 512), 210 us in a 1001-column
-# one (N = 2000) and 50-120 us alone; a jump 16 us (N = 10) to 5 ms
-# (N = 2000). So the budget admits runs of a minute or two: at omega =
-# 70 N chi under the default StepControl, N = 1000 (about 3.8e5) but not
-# N = 2000 (1.5e6).
-_WORK_MAX = 1e6
+# _check_cost counts work in entry steps: one RK4 step over one stored
+# entry, 0.016 us with one BLAS thread up to about 1e4 entries and up to
+# 0.04 us past 1e5. A step also costs a fixed _STEP_ENTRIES, its 40-odd
+# numpy calls: a one-column step took 19 us at N = 8 and 51 us at N = 2000.
+# Building W_h and W_T, three band products, costs about b band steps
+# (5-47% of a quarter march from N = 6 to 1000), and a jump, one band
+# product with one vector, about 1/8 of a band step (1/5 to 1/11 measured).
+_STEP_ENTRIES = 1200
+
+# Work budget of one driven run, in entry steps. It admits runs of a minute
+# or two: scan-n's points at omega = 70 N chi under the default StepControl
+# are estimated at about 9e6 (N = 512), 4.2e7 (1000) and 2.0e8 (2000).
+_WORK_MAX = 1e9
 
 
-def _check_cost(n_atoms, last, quarter):
-    """Whether the run jumps its whole periods (`_jumps_pay`), given the grid
-    step `last` of its last sample (q = `quarter` steps per quarter period).
+def _check_cost(spec, n_atoms, last, quarter):
+    """Whether the run jumps its whole periods, given the grid step `last` of
+    its last sample (q = `quarter` steps per quarter period).
 
-    A run whose work would exceed _WORK_MAX is refused first, with its
-    estimate in grid steps, which bounds what `_driven_states` marches: with
-    jumps, 2q steps on (N+2)//2 + 1 columns (a lead-in of at most 2q - 1
-    steps on one column to the first multiple of T/2, and stage 1's and
-    stage 3's quarter periods on (N+2)//2) and one jump per whole period
-    (stage 2), the lead-in's spare step paying for the jump past the last
-    period that a mirrored sample may take; without, last + 1 steps on one
-    column (to the last knot, and its partial step). An absurd span makes
-    the float `last` inf, which fails the budget.
+    The run's work is estimated both ways, in entry steps, and it jumps if
+    it spans a whole period and jumping is estimated cheaper. Without jumps
+    it marches last + 1 steps on one column (to the last knot, and its
+    partial step). With jumps, the lead-in from a start off the multiples
+    of T/2 marches at most 2q - 1 steps on one column, and stages 1 and 3
+    2q steps in band storage on (2b+1)(N+1) entries, b from
+    `_band_estimate`, which also bounds what they march; then come the
+    products and one jump per whole period. A run whose work would exceed
+    _WORK_MAX is refused, with its estimate. An absurd span makes the
+    float `last` inf, which fails the budget.
     """
+    b = _band_estimate(spec, n_atoms, math.pi / 2 / spec.drive.frequency_omega)
     periods = np.floor(last / (4 * quarter))
-    jumps = _jumps_pay(n_atoms, periods)
+    column = n_atoms + 1 + _STEP_ENTRIES
+    band = (2 * b + 1) * (n_atoms + 1) + _STEP_ENTRIES
+    plain = (last + 1) * column
+    jumping = (2 * quarter - 1) * column + (2 * quarter + b) * band + periods * band / 8
+    jumps = bool(periods >= 1 and jumping < plain)
     if jumps:
-        steps, width = 2.0 * quarter, (n_atoms + 2) // 2 + 1
+        work, steps = jumping, 4 * quarter - 1
     else:
-        steps, width, periods = last + 1, 1, 0.0
-    if not steps * width + periods <= _WORK_MAX:  # NaN and inf fail too
+        work, steps, periods = plain, last + 1, 0.0
+    if not work <= _WORK_MAX:  # NaN and inf fail too
         raise ValidationError(
-            f"driven run too costly: about {steps:.3g} RK4 steps on {width} "
-            f"columns and {periods:.3g} period jumps, over the budget of "
-            f"{_WORK_MAX:.0e} column steps (N = {n_atoms}, q = {quarter:g} steps "
+            f"driven run too costly: about {work:.3g} entry steps, for "
+            f"{steps:.3g} RK4 steps and {periods:.3g} period jumps, over the "
+            f"budget of {_WORK_MAX:.0e} (N = {n_atoms}, q = {quarter:g} steps "
             "per quarter period)")
     return jumps
-
-
-def _parity_identity(n_atoms):
-    """Identity on both index parities as one (N+1, (N+2)//2) block.
-
-    Jx^2 couples index k only to k +- 2, so the propagator W is zero between
-    even and odd indices. The column started at e_2j + e_2j+1 carries W e_2j
-    on its even rows and W e_2j+1 on its odd ones; `_parity_blocks` reads
-    the two blocks back out of the marched block.
-    """
-    dim = n_atoms + 1
-    idx = np.arange(dim)
-    block = np.zeros((dim, (dim + 1) // 2), dtype=complex)
-    block[idx, idx // 2] = 1.0
-    return block
-
-
-def _parity_blocks(block):
-    """(W_even, W_odd) from a block marched from `_parity_identity`."""
-    return block[0::2], block[1::2, :len(block) // 2]
-
-
-def _reflected(blocks, n_atoms):
-    """F W F as parity blocks, for W given as its parity blocks.
-
-    F reverses the Dicke index, k -> N - k. It keeps each parity block when
-    N is even and swaps the two when N is odd, reversing both ways.
-    """
-    if n_atoms % 2:
-        blocks = blocks[::-1]
-    return [w[::-1, ::-1] for w in blocks]
-
-
-def _apply_blocks(blocks, vectors):
-    """W @ vectors for (N+1,) or (N+1, C) vectors, W given as its parity blocks.
-
-    einsum, not @, for CPU time: with default threads `@` is faster per
-    product (0.04 ms against 0.52 ms for one 51 x 51 complex product), but
-    its spinning OpenBLAS threads raised the driven-curve bench's cpu_s
-    from about 0.44 s to 0.53 s with no gain in wall time.
-    """
-    out = np.empty_like(vectors)
-    for parity, w in enumerate(blocks):
-        out[parity::2] = np.einsum("ij,j...->i...", w, vectors[parity::2])
-    return out
 
 
 def _period_propagator(spec, n_atoms, t_start, period, quarter):
     """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
 
-    The start s is a multiple of T/2. Both come as their parity blocks
-    (`_parity_blocks`), from one march of `quarter` RK4 steps over the
-    quarter period, which gives W_q. With F the index reversal,
+    The start s is a multiple of T/2. Both come in band storage, trimmed,
+    from one march of `quarter` RK4 steps over the quarter period in band
+    storage (`_band_stepper`), which gives W_q. With F the index reversal,
     F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
     W_T = F W_h F W_h; and A(s + T/2 - t) = A(s + t) with A^T = F A F, so
     W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states` uses the same two
@@ -465,20 +645,17 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     second to mirror the second quarter onto the first.
     """
     h = period / 4 / quarter
-    block = _parity_identity(n_atoms)
-    step = _rk4_stepper(spec, n_atoms, block.shape[1])
-    for _ in _rk4_march(step, block, t_start, h, [quarter]):
+    for block in _rk4_march(_band_stepper(spec, n_atoms), _band_identity(n_atoms),
+                            t_start, h, [quarter]):
         pass
-    blocks = _parity_blocks(block)
-    half = [np.einsum("ji,jk->ik", f, w)
-            for f, w in zip(_reflected(blocks, n_atoms), blocks)]
-    jump = [np.einsum("ij,jk->ik", f, w)
-            for f, w in zip(_reflected(half, n_atoms), half)]
+    block = _trimmed(block)
+    half = _band_product(_transposed(_reflected(block)), block)
+    jump = _band_product(_reflected(half), half)
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
     # stage 2 renormalizes every period, so only this sees a non-unitary W
-    # (einsum, not @, for CPU time: see _apply_blocks)
-    error = max(np.max(np.abs(np.einsum("ij,ik->jk", w.conj(), w) - np.eye(len(w))))
-                for w in jump)
+    gram = _band_product(_transposed(jump).conj(), jump)
+    gram[len(gram) // 2] -= 1.0
+    error = np.abs(gram).max()
     if not error <= NORM_TOL:  # NaN fails too
         raise IntegrationError(
             f"one-period propagator drift {error:g} exceeds tolerance "
@@ -487,13 +664,26 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     return half, jump
 
 
-# Batched partial steps take up to this many entries (64 KB of complex) per
-# work array, so 4096 // (N+1) columns and at least one: a small-N sweep
-# point's ~200 off-knot samples take one step, not dozens.
-_CHUNK_ENTRIES = 4096
+def _held_propagator(spec, n_atoms, t_start, period, quarter, held):
+    """`_period_propagator` from the multiple t_start of T/2, built once into
+    `held` (a dict, or None to hold nothing) for every start of one grid.
+
+    A(t + T/2) = F A(t) F, so the propagators from an odd multiple of T/2
+    are F W F of those from an even one: `held` keeps the even ones.
+    """
+    odd = _grid_split(np.array([t_start]), period / 2)[0][0] % 2 == 1
+    built = None if held is None else held.get(quarter)
+    if built is None:
+        built = _period_propagator(spec, n_atoms, t_start, period, quarter)
+        if odd:
+            built = tuple(map(_reflected, built))
+        if held is not None:
+            held[quarter] = built
+    return tuple(map(_reflected, built)) if odd else built
 
 
-def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
+def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
+                   held=None):
     """Lab-frame states at `times` as rows (T, N+1), from the state row psi
     at t_start; times that break `_check_span` raise ValidationError.
 
@@ -505,7 +695,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     time t - t_start once into whole grid steps K and a remainder
     rho in [0, h). `_check_cost` decides from the last K whether the run
     jumps, after refusing one whose estimated work exceeds the budget;
-    `jumps` hands that one decision to the two parts of a run split below.
+    `jumps` hands that one decision to the two parts of a run split below,
+    and `held` (a dict, or None) holds W_h and W_T across a trajectory's
+    calls.
     A run that does not jump marches its one start phi over the grid, and
     reads each sample out at its knot K. A run that jumps from a start off
     the multiples of T/2 first marches phi to the next one, t_half, as a
@@ -516,14 +708,16 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     propagator from t_start and W_h = W(T/2), half period k starts from
     r_k = (F W_h)^k phi in the reflected frame, and the sample is
     F^k W(tau) r_k. It is made in three stages:
-    1. build W_h and W_T = F W_h F W_h once (`_period_propagator`), from a
-       quarter period;
-    2. reach each even column r_2n = v_n = W_T v_(n-1) by one matvec, keep
-       those that samples need, and make the odd ones r_(2n+1) = F W_h v_n
-       from them in one batched product;
-    3. march the (N+2)//2-column identity (`_parity_identity`), which gives
-       W(t_j), over the grid to T/4 in one pass, and read each sample out at
-       its knot t_j = j h. A(T/2 - t) = A(t) and
+    1. build W_h and W_T = F W_h F W_h in band storage
+       (`_period_propagator`), from a quarter period, or take them from
+       `held`, the trajectory's (`_held_propagator`);
+    2. reach each even column r_2n = v_n = W_T v_(n-1) by one band
+       product (`_band_matvec`), keep those that samples need, and make
+       the odd ones r_(2n+1) = F W_h v_n from them in one batched product
+       (`_band_apply`);
+    3. march the identity in band storage (`_band_stepper`), which gives
+       W(t_j), over the grid to T/4 in one pass, and read each sample out
+       at its knot t_j = j h by a band product. A(T/2 - t) = A(t) and
        A^T = F A F give W(t_j) = F conj(W(t_(2q-j))) F W_h, so a sample
        reads column r_(k+m), m = 1 if j > q: W(t_j) r_k, or
        F conj(W(t_(2q-j)) conj(r_(k+1))) mirrored. A sample with odd k is
@@ -547,7 +741,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
     h = period / 4 / quarter
     knot, partial = _grid_split(times - t_start, h)
     if jumps is None:
-        jumps = _check_cost(n_atoms, knot[-1], quarter)
+        jumps = _check_cost(spec, n_atoms, knot[-1], quarter)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     knot = knot.astype(int)
     if jumps:
@@ -558,46 +752,47 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None):
             head = _driven_states(spec, n_atoms, psi, t_start,
                                   np.append(times[lead], t_half), control, False)
             rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
-                                  control, True)
+                                  control, True, held)
             return np.vstack([head[:-1], rest])
         # half period k and knot j < 2q; a mirrored sample at knot j is read
         # out at 2q - j, never 0
         count, knot = np.divmod(knot, 2 * quarter)
         mirror = knot > quarter
         stop = np.where(mirror, 2 * quarter - knot, knot)
-        half, jump = _period_propagator(spec, n_atoms, t_start, period, quarter)
+        half, jump = _held_propagator(spec, n_atoms, t_start, period, quarter, held)
         # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
         needed, cols = np.unique(count + mirror, return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
+        period_jump = _band_matvec(jump)
         n = 0  # phi holds v_n
         for col, target in enumerate((needed // 2).tolist()):
             for _ in range(target - n):
-                phi = _apply_blocks(jump, phi)
+                phi = period_jump(phi)
                 phi /= np.linalg.norm(phi)
             n = target
             starts[:, col] = phi
         odd = needed % 2 == 1
-        later = _apply_blocks(half, starts[:, odd])[::-1]
+        later = _band_apply(half, starts[:, odd])[::-1]
         starts[:, odd] = later / np.linalg.norm(later, axis=0)
-        block = _parity_identity(n_atoms)
+        block, step = _band_identity(n_atoms), _band_stepper(spec, n_atoms)
     else:  # the one start is marched itself
         stop = knot
         starts = block = phi[:, None]
+        step = _rk4_stepper(spec, n_atoms, 1)
         cols = np.zeros(len(times), dtype=int)
     states = starts[:, cols]  # a copy; right already at knot 0
     # samples grouped by knot: sorted order, cut where each knot > 0 begins
     order = np.argsort(stop, kind="stable")
     rises = np.flatnonzero(np.diff(stop[order], prepend=0))
-    step = _rk4_stepper(spec, n_atoms, block.shape[1])
     marching = _rk4_march(step, block, t_start, h, stop[order][rises].tolist())
     bounds = [*rises.tolist(), len(order)]
-    for lo, hi, _ in zip(bounds, bounds[1:], marching):
+    for lo, hi, block in zip(bounds, bounds[1:], marching):
         hit = order[lo:hi]
         if jumps:  # W(t_j) r_k; if mirrored, F conj(W(t_(2q-j)) conj(r_(k+1)))
             flip = mirror[hit]
             source = starts[:, cols[hit]]
             source[:, flip] = source[:, flip].conj()
-            reached = _apply_blocks(_parity_blocks(block), source)
+            reached = _band_apply(block, source)
             reached[:, flip] = reached[::-1, flip].conj()
         else:
             reached = block
@@ -623,14 +818,20 @@ def propagate_driven(spec, initial, times, control=None):
     States are renormalized at each sample point; drift beyond NORM_TOL
     since the previous renormalized state is a failure. The trajectory's
     `advance` is `_driven_states` under the same `control`, which makes its
-    rows from t = 0.
+    rows from t = 0; every call of it shares one held W_h and W_T
+    (`_held_propagator`), so a refinement restart builds none.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
     if not isinstance(initial, DickeState):
         raise ValidationError("propagate_driven expects a DickeState")
     times = _check_times(times)
-    advance = partial(_driven_states, spec, initial.n_atoms, control=control)
+    held = {}
+
+    def advance(psi, t_from, times):
+        return _driven_states(spec, initial.n_atoms, psi, t_from, times, control,
+                              None, held)
+
     return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 

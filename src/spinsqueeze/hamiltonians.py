@@ -183,12 +183,22 @@ def build_hamiltonian(spec, n_atoms, time=0.0):
 
     The operator is filled from the quadratic form's main and +-2 bands,
     plus the drive's diagonal; `time` only matters for a driven spec, whose
-    drive term carries cos(omega t).
+    drive term carries cos(omega t). Each drive entry is at most g J in
+    size, and each diagonal entry at most that plus chi J(J+1); a drive
+    that makes this bound overflow raises ValidationError before any
+    product is formed, as an overflowing chi does (`_quadratic_bands`).
     """
     n = _check_n_atoms(n_atoms)
     diag, upper = _quadratic_bands(n, spec.chi, spec.weights)
     if spec.drive is not None:
         g, omega = spec.drive.amplitude_g, spec.drive.frequency_omega
+        j = n / 2
+        # Python floats: no numpy warning
+        bound = float(g) * j + float(spec.chi) * sum(map(abs, spec.weights)) * j * (j + 1)
+        if not math.isfinite(bound):
+            raise ValidationError(
+                f"drive amplitude g={g!r} makes the Hamiltonian's entries "
+                f"overflow at N = {n}")
         diag = diag + g * np.cos(omega * time) * _jz_diagonal(n)
     mat = np.zeros((n + 1, n + 1), dtype=complex)
     idx = np.arange(n + 1)

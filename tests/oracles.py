@@ -141,3 +141,33 @@ def drive_averaged_optimum(n_atoms, ratio, t_max):
     twisting Hamiltonian with A = J0(2 g/omega); see `mixed_optimum`.
     """
     return mixed_optimum(n_atoms, j0(2 * ratio), t_max)
+
+
+def oat_xi_squared(n_atoms, chi_t):
+    """Kitagawa-Ueda xi^2 of one-axis twisting from a coherent state, in closed form.
+
+    Kitagawa & Ueda, PRA 47, 5138 (1993): with mu = 2 chi t,
+    A = 1 - cos^(N-2) mu and B = 4 sin(mu/2) cos^(N-2)(mu/2),
+    xi^2 = 1 + (N - 1)/4 (A - sqrt(A^2 + B^2)), evaluated here as
+    1 - (N - 1)/4 B^2 / (A + sqrt(A^2 + B^2)), which has no cancellation
+    (A >= 0). It costs O(1) per time at any N; xi^2 = 1 at t = 0.
+    """
+    mu = 2 * np.asarray(chi_t, dtype=float)
+    a = 1 - np.cos(mu) ** (n_atoms - 2)
+    b = 4 * np.sin(mu / 2) * np.cos(mu / 2) ** (n_atoms - 2)
+    root = a + np.sqrt(a * a + b * b)
+    safe = np.where(root > 0, root, 1.0)
+    return np.where(root > 0, 1 - (n_atoms - 1) / 4 * b * b / safe, 1.0)
+
+
+def oat_optimum(n_atoms, t_max):
+    """Optimum (t, xi^2) of the closed form over [0, t_max]: the minimum of 4000
+    grid times, refined by a bounded scalar minimization between its
+    grid neighbours."""
+    times = np.linspace(0.0, t_max, 4000)
+    k = int(np.argmin(oat_xi_squared(n_atoms, times)))
+    lo, hi = times[max(k - 1, 0)], times[min(k + 1, len(times) - 1)]
+    best = minimize_scalar(lambda t: float(oat_xi_squared(n_atoms, t)),
+                           bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-12})
+    return float(best.x), float(best.fun)

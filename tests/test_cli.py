@@ -312,6 +312,17 @@ class TestScanN:
         assert len(payload["columns"]["optimal_xi2_tat-xz"]) == 5
         assert payload["metadata"]["fits"]["tat-xz"]["r_squared"] > 0.98
 
+    def test_large_ratio_full_scan_runs(self, tmp_path, capsys):
+        # the paper's scan at g/omega = 2.5 failed at N = 16 on a grid that
+        # did not resolve the drive phase; from +y, xi^2 stays near 0.29
+        out_file = tmp_path / "scaling.json"
+        code, out, _ = run(capsys, "scan-n", "--hamiltonians", "tat-xz,oat,full",
+                           "--n-list", "16,32,64,128,256", "--ratio", "2.5",
+                           "--out", str(out_file), "--format", "json")
+        assert code == 0 and "fit full: exponent=" in out
+        payload = json.loads(out_file.read_text())
+        assert np.all(np.abs(np.array(payload["columns"]["optimal_xi2_full"]) - 0.29) < 0.05)
+
     def test_unknown_hamiltonian_is_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "scan-n", "--hamiltonians", "oat,bogus",
                            "--n-list", "4,5,6,7,8",
@@ -395,6 +406,15 @@ class TestScanRatio:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "ratio,optimal_xi2,optimal_time"
         assert len(lines) == 4  # 0, 0.45, 0.9
+
+    def test_large_ratio_runs(self, tmp_path, capsys):
+        # g/omega = 2.5 tripped the one-period drift guard (1.2e-8) on a grid
+        # that did not resolve the drive phase
+        out_file = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan-ratio", "--n", "8", "--omega", "300",
+                         "--ratios", "2.5:2.5:1", "--out", str(out_file))
+        assert code == 0
+        assert len(out_file.read_text().strip().split("\n")) == 2
 
     def test_threads_flag_accepted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "scan-ratio", "--n", "4", "--omega", "300",

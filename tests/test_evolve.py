@@ -8,8 +8,9 @@ from spinsqueeze import (CollectiveOperator, DriveParams, EffectiveMixed,
                          FullDriven, IntegrationError, OAT, StepControl, TATxz,
                          TATyz, Trajectory, ValidationError, build_hamiltonian,
                          casimir, coherent_spin_state, driven_state_at,
-                         evolve, expectation, DickeState, propagate_driven,
-                         propagate_static, squeezing_curve, xi_squared)
+                         evolve, expectation, DickeState, optimal_squeezing,
+                         propagate_driven, propagate_static, squeezing_curve,
+                         xi_squared)
 from spinsqueeze.experiments import default_t_max
 
 import oracles
@@ -302,21 +303,48 @@ def chained(spec, n, times, control=None):
 
 
 def march_log(monkeypatch):
-    """[columns, span, RK4 grid steps] of every evolve._rk4_march call, in call order."""
+    """[width, span, RK4 grid steps] of every evolve._rk4_march call, in call
+    order. The width counts the vectors of N+1 entries that the march steps
+    when it ends: a state block's columns, or a band's 2b+1 diagonals (a
+    band march widens as it goes)."""
     log = []
     march = evolve._rk4_march
 
     def spy(step, block, t, h, knots):
         last = knots[-1] if len(knots) else 0
-        log.append([block.shape[1], last * h, last])
-        return march(step, block, t, h, knots)
+        entry = [block.size // max(block.shape), last * h, last]
+        log.append(entry)
+
+        def marched():
+            for reached in march(step, block, t, h, knots):
+                entry[0] = reached.size // max(reached.shape)
+                yield reached
+        return marched()
 
     monkeypatch.setattr(evolve, "_rk4_march", spy)
     return log
 
 
+def jumps_to(spec, n, elapsed, control=None):
+    """_check_cost's decision for a run whose last sample is `elapsed` after its start."""
+    quarter = (control or StepControl()).quarter_steps(spec, n)
+    h = period_of(spec.drive.frequency_omega) / 4 / quarter
+    last, _ = evolve._grid_split(np.array([elapsed]), h)
+    return evolve._check_cost(spec, n, last[0], quarter)
+
+
 def period_of(omega):
     return 2 * np.pi / omega
+
+
+def dense(band):
+    """The (N+1, N+1) matrix of a propagator in band storage, B[s + b, c] = W[c + 2s, c]."""
+    half, size = len(band) // 2, band.shape[1]
+    out = np.zeros((size, size), dtype=complex)
+    for s in range(-half, half + 1):
+        cols = np.arange(max(0, -2 * s), min(size, size - 2 * s))
+        out[cols + 2 * s, cols] = band[s + half, cols]
+    return out
 
 
 def multiples_of_period(omega):
@@ -362,15 +390,15 @@ class TestPeriodJumps:
     ])
     def test_matches_chain_of_single_column_marches(self, n, omega, times, jumps):
         spec = driven_spec(n, omega)
-        count, _ = evolve._grid_split(times[1:], period_of(omega))
-        assert evolve._jumps_pay(n, count[-1]) == jumps
+        assert jumps_to(spec, n, times[-1]) == jumps
         traj = propagate_driven(spec, css(n), times)
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
     def test_identity_readout_matches_chain(self, monkeypatch):
-        # more period starts than the identity's (N+2)//2 = 4 columns; stage
-        # 3 marches the identity and reads each sample out as W(tau) v_n;
+        # more period starts than the parity block's (N+2)//2 = 4 columns;
+        # stage 3 marches the identity, its band at the cap b = 3 (7
+        # diagonals), and reads each sample out as W(tau) v_n;
         # T = 1/64 exactly, so the phase T/2 repeats bit for bit in three periods
         n, omega = 6, 128 * np.pi
         t = period_of(omega)
@@ -384,7 +412,7 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
-        assert [cols for cols, _, _ in log] == [4, 4]
+        assert [width for width, _, _ in log] == [7, 7]
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -394,14 +422,19 @@ class TestPeriodJumps:
     ])
     def test_march_is_never_wider_than_parity_block(self, monkeypatch, samples,
                                                     width):
+        # both quarter marches hold the identity's band, which ends at b = 16
+        # (33 diagonals; 13 hold entries above 1e-16), not the parity
+        # block's `width` = 51 columns
         log = march_log(monkeypatch)
-        propagate_driven(driven_spec(100, 2000.0), css(100),
-                         np.linspace(0, 0.3, samples + 1))
-        assert [cols for cols, _, _ in log] == [51, width]
+        spec = driven_spec(100, 2000.0)
+        propagate_driven(spec, css(100), np.linspace(0, 0.3, samples + 1))
+        bound = evolve._band_estimate(spec, 100, period_of(2000.0) / 4)
+        assert log[0][0] == 33 == 2 * bound + 1
+        assert all(diagonals <= 33 < width for diagonals, _, _ in log)
 
     def test_folded_readout_matches_chain_at_odd_n(self, monkeypatch):
         # odd N, so the reflection swaps the parity blocks; more period starts
-        # than the identity's (N+2)//2 = 4 columns, and the identity's phases
+        # than the parity block's (N+2)//2 = 4 columns, and the identity's phases
         # below, at and above T/2 (T = 1/64 exactly) all fold into [0, T/2)
         n, omega = 7, 128 * np.pi
         t = period_of(omega)
@@ -414,7 +447,7 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
-        assert [cols for cols, _, _ in log] == [4, 4]
+        assert [width for width, _, _ in log] == [7, 7]  # the cap b = 3
         assert log[0][1] == pytest.approx(t / 4) and log[1][1] < t / 2
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
@@ -435,12 +468,11 @@ class TestPeriodJumps:
         spec = driven_spec(n, omega)
         t = period_of(omega)
         t_start, t_end = start * t, (start + span) * t
-        count, _ = evolve._grid_split(np.array([t_end - t_start]), t)
-        assert evolve._jumps_pay(n, count[0])
+        assert jumps_to(spec, n, t_end - t_start)
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
         assert log[0][0] == 1 and log[0][1] < t / 2
-        assert log[1][:2] == [(n + 2) // 2, pytest.approx(t / 4)]
+        assert log[1][0] > 1 and log[1][1] == pytest.approx(t / 4)  # a band
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -494,20 +526,20 @@ class TestPeriodJumps:
     def test_symmetric_period_propagator_matches_direct_march(
             self, monkeypatch, n, omega, periods):
         # W_T = F W_h F W_h, with W_h from a quarter period, from a t_start on
-        # a whole period and from one on a half period
+        # a whole period and from one on a half period, against the dense
+        # identity marched over the whole period
         spec = driven_spec(n, omega)
         t = period_of(omega)
         quarter = StepControl().quarter_steps(spec, n)
-        block = evolve._parity_identity(n)
-        step = evolve._rk4_stepper(spec, n, block.shape[1])
+        block = np.eye(n + 1, dtype=complex)
+        step = evolve._rk4_stepper(spec, n, n + 1)
         for _ in evolve._rk4_march(step, block, periods * t, t / 4 / quarter,
                                    [4 * quarter]):
             pass
         log = march_log(monkeypatch)
         _, jump = evolve._period_propagator(spec, n, periods * t, t, quarter)
         assert len(log) == 1 and log[0][1] == pytest.approx(t / 4)
-        for got, want in zip(jump, evolve._parity_blocks(block)):
-            assert np.max(np.abs(got - want)) <= 1e-10
+        assert np.max(np.abs(dense(jump) - block)) <= 1e-10
 
     def test_driven_curve_step_budget(self, monkeypatch):
         # the bench's driven-curve problem (400 times): W_T from a quarter
@@ -543,12 +575,14 @@ class TestPeriodJumps:
 
     def test_guard_sees_non_unitary_period_propagator(self, monkeypatch):
         # every sample sits on a whole period, so no step follows a jump and
-        # only the check on W_T itself can see the reckless steps' drift
+        # only the check on W_T itself can see the reckless steps' drift; the
+        # band there is nearly the whole matrix, so jumps pay from about 23
+        # periods
         reckless(monkeypatch, 5)
         period = period_of(150.0)
-        times = np.concatenate([[0.0], period * np.arange(2, 9)])
+        times = np.concatenate([[0.0], period * np.arange(34, 41)])
         count, phase = evolve._grid_split(times[1:], period)
-        assert not phase.any() and evolve._jumps_pay(100, count[-1])
+        assert not phase.any() and jumps_to(driven_spec(100, 150.0), 100, times[-1])
         with pytest.raises(IntegrationError,
                            match=r"drift .* at t = .*N = 100, step .*"):
             propagate_driven(driven_spec(100, 150.0), css(100), times)
@@ -560,9 +594,9 @@ class TestPeriodJumps:
         reckless(monkeypatch, 5)
         period = period_of(150.0)
         t_start = 3.87 * period
-        t_end = t_start + 8 * period
+        t_end = t_start + 40 * period
         count, phase = evolve._grid_split(np.array([t_end - t_start]), period)
-        assert phase[0] == 0.0 and evolve._jumps_pay(100, count[0])
+        assert phase[0] == 0.0 and jumps_to(driven_spec(100, 150.0), 100, t_end - t_start)
         log = march_log(monkeypatch)
         with pytest.raises(IntegrationError,
                            match=r"^norm drift .* at t = .*N = 100, step .*"):
@@ -580,15 +614,16 @@ class TestPeriodJumps:
                              np.linspace(0, 1.9, 121) * period_of(omega))
 
     def test_drift_counts_from_the_previous_sample(self, monkeypatch):
-        # no jumps here, so one column is marched over the grid, and every
-        # knot holds samples; each grid step drifts within NORM_TOL, but the
-        # whole march without a renormalization at each knot does not
+        # a run that does not jump marches one column over the grid, and
+        # every knot holds samples; each grid step drifts within NORM_TOL,
+        # but the whole march without a renormalization at each knot does not
         n, omega = 20, 200.0
         spec = driven_spec(n, omega)
         reckless(monkeypatch, 12)
         times = np.linspace(0, 1.9, 121) * period_of(omega)
-        assert not evolve._jumps_pay(n, 1)
-        propagate_driven(spec, css(n), times)
+        log = march_log(monkeypatch)
+        evolve._driven_states(spec, n, css(n).amplitudes, 0.0, times, None, False)
+        assert [width for width, _, _ in log] == [1]
         h = grid_step(spec, n)
         assert np.all(np.diff(times) < h)
         step = evolve._rk4_stepper(spec, n, 1)
@@ -716,11 +751,11 @@ class TestGridReadout:
         spec = driven_spec(n, omega)
         times = np.linspace(0, periods, 301) * period_of(omega)
         _, phase = evolve._grid_split(times[1:], period_of(omega))
-        width = 1 if branch == "no-jumps" else (n + 2) // 2
+        width = 1 if branch == "no-jumps" else 7  # the band's cap b = 3
         log = march_log(monkeypatch)
         chunks = partial_steps(monkeypatch)
         traj = propagate_driven(spec, css(n), times)
-        assert [cols for cols, _, _ in log][-1] == width
+        assert [diagonals for diagonals, _, _ in log][-1] == width
         # chunks of 4096 // (N+1) columns: 585 at N = 6 and 512 at N = 7, so
         # every off-knot sample of the 300 takes one batched step
         assert len(chunks) == 1 and len(chunks[0]) <= 300 < 4096 // (n + 1)
@@ -748,7 +783,7 @@ class TestMirroredReadout:
         times = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 1.6, 1.75, 1.9, 2.0, 2.3,
                           2.5, 2.7, 3.75, 3.99]) * t
         count, phase = evolve._grid_split(times[1:], t)
-        assert evolve._jumps_pay(n, count[-1])
+        assert jumps_to(spec, n, times[-1])
         for q in range(4):
             assert np.any((phase >= q * t / 4) & (phase < (q + 1) * t / 4))
         assert {0.25 * t, 0.5 * t, 0.75 * t} <= set(phase)
@@ -781,7 +816,7 @@ class TestMirroredReadout:
             times = np.array([end - ulps * np.spacing(end)
                               for end in ends for ulps in (12, 5, 2, 1, 0)])
             last, _ = evolve._grid_split(times - t_start, grid_step(spec, n))
-            assert evolve._check_cost(n, last[-1], quarter)
+            assert evolve._check_cost(spec, n, last[-1], quarter)
             got = evolve._driven_states(spec, n, css(n).amplitudes, t_start,
                                         times, None)
             state, now = css(n), t_start
@@ -805,7 +840,7 @@ class TestMirroredReadout:
         got = driven_state_at(spec, css(n), t_start, t_end)
         (cols, span, _), (width, _, steps), (_, _, readout) = log
         assert cols == 1 and 0.12 * t < span <= 0.13 * t
-        assert width == (n + 2) // 2 and steps == quarter and readout < quarter
+        assert width > 1 and steps == quarter and readout < quarter  # a band
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -838,38 +873,46 @@ class TestCostGuard:
         (512, StepControl(), True),
         (512, StepControl().refined(2), True),
         (1000, StepControl(), True),
-        (2000, StepControl(), False),
+        (2000, StepControl(), True),
+        (2000, StepControl().refined(8), False),
     ])
     def test_budget_admits_the_paper_scale(self, n, control, admitted):
         # scan-n's driven points: omega = 70 N chi over default_t_max
         omega = 70.0 * n
-        quarter = control.quarter_steps(driven_spec(n, omega), n)
+        spec = driven_spec(n, omega)
+        quarter = control.quarter_steps(spec, n)
         last, _ = evolve._grid_split(np.array([default_t_max(n)]),
                                      period_of(omega) / 4 / quarter)
-        args = (n, last[0], quarter)
+        args = (spec, n, last[0], quarter)
         if admitted:
             assert evolve._check_cost(*args)
         else:
             with pytest.raises(ValidationError, match="too costly"):
                 evolve._check_cost(*args)
 
-    @pytest.mark.parametrize("n,periods", [(40, 1.5), (1500, 401.7)])
+    @pytest.mark.parametrize("n,periods", [(40, 1.5), (1500, 1.5)])
     def test_costs_the_run_it_decides_on(self, monkeypatch, n, periods):
-        # the float span / T reaches _jumps_pay's 1 + ((N+1)/75)^2 (1.30 at
-        # N = 40, 401.5 at N = 1500) but the whole periods do not, so the run
-        # marches one column, and the estimate is that march's: 903022
-        # column steps at N = 1500 (a jump plan would count 8.5e5)
+        # a whole period to jump, but a lead-in and two quarter marches in
+        # band storage would cost more than one column over 1.5 periods: the
+        # run marches one column, and the budget meets that march's
+        # estimate, (last + 1) (N + 1 + _STEP_ENTRIES) entry steps
         spec = driven_spec(n, 70.0 * n)
         period = period_of(70.0 * n)
         count, _ = evolve._grid_split(np.array([periods * period]), period)
-        assert evolve._jumps_pay(n, periods) and not evolve._jumps_pay(n, count[0])
+        assert count[0] == 1
         quarter = StepControl().quarter_steps(spec, n)
         last, _ = evolve._grid_split(np.array([periods * period]), period / 4 / quarter)
-        assert not evolve._check_cost(n, last[0], quarter)
+        plain = (last[0] + 1) * (n + 1 + evolve._STEP_ENTRIES)
+        monkeypatch.setattr(evolve, "_WORK_MAX", plain)
+        assert not evolve._check_cost(spec, n, last[0], quarter)
+        monkeypatch.setattr(evolve, "_WORK_MAX", plain - 1)
+        with pytest.raises(ValidationError, match="too costly"):
+            evolve._check_cost(spec, n, last[0], quarter)
+        monkeypatch.undo()
         if n == 40:  # cheap enough to run: one column, no W_T
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
-            assert [cols for cols, _, _ in log] == [1]
+            assert [width for width, _, _ in log] == [1]
 
     def test_absurd_span_meets_the_guard(self):
         # 1e10 over a period of 6e-300: the float period count is inf, and
@@ -892,7 +935,7 @@ class TestCostGuard:
         (6, 128 * np.pi, np.array([0.02, 2.75]) * period_of(128 * np.pi)),
     ], ids=["no-jumps", "few-starts", "driven-curve", "driven-scan-n", "lead-in"])
     def test_estimate_bounds_the_march(self, monkeypatch, n, omega, times):
-        # a budget one column step below what the run marches refuses it; a
+        # a budget one entry step below what the run marches refuses it; a
         # run whose times start past 0 is one driven_state_at call
         spec = driven_spec(n, omega)
         if times[0] == 0.0:
@@ -901,7 +944,7 @@ class TestCostGuard:
             run = partial(driven_state_at, spec, css(n), *times)
         log = march_log(monkeypatch)
         run()
-        marched = sum(cols * steps for cols, _, steps in log)
+        marched = (n + 1) * sum(width * steps for width, _, steps in log)
         monkeypatch.setattr(evolve, "_WORK_MAX", marched - 1)
         with pytest.raises(ValidationError, match="too costly"):
             run()
@@ -927,6 +970,137 @@ class TestStepControl:
     ])
     def test_quarter_steps(self, n, omega, quarter):
         assert StepControl().quarter_steps(driven_spec(n, omega), n) == quarter
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.2, 0.906, 1.0])
+    @pytest.mark.parametrize("n,omega", [(8, 300.0), (12, 840.0), (32, 1000.0),
+                                         (100, 2000.0), (512, 35840.0)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_ratio_up_to_one_keeps_the_grid(self, ratio, n, omega, factor):
+        # the grid before the drive phase counted: max(16 f, twisting cap)
+        control = StepControl(factor)
+        twist = 0.015 / factor / (n / 2 * (n / 2 + 1))
+        old = max(16 * factor, math.ceil(period_of(omega) / 4 / twist))
+        assert control.quarter_steps(driven_spec(n, omega, ratio), n) == old
+
+    @pytest.mark.parametrize("ratio,quarter", [(2.5, 40), (3.0, 48), (2.41, 39)])
+    def test_large_ratio_resolves_the_drive_phase(self, ratio, quarter):
+        # the co-rotated phase 2 (g/omega) sin(omega t) turns at up to 2 g, so
+        # the grid takes ceil(16 g/omega) steps a quarter period past g/omega = 1
+        assert StepControl().quarter_steps(driven_spec(8, 300.0, ratio), 8) == quarter
+
+    def test_large_ratio_runs_at_paper_scale(self):
+        # one-period propagator drift 1.8e-8 on the grid that ignored the phase
+        n, omega = 64, 4480.0
+        traj = propagate_driven(driven_spec(n, omega, 2.5), css(n),
+                                np.linspace(0, default_t_max(n), 200))
+        assert np.all(np.isfinite(traj.amplitudes))
+
+    @pytest.mark.parametrize("n,omega", [(8, 300.0), (32, 1000.0)])
+    def test_step_halving_at_ratio_three(self, n, omega):
+        # halving the step moved the optimum by 9.7e-11 and 9.4e-11
+        spec = driven_spec(n, omega, 3.0)
+        times = np.linspace(0, default_t_max(n), 200)
+        coarse, fine = (optimal_squeezing(propagate_driven(spec, css(n), times, control))
+                        for control in (StepControl(), StepControl().refined(2)))
+        assert abs(coarse.xi_squared - fine.xi_squared) < 1e-6
+
+
+class TestBandStorage:
+    """Marched propagators in band storage, B[s + b, c] = W[c + 2s, c]."""
+
+    @pytest.mark.parametrize("n,omega", [(40, 2800.0), (41, 2870.0), (100, 2000.0),
+                                         (101, 7070.0), (128, 8960.0)])
+    def test_period_propagator_matches_dense_products(self, n, omega):
+        # the same construction on dense matrices: the identity marched over
+        # a quarter period, W_h = (F W_q F)^T W_q and W_T = F W_h F W_h
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        w_q = np.eye(n + 1, dtype=complex)
+        step = evolve._rk4_stepper(spec, n, n + 1)
+        for _ in evolve._rk4_march(step, w_q, 0.0, t / 4 / quarter, [quarter]):
+            pass
+        flip = np.eye(n + 1)[::-1]
+        w_h = (flip @ w_q @ flip).T @ w_q
+        w_t = flip @ w_h @ flip @ w_h
+        half, jump = evolve._period_propagator(spec, n, 0.0, t, quarter)
+        assert np.max(np.abs(dense(half) - w_h)) <= 1e-14
+        assert np.max(np.abs(dense(jump) - w_t)) <= 1e-14
+        assert len(jump) < n + 1  # banded, not the whole matrix
+
+    @pytest.mark.parametrize("widen", [4, 5, 8])
+    def test_march_widens_from_the_identity(self, monkeypatch, widen):
+        # every march starts from the identity's band, b = 0, far too narrow
+        # for W_q: the band widens as it goes, and holds the dense march to
+        # within rounding whatever its steps of widening
+        n, omega = 100, 2000.0
+        spec = driven_spec(n, omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        h = period_of(omega) / 4 / quarter
+        want = np.eye(n + 1, dtype=complex)
+        step = evolve._rk4_stepper(spec, n, n + 1)
+        for _ in evolve._rk4_march(step, want, 0.0, h, [quarter]):
+            pass
+
+        def march():
+            for band in evolve._rk4_march(evolve._band_stepper(spec, n),
+                                          evolve._band_identity(n), 0.0, h, [quarter]):
+                pass
+            return band
+
+        monkeypatch.setattr(evolve, "EDGE_WIDEN", widen)
+        band = march()
+        assert 13 <= len(band) // 2 < 13 + widen
+        assert np.abs(band[[0, -1]]).max() <= evolve.EDGE_TOL
+        assert np.max(np.abs(dense(band) - want)) <= 1e-15
+        # a band that may not widen stays the diagonal: it never passes
+        # truncated unless the edge check lets it
+        monkeypatch.setattr(evolve, "EDGE_TOL", np.inf)
+        band = march()
+        assert len(band) == 1 and np.max(np.abs(dense(band) - want)) > 1e-3
+
+    @pytest.mark.parametrize("n,omega", [(6, 200.0), (40, 2800.0), (100, 2000.0),
+                                         (512, 35840.0)])
+    def test_estimate_bounds_the_band(self, n, omega):
+        spec = driven_spec(n, omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        t = period_of(omega)
+        for band in evolve._rk4_march(evolve._band_stepper(spec, n),
+                                      evolve._band_identity(n), 0.0, t / 4 / quarter,
+                                      [quarter]):
+            pass
+        assert len(band) // 2 <= evolve._band_estimate(spec, n, t / 4) <= n // 2
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_band_products_match_dense(self, n):
+        rng = np.random.default_rng(n)
+
+        def random_band(b):
+            band = rng.normal(size=(2 * b + 1, n + 1)) + 1j * rng.normal(size=(2 * b + 1, n + 1))
+            return evolve._band_product(band, evolve._band_identity(n))  # zero off W
+
+        x, y = random_band(2), random_band(3)
+        v = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        assert np.allclose(dense(evolve._band_product(x, y)), dense(x) @ dense(y),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(dense(evolve._transposed(x)), dense(x).T, rtol=0, atol=0)
+        assert np.allclose(evolve._band_apply(y, v), dense(y) @ v, rtol=0, atol=1e-12)
+        assert np.allclose(evolve._band_apply(y, v[:, 0]), dense(y) @ v[:, 0],
+                           rtol=0, atol=1e-12)
+
+    def test_odd_half_period_start_reflects_the_held_propagator(self):
+        # A(t + T/2) = F A(t) F: from T/2 on, W_h and W_T are F W F of those
+        # from 0, which a trajectory holds; built afresh they agree to rounding
+        n, omega = 40, 2800.0
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        quarter = StepControl().quarter_steps(spec, n)
+        held = {}
+        evolve._held_propagator(spec, n, 0.0, t, quarter, held)
+        reflected = evolve._held_propagator(spec, n, t / 2, t, quarter, held)
+        fresh = evolve._period_propagator(spec, n, t / 2, t, quarter)
+        for got, want in zip(reflected, fresh):
+            assert np.max(np.abs(dense(got) - dense(want))) <= 1e-12
 
 
 class TestAdvance:

@@ -205,6 +205,23 @@ class TestDrivenSweepTraffic:
         restarts = [jumped for samples, jumped in runs if samples == 1]
         assert len(restarts) > 6 and not any(restarts)
 
+    def test_refinement_restarts_reuse_the_trajectory_propagator(self, monkeypatch):
+        # at omega = 1e5 each refinement restart spans many periods and
+        # jumps from the multiple of T/2 after its lead-in; the trajectory
+        # holds W_h and W_T from its own run (reflected for an odd half
+        # period), so the whole point builds them once, not 10 times
+        built = []
+        build = evolve._period_propagator
+
+        def spy_build(spec, n_atoms, t_start, *args):
+            built.append(t_start)
+            return build(spec, n_atoms, t_start, *args)
+
+        monkeypatch.setattr(evolve, "_period_propagator", spy_build)
+        table = run_ratio_scan(8, "y", [0.5], 1e5)
+        assert built == [0.0]
+        assert table.columns["optimal_xi2"][0] == pytest.approx(0.19608811, abs=1e-8)
+
 
 class TestDefaultTMax:
     def test_clamped_window(self):

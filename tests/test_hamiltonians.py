@@ -187,6 +187,14 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match="drive ratio g/omega must be finite"):
             DriveParams(1e300, 1e-10)
 
+    def test_build_refuses_an_overflowing_drive_amplitude(self):
+        # g J overflows at g = 1e308: the drive's diagonal came out inf, with
+        # a numpy overflow warning (an error in this suite); 1e300 still builds
+        with pytest.raises(ValidationError, match=r"drive amplitude g=1e\+308"):
+            build_hamiltonian(FullDriven(DriveParams(1e308, 1.0)), 8)
+        matrix = build_hamiltonian(FullDriven(DriveParams(1e300, 1.0)), 8).matrix
+        assert np.all(np.isfinite(matrix))
+
     def test_rejects_bad_chi(self):
         with pytest.raises(ValidationError):
             OAT(chi=0.0)

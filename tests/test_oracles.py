@@ -13,10 +13,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import j0
 
-from spinsqueeze import (DickeState, DriveParams, EffectiveMixed, FullDriven,
-                         bessel_j0, build_hamiltonian, coherent_spin_state,
-                         default_t_max, driven_state_at, evolve,
-                         optimal_squeezing, propagate_driven, propagate_static,
+from spinsqueeze import (OAT, DickeState, DriveParams, EffectiveMixed,
+                         FullDriven, bessel_j0, build_hamiltonian,
+                         coherent_spin_state, default_t_max, driven_state_at,
+                         evolve, optimal_squeezing, propagate_driven,
+                         propagate_static, squeezing, squeezing_curve,
                          xi_squared)
 
 import oracles
@@ -70,8 +71,9 @@ def test_magnus_oracle_matches_driven_rk4(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_reflection_is_pi_rotation_about_x(n):
     # R = exp(-i pi Jx) = (-i)^N F with F the index reversal k -> N - k,
-    # and evolve._reflected conjugates a parity-block W by it (Jx reads the
-    # same in the oracle's ascending index order)
+    # and evolve._reflected conjugates a W in band storage by it,
+    # B[s + b, c] = W[c + 2s, c] (Jx reads the same in the oracle's
+    # ascending index order)
     jx, _, _ = oracles.raw_spin_matrices(n)
     rot = expm(-1j * np.pi * jx)
     assert np.allclose(rot, (-1j) ** n * np.eye(n + 1)[::-1], atol=1e-12)
@@ -80,9 +82,13 @@ def test_reflection_is_pi_rotation_about_x(n):
     idx = np.arange(n + 1)
     w[(idx[:, None] - idx[None, :]) % 2 == 1] = 0.0
     want = rot @ w @ rot.conj().T
-    got = evolve._reflected([w[0::2, 0::2], w[1::2, 1::2]], n)
-    assert np.allclose(got[0], want[0::2, 0::2], atol=1e-12)
-    assert np.allclose(got[1], want[1::2, 1::2], atol=1e-12)
+    half = n // 2
+    rows, cols = np.meshgrid(np.arange(-half, half + 1), idx, indexing="ij")
+    on = (cols + 2 * rows >= 0) & (cols + 2 * rows <= n)
+    band = np.where(on, w[np.clip(cols + 2 * rows, 0, n), cols], 0.0)
+    got = evolve._reflected(band)
+    assert np.allclose(got[on], want[(cols + 2 * rows)[on], cols[on]], atol=1e-12)
+    assert not got[~on].any()
 
 
 def test_period_propagator_approaches_drive_averaged_twisting():
@@ -125,3 +131,27 @@ def test_period_propagator_approaches_drive_averaged_twisting():
     level_slope = np.polyfit(np.log(omegas), np.log(levels), 1)[0]
     assert level_slope == pytest.approx(-2.0, abs=0.2)
     assert min(levels_misread) > 1.0
+
+
+@pytest.mark.parametrize("n", [10, 100, 2000])
+def test_oat_curve_matches_kitagawa_ueda_closed_form(n):
+    # the library's OAT curve from +y on a sweep point's grid; the largest
+    # difference measured 2.0e-15, 9.6e-14 and 2.0e-11
+    times = np.linspace(0, default_t_max(n), 200)
+    traj = propagate_static(OAT(), coherent_spin_state(n, "+y"), times)
+    got = np.array([r.xi_squared for r in squeezing_curve(traj)])
+    assert np.max(np.abs(got - oracles.oat_xi_squared(n, times))) <= 1e-10
+
+
+def test_oat_optimum_at_the_size_cap_matches_closed_form():
+    # the refinement's stop, REFINE_TIME_TOL, is an absolute time while the
+    # optimum time shrinks like N^(-2/3): at N = 2000 the library lands
+    # 1.4e-6 in time and 9.3e-10 in xi^2 above the closed form's optimum
+    n = 2000
+    t_max = default_t_max(n)
+    traj = propagate_static(OAT(), coherent_spin_state(n, "+y"),
+                            np.linspace(0, t_max, 200))
+    record = optimal_squeezing(traj)
+    time, value = oracles.oat_optimum(n, t_max)
+    assert abs(record.time - time) <= squeezing.REFINE_TIME_TOL
+    assert value - 1e-12 <= record.xi_squared <= value + 1e-8
