@@ -668,15 +668,15 @@ def _held_propagator(spec, n_atoms, t_start, period, quarter, held):
     """`_period_propagator` from the multiple t_start of T/2, built once into
     `held` (a dict, or None to hold nothing) for every start of one grid.
 
+    The pair is always built from t = 0, so every start of one grid reads
+    the same bits whether or not `held` kept them. A(t + T) = A(t), and
     A(t + T/2) = F A(t) F, so the propagators from an odd multiple of T/2
-    are F W F of those from an even one: `held` keeps the even ones.
+    are F W F of those from 0.
     """
     odd = _grid_split(np.array([t_start]), period / 2)[0][0] % 2 == 1
     built = None if held is None else held.get(quarter)
     if built is None:
-        built = _period_propagator(spec, n_atoms, t_start, period, quarter)
-        if odd:
-            built = tuple(map(_reflected, built))
+        built = _period_propagator(spec, n_atoms, 0.0, period, quarter)
         if held is not None:
             held[quarter] = built
     return tuple(map(_reflected, built)) if odd else built
@@ -840,7 +840,8 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
 
     The drive phase is tied to absolute time, so this is exactly the segment
     [t_start, t_end] of the full evolution: the one row that a driven
-    trajectory's `advance` gives from `initial.amplitudes` at t_start.
+    trajectory's `advance` gives from `initial.amplitudes` at t_start, bit
+    for bit, since both build W_h and W_T from t = 0 (`_held_propagator`).
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")

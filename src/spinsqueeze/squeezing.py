@@ -4,9 +4,10 @@ xi_s^2 = 4 min Var(J_n) / N, minimized over directions n perpendicular to
 the mean spin. The 2x2 transverse covariance matrix gives the minimum in
 closed form; the minimizing direction comes from its eigenvector.
 
-The mean spin and the symmetrized second moments come from |psi|^2 and the
-bands of J (`spin_core._bands`): each is an O(N) reduction, made for all
-samples of a trajectory at once.
+Six band sums of |psi|^2 and the bands of J (`spin_core._bands`) hold the
+mean spin and every second moment: each is an O(N) reduction, made for all
+samples of a trajectory at once. The covariance is read from them in the
+frame of the mean spin's own polar angles, with no 3-vector frame built.
 """
 
 import math
@@ -43,51 +44,25 @@ class SqueezingRecord:
 
 
 def _moments(n_atoms, psi):
-    """Mean spin (T, 3) and symmetrized second moments (T, 3, 3) of the rows of psi.
+    """Six band sums (T,) of the rows of psi: <J+>, <Jz>, <Jz^2>, s, w, p.
 
     With J+ = Jx + i Jy, and the bands of `spin_core._bands`:
-      <J+> = <Jx> + i <Jy>,
-      <Jx^2>, <Jy^2> = <shared diagonal> +- 2 Re<Jx^2's +2 band>,
-      <JxJy + JyJx> / 2 = 2 Im<Jx^2's +2 band>,
-      <JxJz + JzJx> / 2 + i <JyJz + JzJy> / 2 = <J+ (2 Jz + 1)> / 2.
+      <J+> = <Jx> + i <Jy>;
+      s, the shared diagonal: <Jx^2>, <Jy^2> = s +- 2 Re w;
+      w, the sum over Jx^2's +2 band (<J+^2> / 4): <JxJy + JyJx> = 4 Im w;
+      p = <J+ (2 Jz + 1)> = <JxJz + JzJx> + i <JyJz + JzJy>.
     Sums are einsum or element-wise: a `@` here would hand each row's
     reduction to threaded BLAS.
     """
     jp_band, jpz_band, side, upper, m2 = _bands(n_atoms)
-    m = _jz_diagonal(n_atoms)
     prob = psi.real ** 2 + psi.imag ** 2
     hop1 = psi[:, :-1].conj() * psi[:, 1:]
-    jp = np.einsum("tk,k->t", hop1, jp_band)
-    jpz = np.einsum("tk,k->t", hop1, jpz_band)
-    jx2_upper = np.einsum("tk,k->t", psi[:, :-2].conj() * psi[:, 2:], upper)
-    shared = np.einsum("tk,k->t", prob, side)
-    mean = np.stack([jp.real, jp.imag, np.einsum("tk,k->t", prob, m)], axis=1)
-    second = np.empty((len(psi), 3, 3))
-    second[:, 0, 0] = shared + 2 * jx2_upper.real
-    second[:, 1, 1] = shared - 2 * jx2_upper.real
-    second[:, 2, 2] = np.einsum("tk,k->t", prob, m2)
-    second[:, 0, 1] = second[:, 1, 0] = 2 * jx2_upper.imag
-    second[:, 0, 2] = second[:, 2, 0] = jpz.real / 2
-    second[:, 1, 2] = second[:, 2, 1] = jpz.imag / 2
-    return mean, second
-
-
-def _transverse_frame(n0):
-    """Deterministic orthonormal pair (n1, n2) perpendicular to each unit row
-    of n0 (T, 3), stacked as (T, 2, 3).
-
-    n1 is n0 x z (n0 x x where that is shorter than 1e-8), normalized, and
-    n2 = n0 x n1, written out for 3-vectors.
-    """
-    x, y, z = n0.T
-    zero = np.zeros_like(x)
-    n1 = np.stack([y, -x, zero], axis=1)
-    along_z = np.hypot(x, y) < 1e-8
-    n1[along_z] = np.stack([zero, z, -y], axis=1)[along_z]
-    n1 /= np.sqrt(np.einsum("ti,ti->t", n1, n1))[:, None]
-    a, b, c = n1.T
-    n2 = np.stack([y * c - z * b, z * a - x * c, x * b - y * a], axis=1)
-    return np.stack([n1, n2], axis=1)
+    return (np.einsum("tk,k->t", hop1, jp_band),
+            np.einsum("tk,k->t", prob, _jz_diagonal(n_atoms)),
+            np.einsum("tk,k->t", prob, m2),
+            np.einsum("tk,k->t", prob, side),
+            np.einsum("tk,k->t", psi[:, :-2].conj() * psi[:, 2:], upper),
+            np.einsum("tk,k->t", hop1, jpz_band))
 
 
 def _squeezing(n_atoms, psi):
@@ -95,25 +70,49 @@ def _squeezing(n_atoms, psi):
 
     The one computation behind every record: mean spin (T, 3), its length,
     xi^2, the optimal angle and the degenerate flag of each row.
+
+    The mean spin points along n0 = (sin theta cos phi, sin theta sin phi,
+    cos theta), with e^{i phi} = <J+> / |<J+>| and cos theta = <Jz> / |<J>|.
+    The transverse frame is n1 = n0 x z normalized = (sin phi, -cos phi, 0)
+    and n2 = n0 x n1 = (cos theta cos phi, cos theta sin phi, -sin theta).
+    Where |<J+>| <= 1e-8 |<J>| the pole fixes phi instead: phi = pi for
+    <Jz> >= 0 (and for no mean spin at all, where n0 = z), phi = 0 below the
+    equator. In the azimuth-rotated spin e^{-i phi} J+ = Jx' + i Jy',
+    n1 . J = -Jy' and n2 . J = cos theta Jx' - sin theta Jz, and the sums of
+    `_moments` rotate as w' = w e^{-2i phi}, p' = p e^{-i phi}, so
+      v11 = <Jy'^2> = s - 2 Re w',
+      v22 = cos^2 theta (s + 2 Re w') - cos theta sin theta Re p'
+            + sin^2 theta <Jz^2>,
+      v12 = <n1.J n2.J + n2.J n1.J> / 2 = -2 cos theta Im w' + sin theta Im p' / 2.
+    n_a . <J> = 0 in this frame, so these second moments are the variances.
     """
-    mean, second = _moments(n_atoms, psi)
-    length = np.sqrt(np.einsum("ti,ti->t", mean, mean))
+    jp, jz, jz2, s, w, p = _moments(n_atoms, psi)
+    rho = abs(jp)  # |<J+>|
+    length = np.hypot(rho, jz)
     degenerate = length < DEGENERATE_SPIN_FRACTION * (n_atoms / 2)
-    n0 = np.tile([0.0, 0.0, 1.0], (len(mean), 1))
-    np.divide(mean, length[:, None], out=n0, where=length[:, None] > 0)
-    frame = _transverse_frame(n0)
-    # n_a . <J> = 0 by construction, so these second moments are variances
-    (v11, v12), (_, v22) = np.einsum("tai,tij,tbj->abt", frame, second, frame)
+    cos_theta, sin_theta = np.ones_like(jz), np.zeros_like(jz)
+    np.divide(jz, length, out=cos_theta, where=length > 0)
+    np.divide(rho, length, out=sin_theta, where=length > 0)
+    rotate = np.where(jz >= 0, -1.0 + 0j, 1.0 + 0j)  # e^{-i phi} at the pole
+    np.divide(jp.conj(), rho, out=rotate, where=rho > 1e-8 * length)
+    w, p = w * rotate ** 2, p * rotate
+    v11 = s - 2 * w.real
+    v22 = (cos_theta ** 2 * (s + 2 * w.real) - cos_theta * sin_theta * p.real
+           + sin_theta ** 2 * jz2)
+    v12 = -2 * cos_theta * w.imag + 0.5 * sin_theta * p.imag
 
     half_gap = np.sqrt((v11 - v22) ** 2 + 4 * v12 ** 2)
     lam_min = 0.5 * (v11 + v22 - half_gap)
     xi2 = 4 * lam_min / n_atoms
 
-    # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi)
-    angle = np.where(abs(v12) < 1e-14, np.where(v11 <= v22, 0.0, math.pi / 2),
+    # eigenvector of [[v11, v12], [v12, v22]] for lam_min, folded into [0, pi).
+    # The rounding residue of v11 - v22 grows like J(J+1) (at most
+    # 3.7e-16 J(J+1) over N = 2..2000), so the isotropy cut-offs scale with it
+    isotropic = 1e-14 * (n_atoms / 2) * (n_atoms / 2 + 1)
+    angle = np.where(abs(v12) < isotropic, np.where(v11 <= v22, 0.0, math.pi / 2),
                      np.arctan2(lam_min - v11, v12) % math.pi)
-    angle[half_gap < 1e-14] = 0.0
-    return xi2, mean, length, angle, degenerate
+    angle[half_gap < isotropic] = 0.0
+    return xi2, np.stack([jp.real, jp.imag, jz], axis=1), length, angle, degenerate
 
 
 def _records(times, arrays):

@@ -25,9 +25,8 @@ def raw_spin_matrices(n_atoms):
     jx = (jp + jm) / 2
     jy = (jp - jm) / 2j
     jz = np.diag(m_asc).astype(complex)
-    # flip to the library's descending-m ordering for comparisons
-    flip = np.eye(dim)[::-1]
-    return tuple(flip @ a @ flip for a in (jx, jy, jz))
+    # reverse both indices to the library's descending-m ordering
+    return tuple(a[::-1, ::-1] for a in (jx, jy, jz))
 
 
 def evolve_expm(h_matrix, psi0, t):

@@ -1182,6 +1182,22 @@ class TestAdvance:
             call(static, driven)
 
 
+    @pytest.mark.parametrize("n, omega, ratio", [
+        (8, 1e5, 0.5), (32, 2e4, 0.9), (12, 5e3, 0.3)])
+    def test_driven_state_at_is_the_advance_row(self, n, omega, ratio):
+        # both jump from a period start past their lead-in, with W_h and W_T
+        # built from t = 0: one held by the trajectory, one built afresh
+        spec = driven_spec(n, omega, ratio)
+        times = np.linspace(0, default_t_max(n), 20)
+        traj = propagate_driven(spec, css(n), times)
+        for k in (3, 7, 11):
+            t_start, t_end = times[k], times[k] + 4.2 * times[1]
+            row, = traj.advance(traj.amplitudes[k], t_start, np.array([t_end]))
+            state = driven_state_at(spec, DickeState(n, traj.amplitudes[k]),
+                                    t_start, t_end)
+            assert np.array_equal(state.amplitudes, row)
+
+
 class TestTrajectory:
     def test_rejects_nonzero_start(self):
         state = css(2)

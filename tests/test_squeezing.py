@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -105,16 +106,6 @@ class TestXiSquared:
             assert 0 < record.xi_squared <= 1 + 1e-12
 
 
-def unit_mean(n, psi):
-    """Mean spin of the rows of psi and its direction, z where it vanishes,
-    as `_squeezing` takes them."""
-    mean, _ = _moments(n, psi)
-    length = np.linalg.norm(mean, axis=1, keepdims=True)
-    n0 = np.tile([0.0, 0.0, 1.0], (len(mean), 1))
-    np.divide(mean, length, out=n0, where=length > 0)
-    return mean, n0
-
-
 def random_rows(n, rows=4):
     rng = np.random.default_rng(n)
     psi = rng.normal(size=(rows, n + 1)) + 1j * rng.normal(size=(rows, n + 1))
@@ -127,41 +118,92 @@ def dicke_row(n, k):
     return psi
 
 
-class TestTransverseFrame:
-    # _squeezing reads the frame's second moments as variances, which holds
-    # while the frame is perpendicular to the mean spin; this pins that
-    @pytest.mark.parametrize("n, psi", [
-        *[(n, random_rows(n)) for n in (1, 2, 7, 40, 2000)],
-        (7, dicke_row(7, 0)), (40, dicke_row(40, 0)),  # |J, J>, mean along +z
-        (7, dicke_row(7, 7)), (40, dicke_row(40, 40)),  # |J, -J>, along -z
-        (2, dicke_row(2, 1)), (40, dicke_row(40, 20)),  # |J, 0>, zero mean
-    ], ids=[*(f"random-{n}" for n in (1, 2, 7, 40, 2000)), "top-7", "top-40",
-            "bottom-7", "bottom-40", "middle-2", "middle-40"])
-    def test_orthonormal_and_transverse(self, n, psi):
-        mean, n0 = unit_mean(n, psi)
-        frame = squeezing._transverse_frame(n0)
-        assert frame.shape == (len(psi), 2, 3)
-        gram = np.einsum("tai,tbi->tab", frame, frame)
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
-        assert np.max(np.abs(np.einsum("tai,ti->ta", frame, n0))) <= 1e-15
-        assert np.max(np.abs(np.einsum("tai,ti->ta", frame, mean))) <= 1e-12 * n
+@functools.lru_cache(maxsize=1)  # N = 2000's three matrices take 192 MB
+def spin_ops(n):
+    return oracles.raw_spin_matrices(n)
+
+
+def dense_transverse(n, row):
+    """Dense (Jx, Jy, Jz) |row>, the mean spin, and the oracle's transverse
+    pair (n1, n2) about it, or about z where the mean spin vanishes."""
+    vecs = [a @ row for a in spin_ops(n)]
+    mean = np.array([np.vdot(row, v).real for v in vecs])
+    return vecs, mean, oracles._transverse_frame(mean if mean.any() else [0.0, 0.0, 1.0])
+
+
+def assert_matches_oracle(n, psi):
+    """Each record's xi^2 N / 4 is the least eigenvalue of the oracle frame's
+    dense 2x2 covariance, and is the variance along its optimal angle."""
+    for row, record in zip(psi, squeezing_curve(Trajectory(np.arange(len(psi)), psi))):
+        vecs, mean, (n1, n2) = dense_transverse(n, row)
+
+        def variance(direction):
+            along = sum(d * v for d, v in zip(direction, vecs))
+            return np.vdot(along, along).real - (direction @ mean) ** 2
+
+        # polarization: Var(a + b) - Var(a - b) = 4 Cov(a, b)
+        cov = [[(variance(a + b) - variance(a - b)) / 4 for b in (n1, n2)]
+               for a in (n1, n2)]
+        alpha = record.optimal_angle
+        scale = record.xi_squared * n / 4
+        for got in (np.linalg.eigvalsh(cov)[0],
+                    variance(np.cos(alpha) * n1 + np.sin(alpha) * n2)):
+            assert abs(got - scale) <= 1e-10 * scale
+
+
+class TestOptimalAngle:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    def test_random_rows_match_oracle(self, n):
+        assert_matches_oracle(n, random_rows(n))
+
+    @pytest.mark.parametrize("kind", ["oat", "tat", "driven"])
+    def test_trajectory_rows_match_oracle(self, kind):
+        n, times = 20, np.linspace(0, 0.3, 7)
+        if kind == "driven":
+            traj = propagate_driven(FullDriven(DriveParams(0.906 * 300, 300.0)),
+                                    css(n), times)
+        else:
+            spec = OAT() if kind == "oat" else TATxz()
+            traj = propagate_static(build_hamiltonian(spec, n), css(n), times)
+        assert_matches_oracle(n, traj.amplitudes)
+
+    @pytest.mark.parametrize("axis", ["+x", "+y"])
+    @pytest.mark.parametrize("n", [2, 10, 100, 500, 1000, 2000])
+    def test_coherent_state_angle_is_zero(self, n, axis):
+        # the covariance is isotropic; v11 - v22 is rounding residue only
+        assert xi_squared(css(n, axis)).optimal_angle == 0.0
+
+
+MOMENT_ROWS = pytest.mark.parametrize("n, psi", [
+    *[(n, random_rows(n)) for n in (1, 2, 7, 40, 2000)],
+    (7, dicke_row(7, 0)), (40, dicke_row(40, 0)),  # |J, J>, mean along +z
+    (7, dicke_row(7, 7)), (40, dicke_row(40, 40)),  # |J, -J>, along -z
+    (2, dicke_row(2, 1)), (40, dicke_row(40, 20)),  # |J, 0>, zero mean
+], ids=[*(f"random-{n}" for n in (1, 2, 7, 40, 2000)), "top-7", "top-40",
+        "bottom-7", "bottom-40", "middle-2", "middle-40"])
 
 
 class TestBandedMoments:
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    def test_match_dense_operators_on_random_states(self, n):
-        rng = np.random.default_rng(n)
-        psi = rng.normal(size=(5, n + 1)) + 1j * rng.normal(size=(5, n + 1))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        mean, second = _moments(n, psi)
-        ops = oracles.raw_spin_matrices(n)
+    @MOMENT_ROWS
+    def test_six_sums_match_dense_operators(self, n, psi):
+        jp, jz, jz2, s, w, p = _moments(n, psi)
         tol = 1e-12 * n ** 2
-        for row, mu, m2 in zip(psi, mean, second):
-            want_mean = [np.vdot(row, a @ row).real for a in ops]
-            want_second = [[0.5 * np.vdot(row, (a @ b + b @ a) @ row).real
-                            for b in ops] for a in ops]
-            assert np.max(np.abs(mu - want_mean)) <= tol
-            assert np.max(np.abs(m2 - want_second)) <= tol
+        for k, row in enumerate(psi):
+            (x, y, z), mean, _ = dense_transverse(n, row)
+            want = {"jp": mean[0] + 1j * mean[1], "jz": mean[2],
+                    "jz2": np.vdot(z, z).real,
+                    "jx2": np.vdot(x, x).real, "jy2": np.vdot(y, y).real,
+                    "jxjy": 2 * np.vdot(x, y).real,  # <JxJy + JyJx>
+                    "p": 2 * np.vdot(x, z).real + 2j * np.vdot(y, z).real}
+            got = {"jp": jp[k], "jz": jz[k], "jz2": jz2[k],
+                   "jx2": s[k] + 2 * w[k].real, "jy2": s[k] - 2 * w[k].real,
+                   "jxjy": 4 * w[k].imag, "p": p[k]}
+            for name in want:
+                assert abs(got[name] - want[name]) <= tol, name
+
+    @MOMENT_ROWS
+    def test_xi_squared_and_angle_match_oracle(self, n, psi):
+        assert_matches_oracle(n, psi)
 
     @pytest.mark.parametrize("kind", ["static", "driven"])
     def test_curve_matches_per_state_records(self, kind):
