@@ -9,6 +9,18 @@ scans, atom-number scaling, and drive-ratio structure of the model.
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread unless the user chose a count. On a 2-vCPU host the
+# default per-core workers spin after every threaded eigh or product: about
+# 0.1 s of CPU at `import numpy`, and twice the CPU of a static scan. With
+# the half-size static eigenproblems (evolve._band_blocks) one thread is
+# also faster in wall time, up to N = 2000. Set before the first submodule
+# imports numpy; a numpy imported earlier keeps its own count.
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import IntegrationError, ValidationError
 from .spin_core import (CollectiveOperator, DickeState, build_angular_momentum,
                         casimir, coherent_spin_state, expectation,

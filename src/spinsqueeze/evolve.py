@@ -3,7 +3,8 @@
 A constant Hamiltonian is eigendecomposed once. A static spec's H never
 couples even to odd indices, so it splits into two index-parity blocks,
 real symmetric tridiagonal, which come straight from its quadratic form's
-bands: no dense (N+1)^2 operator is built for it. A dense Hermitian
+bands: no dense (N+1)^2 operator is built for it, and the index
+reversal F (below) halves each block's eigenproblem. A dense Hermitian
 operator is decomposed whole, by one complex eigh, an independent dense
 reference for the banded route.
 
@@ -172,6 +173,57 @@ class Trajectory:
         return tuple(DickeState(self.n_atoms, row) for row in self.amplitudes)
 
 
+def _tridiagonal_eigh(diag, upper):
+    """eigh of the real symmetric tridiagonal matrix with these diagonals."""
+    size = len(diag)
+    block = np.zeros((size, size))
+    block.flat[::size + 1] = diag
+    block.flat[1::size + 1] = block.flat[size::size + 1] = upper
+    return np.linalg.eigh(block)
+
+
+def _persymmetric_eigh(diag, upper):
+    """eigh of a real symmetric tridiagonal block of size m that the index
+    reversal J (i -> m-1-i) maps onto itself, from two half-size eigh.
+
+    J-even vectors (u_i + u_(m-1-i)) / sqrt 2, and u_h itself at odd
+    m = 2h+1, span one invariant half, of size ceil(m/2); J-odd ones
+    (u_i - u_(m-1-i)) / sqrt 2 the other, of size floor(m/2). On the first
+    indices each half keeps the block's diagonals, except where they meet
+    the middle: at even m the middle coupling e = upper[m/2 - 1] adds +e to
+    the even half's last diagonal entry and -e to the odd half's; at odd m
+    the even half's last coupling is sqrt(2) e. Eigenvalues come out in
+    ascending order, their vectors as columns of one (m, m) array.
+    """
+    m = len(diag)
+    pairs = m // 2  # rows i < pairs pair with m-1-i; the J-odd half's size
+    even_diag, even_upper = diag[:m - pairs].copy(), upper[:m - pairs - 1].copy()
+    odd_diag = diag[:pairs].copy()
+    if m % 2 == 0:
+        even_diag[-1] += upper[pairs - 1]
+        odd_diag[-1] -= upper[pairs - 1]
+    elif pairs:
+        even_upper[-1] *= math.sqrt(2.0)
+    halves = [(1.0, *_tridiagonal_eigh(even_diag, even_upper))]
+    if pairs:
+        halves.append((-1.0, *_tridiagonal_eigh(odd_diag, upper[:pairs - 1])))
+    evals = np.concatenate([w for _, w, _ in halves])
+    order = np.argsort(evals, kind="stable")
+    column = np.empty(m, dtype=int)
+    column[order] = np.arange(m)
+    evecs = np.empty((m, m))
+    start = 0
+    for sign, w, u in halves:
+        cols = column[start:start + len(w)]
+        start += len(w)
+        outer = u[:pairs] * math.sqrt(0.5)
+        evecs[:pairs, cols] = outer
+        evecs[m - pairs:, cols] = sign * outer[::-1]
+        if m % 2:  # the middle row: J-odd vectors vanish there
+            evecs[pairs, cols] = u[pairs] if sign > 0 else 0.0
+    return evals[order], evecs
+
+
 def _band_blocks(spec, n_atoms):
     """(rows, evals, evecs) for each index-parity block of a static spec's
     H, with no dense (N+1)^2 operator.
@@ -179,16 +231,19 @@ def _band_blocks(spec, n_atoms):
     A quadratic form in J has only the main and +-2 diagonals, so it never
     couples even to odd indices: parity block p is real symmetric
     tridiagonal, with diagonal diag[p::2] and off-diagonal upper[p::2].
+    The bands are symmetric under the index reversal F (k -> N-k), and so
+    is H. At even N, F maps each block onto itself, read backwards: each is
+    persymmetric and splits into two half-size eigh. At odd N, F maps block
+    0 onto block 1 read backwards: block 1, taken on its rows from N down,
+    is block 0, and shares its one eigh.
     """
     diag, upper = _quadratic_bands(n_atoms, spec.chi, spec.weights)
-    blocks = []
-    for parity in (0, 1):
-        size = len(diag[parity::2])
-        block = np.zeros((size, size))
-        block.flat[::size + 1] = diag[parity::2]
-        block.flat[1::size + 1] = block.flat[size::size + 1] = upper[parity::2]
-        blocks.append((slice(parity, None, 2), *np.linalg.eigh(block)))
-    return blocks
+    if n_atoms % 2:
+        evals, evecs = _tridiagonal_eigh(diag[0::2], upper[0::2])
+        return [(slice(0, None, 2), evals, evecs),
+                (slice(n_atoms, None, -2), evals, evecs)]
+    return [(slice(parity, None, 2), *_persymmetric_eigh(diag[parity::2], upper[parity::2]))
+            for parity in (0, 1)]
 
 
 def _apply(matrix, vectors):

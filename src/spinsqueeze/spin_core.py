@@ -49,14 +49,15 @@ def _unit_rows(amplitudes, count=None, n_atoms=None):
     N is `n_atoms`, else read off the rows; each must have unit norm (NaN fails).
     """
     try:
-        amp = np.array(amplitudes, dtype=complex, ndmin=1)
+        amp = np.array(amplitudes, dtype=complex, order="C", ndmin=1)
     except (TypeError, ValueError):
         raise ValidationError("amplitudes must form one complex array") from None
     n = _check_n_atoms(amp.shape[-1] - 1 if n_atoms is None else n_atoms)
     shape = (n + 1,) if count is None else (count, n + 1)
     if amp.shape != shape:
         raise ValidationError(f"amplitudes have shape {amp.shape}, expected {shape}")
-    drift = abs(np.linalg.norm(amp, axis=-1) - 1.0).max()
+    parts = amp.view(float)  # re, im interleaved; np.linalg.norm makes a full-size |amp|^2
+    drift = abs(np.sqrt(np.einsum("...k,...k->...", parts, parts)) - 1.0).max()
     if not drift <= NORM_TOL:  # NaN fails too
         raise ValidationError(f"state norm deviates from 1 by {drift!r}, beyond {NORM_TOL}")
     amp.flags.writeable = False

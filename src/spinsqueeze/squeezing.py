@@ -51,8 +51,9 @@ def _moments(n_atoms, psi):
       s, the shared diagonal: <Jx^2>, <Jy^2> = s +- 2 Re w;
       w, the sum over Jx^2's +2 band (<J+^2> / 4): <JxJy + JyJx> = 4 Im w;
       p = <J+ (2 Jz + 1)> = <JxJz + JzJx> + i <JyJz + JzJy>.
-    Sums are einsum or element-wise: a `@` here would hand each row's
-    reduction to threaded BLAS.
+    Sums are einsum or element-wise. They date from when OpenBLAS ran its
+    default threads and a `@` here handed each row's reduction to a
+    threaded gemv; on the package's one thread a `@` would be faster.
     """
     jp_band, jpz_band, side, upper, m2 = _bands(n_atoms)
     prob = psi.real ** 2 + psi.imag ** 2

@@ -12,15 +12,26 @@ from spinsqueeze import cli
 from spinsqueeze.cli import _parse_n_list, _parse_range, build_parser, main
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def _cli_env(**extra):
+    """The environment for a subprocess that imports the package from this
+    checkout: this one's, less the BLAS thread variables, which importing
+    the package here has set, so the child picks its own default."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]), **extra)
+
+
 def test_import_loads_no_scipy():
     # scipy costs ~0.3 s of start-up; only solve-ratio and bessel_j0 need it
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    env = _cli_env()
     code = ("import sys, spinsqueeze.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -30,7 +41,7 @@ def test_import_loads_no_scipy():
 
 def test_driven_evolve_loads_no_scipy(tmp_path):
     # scipy on the driven path would cost ~27 MB of memory and ~0.35 s
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    env = _cli_env()
     out_file = tmp_path / "driven.csv"
     code = ("import sys; from spinsqueeze.cli import main; "
             "assert main(['evolve', '--hamiltonian', 'full', '--n', '8', "
@@ -45,7 +56,7 @@ def test_driven_evolve_loads_no_scipy(tmp_path):
 
 def test_static_scan_loads_no_scipy():
     # scipy.linalg alone costs 0.22-0.27 s of import on the static path
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    env = _cli_env()
     code = ("import sys; from spinsqueeze import TATxz, run_n_scaling; "
             "run_n_scaling([TATxz()], [4, 6, 8, 10, 12]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -54,10 +65,34 @@ def test_static_scan_loads_no_scipy():
     assert out.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("preset, pinned", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "openblas-2", "omp-2"])
+def test_import_pins_blas_to_one_thread_unless_set(preset, pinned):
+    # a user's own thread count, in any of the three variables, wins
+    code = "import os, spinsqueeze; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(**preset),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == str(pinned)
+
+
+def test_openblas_runs_one_thread_after_import():
+    # read back from OpenBLAS itself, as perfbench/run.py records it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import spinsqueeze, numpy; from run import _blas_threads; "
+            "print(_blas_threads(numpy))")
+    out = subprocess.run([sys.executable, "-c", code, str(BENCH)],
+                         env=_cli_env(PYTHONDONTWRITEBYTECODE="1"), check=True,
+                         capture_output=True, text=True).stdout
+    if out.strip() == "None":
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    assert out.strip() == "1"
+
+
 def test_sweeps_load_no_masked_arrays_or_scipy(tmp_path):
     # numpy.ma costs 10-14 ms of import (a bare np.unique loads it), scipy
     # ~0.3 s; solve-ratio needs scipy and stays out
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+    env = _cli_env()
     runs = [
         ["evolve", "--hamiltonian", "full", "--n", "8", "--g", "90.6",
          "--omega", "100", "--tmax", "0.3", "--samples", "40"],  # jumps
@@ -202,7 +237,7 @@ class TestEvolve:
         # the run is refused with its estimate, on one stderr line, instead of
         # hanging; a subprocess with a timeout, so a run that does start
         # cannot hang the suite, and a warning would reach stderr
-        env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+        env = _cli_env()
         argv = ["evolve", "--hamiltonian", "full", "--n", "10", "--g", "10",
                 "--omega", omega, "--tmax", t_max, "--samples", "3",
                 "--out", str(tmp_path / "x.csv")]
@@ -378,7 +413,7 @@ class TestScanN:
         # about 1e-3 > REFINE_TIME_TOL, so the golden bracket stops shrinking
         # above the tolerance; a subprocess with a timeout, so a search that
         # never ends fails instead of hanging the suite
-        env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]))
+        env = _cli_env()
         tables = []
         for chi in ("1e-13", "1"):
             out_file = tmp_path / f"scaling-{chi}.json"
@@ -487,8 +522,7 @@ def bench_files():
 def bench_child(tmp_path, stats, trace, refine, *cli_args):
     """One perfbench/child.py pass, as perfbench/run.py spawns it; writes no
     bytecode under perfbench/."""
-    env = dict(os.environ, PYTHONPATH=str(Path(spinsqueeze.__file__).parents[1]),
-               PYTHONDONTWRITEBYTECODE="1")
+    env = _cli_env(PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, str(BENCH / "child.py"), str(stats), trace, refine,
             "--", *cli_args]
     done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,

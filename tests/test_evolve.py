@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -114,6 +115,27 @@ class TestPropagateStatic:
         ahead = [traj.advance(start, times[3], np.array([0.41]))
                  for traj in (by_spec, by_operator)]
         assert np.max(np.abs(ahead[0] - ahead[1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 600, 601])
+    @pytest.mark.parametrize("spec", [
+        OAT(), TATxz(), TATyz(), EffectiveMixed(0.5), EffectiveMixed(-0.3)],
+        ids=["oat", "tat-xz", "tat-yz", "mixed+0.5", "mixed-0.3"])
+    def test_folded_blocks_decompose_their_rows(self, spec, n):
+        # the reversal fold (two half-size eigh per block at even N, one eigh
+        # for both at odd N) against a dense eigh of each block, taken on the
+        # rows it names; evals ascend, so the phase overflow check reads the
+        # ends
+        h = build_hamiltonian(spec, n).matrix.real
+        blocks = evolve._band_blocks(spec, n)
+        covered = np.concatenate([np.arange(n + 1)[rows] for rows, _, _ in blocks])
+        assert np.array_equal(np.sort(covered), np.arange(n + 1))
+        for rows, evals, evecs in blocks:
+            block = h[rows][:, rows]
+            scale = np.linalg.norm(block, 2)
+            assert np.all(np.diff(evals) >= 0)
+            assert np.max(np.abs(evals - np.linalg.eigvalsh(block))) <= 1e-12 * scale
+            assert np.max(np.abs(block @ evecs - evecs * evals)) <= 1e-12 * scale
+            assert np.max(np.abs(evecs.T @ evecs - np.eye(len(evals)))) <= 1e-12
 
     def test_rejects_driven_spec(self):
         with pytest.raises(ValidationError, match="propagate_driven"):
@@ -1236,6 +1258,19 @@ class TestTrajectory:
             traj.amplitudes[0, 0] = 1.0
         for i, state in enumerate(traj.states):
             assert np.array_equal(state.amplitudes, traj.amplitudes[i])
+
+    def test_norm_check_makes_no_full_size_temporary(self):
+        # the unit-norm check sums the float view in place of np.linalg.norm,
+        # whose |amp|^2 temporary doubled the peak: the copy is all it keeps
+        rows = np.full((200, 2001), 1 / math.sqrt(2001), dtype=complex)
+        times = np.linspace(0.0, 1.0, 200)
+        tracemalloc.start()
+        try:
+            Trajectory(times, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rows.nbytes
 
     # at omega = 300, t_max = 0.5/20 spans 1.2 drive periods (one-column
     # march) and 0.5 spans 24 (period jumps)
