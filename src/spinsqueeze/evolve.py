@@ -25,11 +25,13 @@ co-rotated generator A. So W_T = F W_h F W_h from half a period's W_h.
 A jumping run starts on a multiple of T/2: one from any other start
 first marches its one state there, a lead-in of less than half a period.
 From there A is also mirror-symmetric about the quarter period and
-A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q. A
-sample's grid steps, over the 2q of a half period, give its half period k
-and phase tau < T/2: it is F^k W(tau) r_k, r_k = (F W_h)^k applied to the
-start. The identity march mirrors the second quarter onto the first,
-since W(T/2 - tau) = F conj(W(tau)) F W_h, so it ends at T/4. Over less
+A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q,
+marched from t = 0 only: from an odd multiple of T/2 the pair is read
+reflected, F W F. A sample's grid steps, over the 2q of a half period,
+give its half period k and phase tau < T/2: it is F^k W(tau) r_k,
+r_k = (F W_h)^k applied to the start. The identity march mirrors the
+second quarter onto the first, since W(T/2 - tau) = F conj(W(tau)) F W_h,
+so it ends at T/4. Over less
 than a period W is banded to machine precision, so every propagator is
 held by its 2b+1 diagonals, b set by the march itself: O(bN) memory and
 work, not O(N^2). A run jumps when it spans a whole period and its
@@ -193,7 +195,8 @@ def _persymmetric_eigh(diag, upper):
     the middle: at even m the middle coupling e = upper[m/2 - 1] adds +e to
     the even half's last diagonal entry and -e to the odd half's; at odd m
     the even half's last coupling is sqrt(2) e. Eigenvalues come out in
-    ascending order, their vectors as columns of one (m, m) array.
+    half order, the even half's (ascending) then the odd half's (ascending),
+    their vectors as the columns of one (m, m) array in the same order.
     """
     m = len(diag)
     pairs = m // 2  # rows i < pairs pair with m-1-i; the J-odd half's size
@@ -207,21 +210,17 @@ def _persymmetric_eigh(diag, upper):
     halves = [(1.0, *_tridiagonal_eigh(even_diag, even_upper))]
     if pairs:
         halves.append((-1.0, *_tridiagonal_eigh(odd_diag, upper[:pairs - 1])))
-    evals = np.concatenate([w for _, w, _ in halves])
-    order = np.argsort(evals, kind="stable")
-    column = np.empty(m, dtype=int)
-    column[order] = np.arange(m)
     evecs = np.empty((m, m))
     start = 0
     for sign, w, u in halves:
-        cols = column[start:start + len(w)]
+        cols = slice(start, start + len(w))
         start += len(w)
         outer = u[:pairs] * math.sqrt(0.5)
         evecs[:pairs, cols] = outer
         evecs[m - pairs:, cols] = sign * outer[::-1]
         if m % 2:  # the middle row: J-odd vectors vanish there
             evecs[pairs, cols] = u[pairs] if sign > 0 else 0.0
-    return evals[order], evecs
+    return np.concatenate([w for _, w, _ in halves]), evecs
 
 
 def _band_blocks(spec, n_atoms):
@@ -267,8 +266,8 @@ def _static_states(blocks, psi, t_from, times):
     spin_core.NORM_TOL (NaN too) IntegrationError.
     """
     times = _check_span(t_from, times)
-    if len(times):  # eigh sorts each block's evals: the largest |lambda| is an end one
-        top = float(max(max(-evals[0], evals[-1]) for _, evals, _ in blocks))
+    if len(times):
+        top = float(max(np.abs(evals).max() for _, evals, _ in blocks))
         # Python floats overflow to inf without a numpy warning
         if not math.isfinite(top * (float(times[-1]) - float(t_from))):
             raise ValidationError(
@@ -318,7 +317,7 @@ def propagate_static(hamiltonian, initial, times):
 
 
 def _rk4_core(spec, diag, band, shift, work):
-    """step(block, t, dt): one RK4 step of rotating-frame columns, in place.
+    """step(block, t, dt) -> block: one RK4 step of rotating-frame columns, in place.
 
     The co-rotated generator is A(t) = -i chi (D + e^(2i theta) U + h.c.),
     theta = (g/omega) sin(omega t), with D the diagonal of Jx^2 and U its +2
@@ -370,12 +369,13 @@ def _rk4_core(spec, diag, band, shift, work):
             acc += k
         acc *= dt / 3
         block += acc
+        return block
 
     return step
 
 
 def _rk4_stepper(spec, n_atoms, width):
-    """step(block, t, dt): one RK4 step of rotating-frame states, in place.
+    """step(block, t, dt) -> block: one RK4 step of rotating-frame states, in place.
 
     `block` holds the states as the columns of (N+1, C), C <= width. t and
     dt are scalars, or arrays with one value per column (`_rk4_core`). The
@@ -454,8 +454,7 @@ def _band_stepper(spec, n_atoms):
             work = np.empty((4, *band.shape), dtype=complex)
             core = _rk4_core(spec, _band_layout(diag, b, n_atoms),
                              _band_layout(upper, b, n_atoms)[:-1], 1, work)
-        core(band, t, dt)
-        return band
+        return core(band, t, dt)
 
     return step
 
@@ -525,7 +524,7 @@ _CHUNK_ENTRIES = 4096
 
 
 def _band_apply(band, vectors):
-    """W @ vectors for (N+1,) or (N+1, C) vectors, W in band storage.
+    """W @ vectors for the columns of (N+1, C) vectors, W in band storage.
 
     Row s of W's band, times a vector, goes into a zero-padded buffer at
     column 2b + c for column c; (W v)[i] sums each row s's entry at column
@@ -538,10 +537,10 @@ def _band_apply(band, vectors):
     b = rows // 2
     wide = size + 4 * b
     width = max(1, _CHUNK_ENTRIES * 8 // (rows * wide))
-    if vectors.ndim == 2 and vectors.shape[1] > width:
+    cols = vectors.shape[1]
+    if cols > width:
         return np.hstack([_band_apply(band, vectors[:, lo:lo + width])
-                          for lo in range(0, vectors.shape[1], width)])
-    cols = vectors.size // size
+                          for lo in range(0, cols, width)])
     if not cols:
         return np.empty_like(vectors)
     buf = np.zeros((rows, cols, wide), dtype=complex)
@@ -549,7 +548,7 @@ def _band_apply(band, vectors):
     item = buf.itemsize
     summed = np.ndarray((rows, cols, size), complex, buf, offset=4 * b * item,
                         strides=((cols * wide - 2) * item, wide * item, item)).sum(axis=0)
-    return summed.T if vectors.ndim == 2 else summed[0]
+    return summed.T
 
 
 def _band_matvec(band):
@@ -577,17 +576,14 @@ def _rk4_march(step, block, t, h, knots):
     """Advance `block` by RK4 steps of h, on the grid t + j h.
 
     Yields the block once it holds the states at each knot index j of the
-    increasing `knots`: the one it was given, stepped in place, or the
-    wider array that a band stepper (which returns its band) has moved it
-    to. No step is ever cut short: a time between knots is reached from
-    the knot below it (see `_driven_states`).
+    increasing `knots`: what the last step returned, the block it stepped.
+    No step is ever cut short: a time between knots is reached from the
+    knot below it (see `_driven_states`).
     """
     done = 0
     for knot in knots:
         for j in range(done, knot):
-            stepped = step(block, t + j * h, h)
-            if stepped is not None:  # a band stepper's band, maybe widened
-                block = stepped
+            block = step(block, t + j * h, h)
         done = knot
         yield block
 
@@ -687,21 +683,20 @@ def _check_cost(spec, n_atoms, last, quarter):
     return jumps
 
 
-def _period_propagator(spec, n_atoms, t_start, period, quarter):
-    """Rotating-frame W_h over [s, s + T/2] and W_T over [s, s + T], checked.
+def _period_propagator(spec, n_atoms, period, quarter):
+    """Rotating-frame W_h over [0, T/2] and W_T over [0, T], checked.
 
-    The start s is a multiple of T/2. Both come in band storage, trimmed,
-    from one march of `quarter` RK4 steps over the quarter period in band
-    storage (`_band_stepper`), which gives W_q. With F the index reversal,
-    F A(t) F = A(t + T/2) since theta(t + T/2) = -theta(t), so
-    W_T = F W_h F W_h; and A(s + T/2 - t) = A(s + t) with A^T = F A F, so
-    W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states` uses the same two
-    symmetries: the first to index every sample by its half period, the
-    second to mirror the second quarter onto the first.
+    Both come in band storage, trimmed, from one march of `quarter` RK4
+    steps over the first quarter period in band storage (`_band_stepper`),
+    which gives W_q. With F the index reversal, F A(t) F = A(t + T/2) since
+    theta(t + T/2) = -theta(t), so W_T = F W_h F W_h; and A(T/2 - t) = A(t)
+    with A^T = F A F, so W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states`
+    uses the same two symmetries: the first to index every sample by its
+    half period, the second to mirror the second quarter onto the first.
     """
     h = period / 4 / quarter
     for block in _rk4_march(_band_stepper(spec, n_atoms), _band_identity(n_atoms),
-                            t_start, h, [quarter]):
+                            0.0, h, [quarter]):
         pass
     block = _trimmed(block)
     half = _band_product(_transposed(_reflected(block)), block)
@@ -714,27 +709,20 @@ def _period_propagator(spec, n_atoms, t_start, period, quarter):
     if not error <= NORM_TOL:  # NaN fails too
         raise IntegrationError(
             f"one-period propagator drift {error:g} exceeds tolerance "
-            f"{NORM_TOL:g} at t = {t_start + period:g} (N = {n_atoms}, "
+            f"{NORM_TOL:g} at t = {period:g} (N = {n_atoms}, "
             f"step {h:g}); tighten StepControl")
     return half, jump
 
 
-def _held_propagator(spec, n_atoms, t_start, period, quarter, held):
-    """`_period_propagator` from the multiple t_start of T/2, built once into
-    `held` (a dict, or None to hold nothing) for every start of one grid.
-
-    The pair is always built from t = 0, so every start of one grid reads
-    the same bits whether or not `held` kept them. A(t + T) = A(t), and
-    A(t + T/2) = F A(t) F, so the propagators from an odd multiple of T/2
-    are F W F of those from 0.
+def _held_propagator(spec, n_atoms, period, quarter, odd, held):
+    """W_h and W_T from a multiple of T/2, odd or even, built once from
+    t = 0 (`_period_propagator`) into the dict `held` for every start of
+    one grid. A(t + T) = A(t), and A(t + T/2) = F A(t) F, so those from an
+    odd multiple of T/2 are F W F of those from 0.
     """
-    odd = _grid_split(np.array([t_start]), period / 2)[0][0] % 2 == 1
-    built = None if held is None else held.get(quarter)
-    if built is None:
-        built = _period_propagator(spec, n_atoms, 0.0, period, quarter)
-        if held is not None:
-            held[quarter] = built
-    return tuple(map(_reflected, built)) if odd else built
+    if quarter not in held:
+        held[quarter] = _period_propagator(spec, n_atoms, period, quarter)
+    return tuple(map(_reflected, held[quarter])) if odd else held[quarter]
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
@@ -751,8 +739,8 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     rho in [0, h). `_check_cost` decides from the last K whether the run
     jumps, after refusing one whose estimated work exceeds the budget;
     `jumps` hands that one decision to the two parts of a run split below,
-    and `held` (a dict, or None) holds W_h and W_T across a trajectory's
-    calls.
+    and `held`, a dict (a fresh one for None), holds W_h and W_T across a
+    trajectory's calls.
     A run that does not jump marches its one start phi over the grid, and
     reads each sample out at its knot K. A run that jumps from a start off
     the multiples of T/2 first marches phi to the next one, t_half, as a
@@ -763,9 +751,9 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     propagator from t_start and W_h = W(T/2), half period k starts from
     r_k = (F W_h)^k phi in the reflected frame, and the sample is
     F^k W(tau) r_k. It is made in three stages:
-    1. build W_h and W_T = F W_h F W_h in band storage
+    1. build W_h and W_T = F W_h F W_h in band storage from t = 0
        (`_period_propagator`), from a quarter period, or take them from
-       `held`, the trajectory's (`_held_propagator`);
+       `held`, reflected from an odd multiple of T/2 (`_held_propagator`);
     2. reach each even column r_2n = v_n = W_T v_(n-1) by one band
        product (`_band_matvec`), keep those that samples need, and make
        the odd ones r_(2n+1) = F W_h v_n from them in one batched product
@@ -814,7 +802,8 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
         count, knot = np.divmod(knot, 2 * quarter)
         mirror = knot > quarter
         stop = np.where(mirror, 2 * quarter - knot, knot)
-        half, jump = _held_propagator(spec, n_atoms, t_start, period, quarter, held)
+        half, jump = _held_propagator(spec, n_atoms, period, quarter, halves[0] % 2 == 1,
+                                      {} if held is None else held)
         # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
         needed, cols = np.unique(count + mirror, return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
@@ -881,12 +870,7 @@ def propagate_driven(spec, initial, times, control=None):
     if not isinstance(initial, DickeState):
         raise ValidationError("propagate_driven expects a DickeState")
     times = _check_times(times)
-    held = {}
-
-    def advance(psi, t_from, times):
-        return _driven_states(spec, initial.n_atoms, psi, t_from, times, control,
-                              None, held)
-
+    advance = partial(_driven_states, spec, initial.n_atoms, control=control, held={})
     return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 

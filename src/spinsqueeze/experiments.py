@@ -7,7 +7,7 @@ sweep bit-identically, and whose columns feed the csv/json/svg emitters.
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -189,10 +189,24 @@ def _spec_for_n(template, n_atoms):
     return template
 
 
-def _optimal_point(spec, n_atoms, axis, t_max):
-    times = np.linspace(0.0, t_max, GRID_SAMPLES)
-    record = optimal_squeezing(_run_trajectory(spec, n_atoms, axis, times))
-    return record.xi_squared, record.time
+def _optimal_point(spec, n_atoms, axis):
+    """(xi^2, time) at the optimum of one sweep point, found in units of 1/chi.
+
+    The optimum time scales as 1/chi, but the refinement stops at an
+    absolute bracket width (squeezing.REFINE_TIME_TOL). So the point runs
+    the same spec at chi = 1 (g/chi and omega/chi for a driven one) on the
+    grid default_t_max(N), and its optimal time is divided by chi: every
+    chi refines as far as chi = 1 does.
+    """
+    chi = spec.chi
+    if isinstance(spec, FullDriven):
+        drive = spec.drive
+        unit = FullDriven(DriveParams(drive.amplitude_g / chi, drive.frequency_omega / chi))
+    else:
+        unit = replace(spec, chi=1.0)
+    times = np.linspace(0.0, default_t_max(n_atoms), GRID_SAMPLES)
+    record = optimal_squeezing(_run_trajectory(unit, n_atoms, axis, times))
+    return record.xi_squared, record.time / chi
 
 
 def run_n_scaling(specs, n_list, initial_axis="y"):
@@ -215,8 +229,7 @@ def run_n_scaling(specs, n_list, initial_axis="y"):
     columns = {"n_atoms": np.array(n_list, dtype=float)}
     fits = {}
     for template, name in zip(specs, names):
-        xi, topt = zip(*(_optimal_point(_spec_for_n(template, n), n, initial_axis,
-                                        default_t_max(n, template.chi))
+        xi, topt = zip(*(_optimal_point(_spec_for_n(template, n), n, initial_axis)
                          for n in n_list))
         columns[f"optimal_xi2_{name}"] = xi
         columns[f"optimal_time_{name}"] = topt
@@ -245,13 +258,12 @@ def run_ratio_scan(n_atoms, initial_axis, ratio_grid, omega, chi=1.0):
         if not (math.isfinite(r) and r >= 0):
             raise ValidationError(f"drive ratios must be finite and >= 0, got {r!r}")
     undriven = DriveParams(0.0, omega)  # refuses a bad omega before any spec is built
-    t_max = default_t_max(n_atoms, chi)
 
     results = [_optimal_point(FullDriven(DriveParams(r * omega, omega), chi),
-                              n_atoms, initial_axis, t_max)
+                              n_atoms, initial_axis)
                for r in ratios]
 
-    tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis, t_max)
+    tat_xi, tat_time = _optimal_point(TATxz(chi), n_atoms, initial_axis)
     diag = rwa_validity(FullDriven(undriven, chi), n_atoms)
     metadata = {
         "n_atoms": int(n_atoms),

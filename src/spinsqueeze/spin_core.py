@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-# The numerical paths build no (N+1)^2 operator; the cap rests on the static
-# path's O(N^3) eigh of its two real half-size parity blocks, 8 MB each and
-# 0.14 s for both at N = 2000 on a 2-vCPU host. Refuse larger sizes loudly.
+# The numerical paths build no (N+1)^2 operator. The static path's folded
+# eigh (evolve._band_blocks) holds two 8 MB eigenvector arrays at N = 2000
+# and takes 0.12 s there, 0.18 s at N = 1999 (one BLAS thread, 2-vCPU
+# host); the driven `full` scan point at N = 2000, about 7 s, is the
+# costlier one. Refuse larger sizes loudly.
 N_ATOMS_MAX = 2000
 
 NORM_TOL = 1e-10  # every stored state's unit norm (evolve.NORM_TOL: RK4 drift allowance)

@@ -51,19 +51,13 @@ def _moments(n_atoms, psi):
       s, the shared diagonal: <Jx^2>, <Jy^2> = s +- 2 Re w;
       w, the sum over Jx^2's +2 band (<J+^2> / 4): <JxJy + JyJx> = 4 Im w;
       p = <J+ (2 Jz + 1)> = <JxJz + JzJx> + i <JyJz + JzJy>.
-    Sums are einsum or element-wise. They date from when OpenBLAS ran its
-    default threads and a `@` here handed each row's reduction to a
-    threaded gemv; on the package's one thread a `@` would be faster.
+    Each sum is one matrix-vector product.
     """
     jp_band, jpz_band, side, upper, m2 = _bands(n_atoms)
     prob = psi.real ** 2 + psi.imag ** 2
     hop1 = psi[:, :-1].conj() * psi[:, 1:]
-    return (np.einsum("tk,k->t", hop1, jp_band),
-            np.einsum("tk,k->t", prob, _jz_diagonal(n_atoms)),
-            np.einsum("tk,k->t", prob, m2),
-            np.einsum("tk,k->t", prob, side),
-            np.einsum("tk,k->t", psi[:, :-2].conj() * psi[:, 2:], upper),
-            np.einsum("tk,k->t", hop1, jpz_band))
+    return (hop1 @ jp_band, prob @ _jz_diagonal(n_atoms), prob @ m2, prob @ side,
+            (psi[:, :-2].conj() * psi[:, 2:]) @ upper, hop1 @ jpz_band)
 
 
 def _squeezing(n_atoms, psi):

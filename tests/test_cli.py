@@ -410,9 +410,11 @@ class TestScanN:
 
     def test_refinement_ends_where_ulp_exceeds_tolerance(self, tmp_path):
         # at chi = 1e-13 the optima sit near t = 1e12-1e13, where ulp(t) is
-        # about 1e-3 > REFINE_TIME_TOL, so the golden bracket stops shrinking
-        # above the tolerance; a subprocess with a timeout, so a search that
-        # never ends fails instead of hanging the suite
+        # about 1e-3 > REFINE_TIME_TOL. The sweep refines in units of 1/chi,
+        # so it no longer meets that stop (test_squeezing's
+        # test_refinement_ends_where_ulp_exceeds_tolerance does); this keeps
+        # the CLI's tiny-chi scan ending, in a subprocess with a timeout, so
+        # a search that never ends fails instead of hanging the suite
         env = _cli_env()
         tables = []
         for chi in ("1e-13", "1"):

@@ -137,7 +137,7 @@ class TestRunNScaling:
         n = 2000
         tracemalloc.start()
         try:
-            experiments._optimal_point(TATxz(), n, "y", default_t_max(n))
+            experiments._optimal_point(TATxz(), n, "y")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -177,19 +177,59 @@ class TestRunRatioScan:
             run_ratio_scan(10, "y", ratios, omega)
 
 
+class TestUnitsOfChi:
+    """Sweeps refine in units of 1/chi: xi^2 and chi t do not depend on chi.
+
+    The refinement stops at an absolute bracket width, so a sweep that
+    refined in time itself stopped early for chi > 1: OAT's optimum moved
+    by 1.2e-5 in xi^2 at chi = 1000, N = 20..36."""
+
+    def test_static_scaling(self):
+        n_list = [20, 24, 28, 32, 36]
+        unit, _ = run_n_scaling([OAT(), TATxz()], n_list)
+        fast, _ = run_n_scaling([OAT(1000.0), TATxz(1000.0)], n_list)
+        for name in ("oat", "tat-xz"):
+            xi2, time = (f"optimal_{column}_{name}" for column in ("xi2", "time"))
+            assert np.max(np.abs(fast.columns[xi2] - unit.columns[xi2])) <= 1e-15
+            assert np.max(np.abs(1000.0 * fast.columns[time] - unit.columns[time])) <= 1e-15
+
+    @pytest.mark.parametrize("chi", [10.0, 1000.0])
+    def test_driven_scaling(self, chi):
+        # g/chi and omega/chi round apart from the chi = 1 drive in the
+        # last bits, so the two agree to rounding, not bit for bit
+        n_list = [4, 5, 6, 7, 8]
+        unit, _ = run_n_scaling([FullDriven(DriveParams(0.906, 1.0))], n_list)
+        fast, _ = run_n_scaling([FullDriven(DriveParams(0.906, 1.0), chi)], n_list)
+        assert np.max(np.abs(fast.columns["optimal_xi2_full"]
+                             - unit.columns["optimal_xi2_full"])) <= 1e-14
+        assert np.allclose(chi * fast.columns["optimal_time_full"],
+                           unit.columns["optimal_time_full"], rtol=1e-14, atol=0)
+
+    def test_ratio_scan(self):
+        unit = run_ratio_scan(8, "y", [0.0, 0.5], 300.0)
+        fast = run_ratio_scan(8, "y", [0.0, 0.5], 3000.0, chi=10.0)
+        assert np.max(np.abs(fast.columns["optimal_xi2"] - unit.columns["optimal_xi2"])) <= 1e-15
+        assert np.max(np.abs(10.0 * fast.columns["optimal_time"]
+                             - unit.columns["optimal_time"])) <= 1e-15
+        assert abs(fast.metadata["tat_reference_xi2"]
+                   - unit.metadata["tat_reference_xi2"]) <= 1e-15
+        assert abs(10.0 * fast.metadata["tat_reference_time"]
+                   - unit.metadata["tat_reference_time"]) <= 1e-15
+
+
 class TestDrivenSweepTraffic:
     def test_sweeps_jump_only_from_t_zero(self, monkeypatch):
-        # every one-period propagator W_T of a driven scan-n and scan-ratio
-        # point is built from t = 0, and no refinement restart (one sample
-        # time, from the trajectory's advance) jumps: no sweep makes a
-        # jumping run from a start off the multiples of T/2, which takes a
-        # lead-in
+        # every driven scan-n and scan-ratio point builds its one-period
+        # propagator W_T once (from t = 0, as every build is), and no
+        # refinement restart (one sample time, from the trajectory's
+        # advance) jumps: no sweep makes a jumping run from a start off the
+        # multiples of T/2, which takes a lead-in
         built, runs = [], []
         build, states = evolve._period_propagator, evolve._driven_states
 
-        def spy_build(spec, n_atoms, t_start, *args):
-            built.append(t_start)
-            return build(spec, n_atoms, t_start, *args)
+        def spy_build(spec, n_atoms, *args):
+            built.append(n_atoms)
+            return build(spec, n_atoms, *args)
 
         def spy_states(spec, n_atoms, psi, t_start, times, *args, **kwargs):
             before = len(built)
@@ -201,7 +241,7 @@ class TestDrivenSweepTraffic:
         monkeypatch.setattr(evolve, "_driven_states", spy_states)
         run_n_scaling([TATxz(), FullDriven(DriveParams(0.906, 1.0))], [4, 5, 6, 7, 8])
         run_ratio_scan(32, "y", [0.2], 1000.0)
-        assert len(built) == 6 and set(built) == {0.0}
+        assert built == [4, 5, 6, 7, 8, 32]
         restarts = [jumped for samples, jumped in runs if samples == 1]
         assert len(restarts) > 6 and not any(restarts)
 
@@ -213,13 +253,13 @@ class TestDrivenSweepTraffic:
         built = []
         build = evolve._period_propagator
 
-        def spy_build(spec, n_atoms, t_start, *args):
-            built.append(t_start)
-            return build(spec, n_atoms, t_start, *args)
+        def spy_build(spec, n_atoms, *args):
+            built.append(n_atoms)
+            return build(spec, n_atoms, *args)
 
         monkeypatch.setattr(evolve, "_period_propagator", spy_build)
         table = run_ratio_scan(8, "y", [0.5], 1e5)
-        assert built == [0.0]
+        assert built == [8]
         assert table.columns["optimal_xi2"][0] == pytest.approx(0.19608811, abs=1e-8)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spinsqueeze import StepControl, evolve, squeezing, squeezing_curve
 from spinsqueeze.squeezing import _moments
 
 import oracles
+from test_cli import _cli_env
 from test_evolve import march_log
 
 
@@ -407,9 +410,9 @@ class TestOptimalSqueezing:
         seen = []
         real = evolve._driven_states
 
-        def spy(spec, n_atoms, psi, t_start, times, control, *args):
+        def spy(spec, n_atoms, psi, t_start, times, control, *args, **kwargs):
             seen.append(control)
-            return real(spec, n_atoms, psi, t_start, times, control, *args)
+            return real(spec, n_atoms, psi, t_start, times, control, *args, **kwargs)
 
         monkeypatch.setattr(evolve, "_driven_states", spy)
         spec = FullDriven(DriveParams(0.906 * 300, 300.0))
@@ -449,6 +452,22 @@ class TestOptimalSqueezing:
         record = optimal_squeezing(traj)
         assert record.xi_squared == pytest.approx(0.13227635921395303, abs=1e-12)
         assert record.time == pytest.approx(0.15754092175374856, abs=1e-12)
+
+    def test_refinement_ends_where_ulp_exceeds_tolerance(self):
+        # at chi = 1e-13 the N = 4 optimum sits near t = 5e12, where ulp(t)
+        # is about 1e-3 > REFINE_TIME_TOL: the golden bracket stops
+        # shrinking above the tolerance, and the search must stop with it;
+        # a subprocess with a timeout, so a search that never ends fails
+        # instead of hanging the suite
+        code = ("import numpy as np; from spinsqueeze import OAT, coherent_spin_state, "
+                "default_t_max, optimal_squeezing, propagate_static; "
+                "times = np.linspace(0, default_t_max(4, 1e-13), 200); "
+                "traj = propagate_static(OAT(1e-13), coherent_spin_state(4, 'y'), times); "
+                "print(repr(optimal_squeezing(traj).xi_squared))")
+        out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        unit = optimal_squeezing(propagate_static(OAT(), css(4), np.linspace(0, 2.0, 200)))
+        assert float(out) == pytest.approx(unit.xi_squared, abs=1e-8)
 
     def test_hand_built_trajectory_has_no_propagator(self):
         traj = propagate_static(build_hamiltonian(OAT(), 4), css(4),
