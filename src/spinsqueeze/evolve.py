@@ -16,8 +16,8 @@ T = 2 pi / omega, so a run spanning many periods builds one period's
 propagator W_T once and jumps from period to period by matvecs. Every
 march steps on one fixed grid, h = (T/4) / StepControl.quarter_steps: each
 sample's time from the start is whole grid steps, to its knot t_k, plus a
-remainder below h. One march of the identity (giving W(t_k), applied to
-each sample's start column) reaches every knot; all samples then take
+remainder below h. A run that does not jump marches its one start over
+the grid and reads each sample out at its knot; all samples then take
 their remainders together as one batched RK4 step. The index reversal F
 (k -> N - k; exp(-i pi Jx) = (-i)^N F) keeps Jx^2, flips Jz, and maps the
 drive's second half period onto its first: A(t + T/2) = F A(t) F for the
@@ -29,17 +29,20 @@ A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q,
 marched from t = 0 only: from an odd multiple of T/2 the pair is read
 reflected, F W F. A sample's grid steps, over the 2q of a half period,
 give its half period k and phase tau < T/2: it is F^k W(tau) r_k,
-r_k = (F W_h)^k applied to the start. The identity march mirrors the
-second quarter onto the first, since W(T/2 - tau) = F conj(W(tau)) F W_h,
-so it ends at T/4. Over less
-than a period W is banded to machine precision, so every propagator is
-held by its 2b+1 diagonals, b set by the march itself: O(bN) memory and
-work, not O(N^2). A run jumps when it spans a whole period and its
-estimated work, counted in stored entries stepped, is lower that way;
-otherwise the march carries the one start itself. A run whose estimated
-work is over budget is refused before any step. States are
-mapped back to the lab frame at every sample point, so trajectories
-always contain genuine psi(t).
+r_k = (F W_h)^k applied to the start. The quarter march that builds W_q
+keeps W(t_m) at every c-th knot, c set so that these checkpoints hold
+about CHECKPOINT_STATES states, and the second quarter is mirrored onto
+the first, since W(T/2 - tau) = F conj(W(tau)) F W_h: each sample is
+read out at the checkpoint at or below its knot (or the mirrored knot)
+and takes its last whole steps, fewer than c, as a batched column; no
+second march is made. Over less than a period W is banded to machine
+precision, so every propagator is held by its 2b+1 diagonals, b set by
+the march itself: O(bN) memory and work, not O(N^2). A run jumps when
+it spans a whole period and its estimated work, counted in stored
+entries stepped, is lower that way; otherwise the march carries the one
+start itself. A run whose estimated work is over budget is refused
+before any step. States are mapped back to the lab frame at every
+sample point, so trajectories always contain genuine psi(t).
 """
 
 import cmath
@@ -638,40 +641,57 @@ def _band_estimate(spec, n_atoms, quarter_time):
 # 0.04 us past 1e5. A step also costs a fixed _STEP_ENTRIES, its 40-odd
 # numpy calls: a one-column step took 19 us at N = 8 and 51 us at N = 2000.
 # Building W_h and W_T, three band products, costs about b band steps
-# (5-47% of a quarter march from N = 6 to 1000), and a jump, one band
-# product with one vector, about 1/8 of a band step (1/5 to 1/11 measured).
+# (5-47% of a quarter march from N = 6 to 1000), and a jump or a sample's
+# readout, one band product with one vector, about 1/8 of a band step
+# (1/5 to 1/11 measured).
 _STEP_ENTRIES = 1200
 
 # Work budget of one driven run, in entry steps. It admits runs of a minute
 # or two: scan-n's points at omega = 70 N chi under the default StepControl
-# are estimated at about 9e6 (N = 512), 4.2e7 (1000) and 2.0e8 (2000).
+# are estimated at about 7.7e6 (N = 512), 2.9e7 (1000) and 1.2e8 (2000).
 _WORK_MAX = 1e9
 
+# The quarter march keeps a checkpoint W(t_m) at every c-th knot, c set so
+# that the checkpoints hold about max(CHECKPOINT_STATES, S) states of N+1
+# entries for a run of S samples (`_checkpoint_stride`): 16.8 MB at
+# N = 512, 32.8 MB at 1000 and 65.6 MB at 2000. c is 3 on the driven-curve
+# problem (N = 100) and 1, every knot, at N <= 32.
+CHECKPOINT_STATES = 2048
 
-def _check_cost(spec, n_atoms, last, quarter):
+
+def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=False):
     """Whether the run jumps its whole periods, given the grid step `last` of
-    its last sample (q = `quarter` steps per quarter period).
+    its last sample (q = `quarter` steps per quarter period), its number of
+    `samples`, whether its start is off the multiples of T/2 (`lead_in`)
+    and whether its W_h and W_T are held already (`built`).
 
     The run's work is estimated both ways, in entry steps, and it jumps if
     it spans a whole period and jumping is estimated cheaper. Without jumps
     it marches last + 1 steps on one column (to the last knot, and its
     partial step). With jumps, the lead-in from a start off the multiples
-    of T/2 marches at most 2q - 1 steps on one column, and stages 1 and 3
-    2q steps in band storage on (2b+1)(N+1) entries, b from
-    `_band_estimate`, which also bounds what they march; then come the
-    products and one jump per whole period. A run whose work would exceed
-    _WORK_MAX is refused, with its estimate. An absurd span makes the
-    float `last` inf, which fails the budget.
+    of T/2 marches at most 2q - 1 steps on one column; stage 1, unless
+    built, marches q steps in band storage on (2b+1)(N+1) entries, b from
+    `_band_estimate`, which also bounds what it marches, and makes the
+    products; then come one jump per whole period, one readout per sample
+    and each sample's catch-up, at most c - 1 steps on one column for the
+    checkpoint stride c. A run whose work would exceed _WORK_MAX is
+    refused, with its estimate. An absurd span makes the float `last` inf,
+    which fails the budget.
     """
     b = _band_estimate(spec, n_atoms, math.pi / 2 / spec.drive.frequency_omega)
+    quarter = float(quarter)  # float work: an absurd grid makes inf, not an error
     periods = np.floor(last / (4 * quarter))
     column = n_atoms + 1 + _STEP_ENTRIES
     band = (2 * b + 1) * (n_atoms + 1) + _STEP_ENTRIES
     plain = (last + 1) * column
-    jumping = (2 * quarter - 1) * column + (2 * quarter + b) * band + periods * band / 8
+    lead = 2 * quarter - 1 if lead_in else 0.0
+    march, products = (0.0, 0.0) if built else (quarter, b)
+    catch_up = samples * (_checkpoint_stride(spec, n_atoms, quarter, samples) - 1)
+    jumping = ((lead + catch_up) * column + (march + products) * band
+               + (periods + samples) * band / 8)
     jumps = bool(periods >= 1 and jumping < plain)
     if jumps:
-        work, steps = jumping, 4 * quarter - 1
+        work, steps = jumping, lead + march + catch_up
     else:
         work, steps, periods = plain, last + 1, 0.0
     if not work <= _WORK_MAX:  # NaN and inf fail too
@@ -683,22 +703,39 @@ def _check_cost(spec, n_atoms, last, quarter):
     return jumps
 
 
-def _period_propagator(spec, n_atoms, period, quarter):
-    """Rotating-frame W_h over [0, T/2] and W_T over [0, T], checked.
+def _checkpoint_stride(spec, n_atoms, quarter, samples):
+    """The knots c between the quarter march's checkpoints, for a run of
+    `samples` times: c = max(1, ceil(q (2b+1) / max(CHECKPOINT_STATES, S))),
+    b from `_band_estimate`. The checkpoints then hold at most about
+    max(CHECKPOINT_STATES, S) (N+1) entries, and the S samples' catch-up,
+    at most c - 1 column steps each, steps no more entries than the march.
+    A float, inf where q (2b+1) overflows one."""
+    b = _band_estimate(spec, n_atoms, math.pi / 2 / spec.drive.frequency_omega)
+    ratio = float(quarter) * (2 * b + 1) / max(CHECKPOINT_STATES, samples)
+    return max(1.0, float(math.ceil(ratio)) if math.isfinite(ratio) else ratio)
 
-    Both come in band storage, trimmed, from one march of `quarter` RK4
+
+def _period_propagator(spec, n_atoms, period, quarter, stride):
+    """Rotating-frame W_h over [0, T/2] and W_T over [0, T], checked, and the
+    quarter march's checkpoints.
+
+    All come in band storage, trimmed, from one march of `quarter` RK4
     steps over the first quarter period in band storage (`_band_stepper`),
     which gives W_q. With F the index reversal, F A(t) F = A(t + T/2) since
     theta(t + T/2) = -theta(t), so W_T = F W_h F W_h; and A(T/2 - t) = A(t)
-    with A^T = F A F, so W_h = (F W_q F)^T W_q. Stage 3 of `_driven_states`
-    uses the same two symmetries: the first to index every sample by its
-    half period, the second to mirror the second quarter onto the first.
+    with A^T = F A F, so W_h = (F W_q F)^T W_q. The checkpoints are
+    (marks, bands): W(t_m) at the knots m = 0, c, 2c, ... below q and at
+    q, for the stride c. Stage 3 of `_driven_states` reads every sample off
+    them, with the same two symmetries: the first indexes every sample by
+    its half period, the second mirrors the second quarter onto the first.
     """
     h = period / 4 / quarter
+    marks = np.append(np.arange(0, quarter, stride), quarter)
+    bands = [_band_identity(n_atoms)]
     for block in _rk4_march(_band_stepper(spec, n_atoms), _band_identity(n_atoms),
-                            0.0, h, [quarter]):
-        pass
-    block = _trimmed(block)
+                            0.0, h, marks[1:].tolist()):
+        bands.append(_trimmed(block).copy())
+    block = bands[-1]
     half = _band_product(_transposed(_reflected(block)), block)
     jump = _band_product(_reflected(half), half)
     # the largest entry of W^dag W - 1 also bounds each column's norm drift;
@@ -711,18 +748,22 @@ def _period_propagator(spec, n_atoms, period, quarter):
             f"one-period propagator drift {error:g} exceeds tolerance "
             f"{NORM_TOL:g} at t = {period:g} (N = {n_atoms}, "
             f"step {h:g}); tighten StepControl")
-    return half, jump
+    return half, jump, (marks, bands)
 
 
-def _held_propagator(spec, n_atoms, period, quarter, odd, held):
-    """W_h and W_T from a multiple of T/2, odd or even, built once from
-    t = 0 (`_period_propagator`) into the dict `held` for every start of
-    one grid. A(t + T) = A(t), and A(t + T/2) = F A(t) F, so those from an
-    odd multiple of T/2 are F W F of those from 0.
+def _held_propagator(spec, n_atoms, period, quarter, odd, held, stride):
+    """W_h, W_T and the checkpoints from a multiple of T/2, odd or even,
+    built once from t = 0 (`_period_propagator`, at the stride of the run
+    that builds them) into the dict `held` for every start of one grid.
+    A(t + T) = A(t), and A(t + T/2) = F A(t) F, so those from an odd
+    multiple of T/2 are F W F of those from 0.
     """
     if quarter not in held:
-        held[quarter] = _period_propagator(spec, n_atoms, period, quarter)
-    return tuple(map(_reflected, held[quarter])) if odd else held[quarter]
+        held[quarter] = _period_propagator(spec, n_atoms, period, quarter, stride)
+    half, jump, (marks, bands) = held[quarter]
+    if odd:
+        half, jump, bands = _reflected(half), _reflected(jump), [*map(_reflected, bands)]
+    return half, jump, (marks, bands)
 
 
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
@@ -739,8 +780,8 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     rho in [0, h). `_check_cost` decides from the last K whether the run
     jumps, after refusing one whose estimated work exceeds the budget;
     `jumps` hands that one decision to the two parts of a run split below,
-    and `held`, a dict (a fresh one for None), holds W_h and W_T across a
-    trajectory's calls.
+    and `held`, a dict (a fresh one for None), holds W_h, W_T and the
+    checkpoints across a trajectory's calls.
     A run that does not jump marches its one start phi over the grid, and
     reads each sample out at its knot K. A run that jumps from a start off
     the multiples of T/2 first marches phi to the next one, t_half, as a
@@ -752,26 +793,33 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     r_k = (F W_h)^k phi in the reflected frame, and the sample is
     F^k W(tau) r_k. It is made in three stages:
     1. build W_h and W_T = F W_h F W_h in band storage from t = 0
-       (`_period_propagator`), from a quarter period, or take them from
-       `held`, reflected from an odd multiple of T/2 (`_held_propagator`);
+       (`_period_propagator`), from a quarter period whose march keeps
+       W(t_m) at every c-th knot m and at q (`_checkpoint_stride`), or
+       take them from `held`, reflected from an odd multiple of T/2
+       (`_held_propagator`);
     2. reach each even column r_2n = v_n = W_T v_(n-1) by one band
        product (`_band_matvec`), keep those that samples need, and make
        the odd ones r_(2n+1) = F W_h v_n from them in one batched product
        (`_band_apply`);
-    3. march the identity in band storage (`_band_stepper`), which gives
-       W(t_j), over the grid to T/4 in one pass, and read each sample out
-       at its knot t_j = j h by a band product. A(T/2 - t) = A(t) and
-       A^T = F A F give W(t_j) = F conj(W(t_(2q-j))) F W_h, so a sample
-       reads column r_(k+m), m = 1 if j > q: W(t_j) r_k, or
-       F conj(W(t_(2q-j)) conj(r_(k+1))) mirrored. A sample with odd k is
+    3. read each sample out at the largest checkpoint m at or below its
+       stop, one band product per checkpoint over all of its samples:
+       W(t_m) r_k for j <= q (stop j); for j > q (stop 2q - j),
+       W(t_m) conj(r_(k+1)), since A(T/2 - t) = A(t) and A^T = F A F give
+       W(t_j) = F conj(W(t_(2q-j))) F W_h. A sample with odd k is
        reversed once at the end.
-    Then every sample off its knot takes one RK4 step of rho < h from its
-    knot's time, all of them batched in chunks of 4096 // (N+1) columns
-    (at least one), so at small N one chunk takes a whole sweep point.
-    Each column steps on its own, so the chunking moves no bit.
+    Then every sample takes its whole steps from m to its stop, fewer than
+    c, a mirrored one is mapped to knot j by F conj, and every sample takes
+    one RK4 step of rho < h from its knot's time. RK4 is not symmetric in
+    time, so a mirrored sample catches up before the mirror, not after it:
+    so it is the every-knot readout's state to rounding (from after, up to
+    6e-12 apart at N = 40). The steps are batched, a drive phase per
+    column, in chunks of 4096 // (N+1) columns (at least one), so at small
+    N one chunk takes a whole sweep point. Each column steps on its own,
+    so the chunking moves no bit.
     Drift beyond NORM_TOL since the last renormalized state raises
-    IntegrationError: a state read out at a knot is renormalized (the
-    marched start with it), and so is each sample after its partial step.
+    IntegrationError: a state read out at a knot or a checkpoint is
+    renormalized (the marched start with it), and so is each sample after
+    its last step.
     """
     times = _check_span(t_start, times)  # _check_cost reads the last time
     if not len(times):
@@ -782,13 +830,15 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     period = 2 * math.pi / omega
     quarter = (control or StepControl()).quarter_steps(spec, n_atoms)
     h = period / 4 / quarter
+    held = {} if held is None else held
     knot, partial = _grid_split(times - t_start, h)
+    halves, offset = _grid_split(np.array([t_start]), period / 2)
     if jumps is None:
-        jumps = _check_cost(spec, n_atoms, knot[-1], quarter)
+        jumps = _check_cost(spec, n_atoms, knot[-1], quarter, len(times),
+                            offset[0] > 0.0, quarter in held)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     knot = knot.astype(int)
     if jumps:
-        halves, offset = _grid_split(np.array([t_start]), period / 2)
         if offset[0] > 0.0:  # the lead-in, then on from t_half
             t_half = (halves[0] + 1) * (period / 2)
             lead = times < t_half
@@ -797,13 +847,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
             rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
                                   control, True, held)
             return np.vstack([head[:-1], rest])
-        # half period k and knot j < 2q; a mirrored sample at knot j is read
-        # out at 2q - j, never 0
+        # half period k and knot j < 2q; a mirrored sample (j > q) stops at
+        # knot 2q - j
         count, knot = np.divmod(knot, 2 * quarter)
         mirror = knot > quarter
         stop = np.where(mirror, 2 * quarter - knot, knot)
-        half, jump = _held_propagator(spec, n_atoms, period, quarter, halves[0] % 2 == 1,
-                                      {} if held is None else held)
+        stride = int(_checkpoint_stride(spec, n_atoms, quarter, len(times)))
+        half, jump, (marks, bands) = _held_propagator(
+            spec, n_atoms, period, quarter, halves[0] % 2 == 1, held, stride)
         # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
         needed, cols = np.unique(count + mirror, return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
@@ -818,38 +869,50 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
         odd = needed % 2 == 1
         later = _band_apply(half, starts[:, odd])[::-1]
         starts[:, odd] = later / np.linalg.norm(later, axis=0)
-        block, step = _band_identity(n_atoms), _band_stepper(spec, n_atoms)
+        # each sample is read out at the largest checkpoint m <= its stop
+        slot = np.searchsorted(marks, stop, side="right") - 1
+        reached = marks[slot]
     else:  # the one start is marched itself
-        stop = knot
+        slot = reached = stop = knot
         starts = block = phi[:, None]
-        step = _rk4_stepper(spec, n_atoms, 1)
         cols = np.zeros(len(times), dtype=int)
-    states = starts[:, cols]  # a copy; right already at knot 0
-    # samples grouped by knot: sorted order, cut where each knot > 0 begins
-    order = np.argsort(stop, kind="stable")
-    rises = np.flatnonzero(np.diff(stop[order], prepend=0))
-    marching = _rk4_march(step, block, t_start, h, stop[order][rises].tolist())
+    states = starts[:, cols]  # a copy; right already at slot 0
+    if jumps:  # each sample's readout source: r_k, or conj(r_(k+1)) if mirrored
+        states[:, mirror] = states[:, mirror].conj()
+    # samples grouped by slot: sorted order, cut where each slot > 0 begins
+    order = np.argsort(slot, kind="stable")
+    rises = np.flatnonzero(np.diff(slot[order], prepend=0))
+    groups = slot[order][rises].tolist()
+    if jumps:
+        blocks = [bands[i] for i in groups]
+    else:
+        blocks = _rk4_march(_rk4_stepper(spec, n_atoms, 1), block, t_start, h, groups)
     bounds = [*rises.tolist(), len(order)]
-    for lo, hi, block in zip(bounds, bounds[1:], marching):
+    for lo, hi, block in zip(bounds, bounds[1:], blocks):
         hit = order[lo:hi]
-        if jumps:  # W(t_j) r_k; if mirrored, F conj(W(t_(2q-j)) conj(r_(k+1)))
-            flip = mirror[hit]
-            source = starts[:, cols[hit]]
-            source[:, flip] = source[:, flip].conj()
-            reached = _band_apply(block, source)
-            reached[:, flip] = reached[::-1, flip].conj()
-        else:
-            reached = block
-        states[:, hit] = _normalize(reached, times[hit] - partial[hit], n_atoms, h)
-    # the partial steps, batched in chunks on work arrays of their own
-    off_knot = np.flatnonzero(partial > 0)
-    width = max(1, min(len(off_knot), _CHUNK_ENTRIES // (n_atoms + 1)))
+        if jumps:  # W(t_m) r_k; if mirrored, W(t_m) conj(r_(k+1))
+            block = _band_apply(block, states[:, hit])
+        states[:, hit] = _normalize(block, times[hit] - partial[hit], n_atoms, h)
+    # the catch-up: columns batched in chunks on work arrays of their own,
+    # each stepping at its own drive phase
+    width = max(1, min(len(times), _CHUNK_ENTRIES // (n_atoms + 1)))
     step = _rk4_stepper(spec, n_atoms, width)
-    for lo in range(0, len(off_knot), width):
-        hit = off_knot[lo:lo + width]
-        chunk = states[:, hit]
-        step(chunk, t_start + knot[hit] * h, partial[hit])
-        states[:, hit] = _normalize(chunk, times[hit], n_atoms, h)
+
+    def step_columns(moving, t, dt):  # one RK4 step of each column in `moving`
+        for lo in range(0, len(moving), width):
+            hit = moving[lo:lo + width]
+            states[:, hit] = step(states[:, hit], t[lo:lo + width], dt[lo:lo + width])
+
+    ahead = stop - reached  # whole steps from the checkpoint to the stop
+    for done in range(int(ahead.max())):
+        moving = np.flatnonzero(ahead > done)
+        step_columns(moving, t_start + (reached[moving] + done) * h, np.full(len(moving), h))
+    if jumps:  # mirrored: W(t_j) r_k = F conj(W(t_(2q-j)) conj(r_(k+1)))
+        states[:, mirror] = states[::-1, mirror].conj()
+    off_knot = np.flatnonzero(partial > 0)
+    step_columns(off_knot, t_start + knot[off_knot] * h, partial[off_knot])
+    moved = np.flatnonzero((ahead > 0) | (partial > 0))
+    states[:, moved] = _normalize(states[:, moved], times[moved], n_atoms, h)
     if jumps:  # F^k W(tau) r_k
         odd = count % 2 == 1
         states[:, odd] = states[::-1, odd]

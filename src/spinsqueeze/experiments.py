@@ -18,7 +18,7 @@ from .evolve import propagate_driven, propagate_static
 from .hamiltonians import (DriveParams, FullDriven, TATxz, rwa_validity,
                            variant_name)
 from .spin_core import _check_n_atoms, coherent_spin_state
-from .squeezing import optimal_squeezing, squeezing_curve
+from .squeezing import _squeezing, optimal_squeezing
 
 # Per-point drive frequency for N-scaling sweeps with the full Hamiltonian:
 # deep-averaging regime omega = 70 N chi, scaled with N. The averaging
@@ -156,7 +156,7 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
     else:
         times = np.linspace(0.0, t_max, n_samples)
     traj = _run_trajectory(spec, n_atoms, initial_axis, times, control)
-    records = squeezing_curve(traj)
+    xi2 = _squeezing(traj.n_atoms, traj.amplitudes)[0]  # no record per sample
     metadata = {
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),
@@ -170,7 +170,7 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
         metadata["rwa_valid"] = diag.is_valid
     return SweepTable(
         "time_curve",
-        {"time": traj.times, "xi_squared": [r.xi_squared for r in records]},
+        {"time": traj.times, "xi_squared": xi2.tolist()},
         metadata,
     )
 
@@ -196,12 +196,17 @@ def _optimal_point(spec, n_atoms, axis):
     absolute bracket width (squeezing.REFINE_TIME_TOL). So the point runs
     the same spec at chi = 1 (g/chi and omega/chi for a driven one) on the
     grid default_t_max(N), and its optimal time is divided by chi: every
-    chi refines as far as chi = 1 does.
+    chi refines as far as chi = 1 does. A chi that scales the drive out of
+    float range raises ValidationError naming chi and the scaled drive.
     """
     chi = spec.chi
     if isinstance(spec, FullDriven):
-        drive = spec.drive
-        unit = FullDriven(DriveParams(drive.amplitude_g / chi, drive.frequency_omega / chi))
+        g, omega = spec.drive.amplitude_g / chi, spec.drive.frequency_omega / chi
+        if not (math.isfinite(g) and math.isfinite(omega) and omega > 0):
+            raise ValidationError(
+                f"chi={chi!r} scales the drive out of float range: "
+                f"g/chi = {g!r}, omega/chi = {omega!r}")
+        unit = FullDriven(DriveParams(g, omega))
     else:
         unit = replace(spec, chi=1.0)
     times = np.linspace(0.0, default_t_max(n_atoms), GRID_SAMPLES)

@@ -96,6 +96,9 @@ def test_sweeps_load_no_masked_arrays_or_scipy(tmp_path):
     runs = [
         ["evolve", "--hamiltonian", "full", "--n", "8", "--g", "90.6",
          "--omega", "100", "--tmax", "0.3", "--samples", "40"],  # jumps
+        # jumps, read off every third knot and caught up by column steps
+        ["evolve", "--hamiltonian", "full", "--n", "100", "--g", "1860",
+         "--omega", "2000", "--tmax", "0.3", "--samples", "40"],
         ["scan-ratio", "--n", "8", "--omega", "300", "--ratios", "0.5:0.9:0.4"],
         ["scan-n", "--hamiltonians", "tat-xz,oat,full", "--n-list", "4,5,6,7,8"],
         ["scan-n", "--hamiltonians", "tat-xz,oat,mixed", "--a", "0.5",

@@ -407,9 +407,11 @@ class TestPeriodJumps:
         (6, 200.0, np.r_[0.0, (0.3 + np.array([0, 2, 3, 7])) * period_of(200.0)],
          True),
         (6, 200.0, np.linspace(0, 0.9, 7) * period_of(200.0), False),  # < 1 period
-        # N = 40 crosses over to jumps between 1 and 2 whole periods
-        (40, 2800.0, np.linspace(0, 1.5, 9) * period_of(2800.0), False),
+        # N = 256 crosses over to jumps between 1 and 2 whole periods, and
+        # N = 40 jumps from its first
+        (256, 17920.0, np.linspace(0, 1.5, 9) * period_of(17920.0), False),
         (40, 2800.0, np.linspace(0, 2.5, 9) * period_of(2800.0), True),
+        (256, 17920.0, np.linspace(0, 2.5, 9) * period_of(17920.0), True),
     ])
     def test_matches_chain_of_single_column_marches(self, n, omega, times, jumps):
         spec = driven_spec(n, omega)
@@ -420,8 +422,9 @@ class TestPeriodJumps:
 
     def test_identity_readout_matches_chain(self, monkeypatch):
         # more period starts than the parity block's (N+2)//2 = 4 columns;
-        # stage 3 marches the identity, its band at the cap b = 3 (7
-        # diagonals), and reads each sample out as W(tau) v_n;
+        # stage 1 marches the identity, its band at the cap b = 3 (7
+        # diagonals), and stage 3 reads each sample out as W(tau) v_n off
+        # its checkpoints, with no second march;
         # T = 1/64 exactly, so the phase T/2 repeats bit for bit in three periods
         n, omega = 6, 128 * np.pi
         t = period_of(omega)
@@ -435,7 +438,7 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
-        assert [width for width, _, _ in log] == [7, 7]
+        assert [width for width, _, _ in log] == [7]
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -470,8 +473,8 @@ class TestPeriodJumps:
         log = march_log(monkeypatch)
         spec = driven_spec(n, omega)
         traj = propagate_driven(spec, css(n), times)
-        assert [width for width, _, _ in log] == [7, 7]  # the cap b = 3
-        assert log[0][1] == pytest.approx(t / 4) and log[1][1] < t / 2
+        assert [width for width, _, _ in log] == [7]  # the cap b = 3
+        assert log[0][1] == pytest.approx(t / 4)
         for got, want in zip(traj.states, chained(spec, n, times)):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
@@ -560,7 +563,8 @@ class TestPeriodJumps:
                                    [4 * quarter]):
             pass
         log = march_log(monkeypatch)
-        _, jump = evolve._held_propagator(spec, n, t, quarter, periods % 1 == 0.5, {})
+        _, jump, _ = evolve._held_propagator(spec, n, t, quarter, periods % 1 == 0.5,
+                                             {}, 1)
         assert len(log) == 1 and log[0][1] == pytest.approx(t / 4)
         assert np.max(np.abs(dense(jump) - block)) <= 1e-10
 
@@ -812,7 +816,7 @@ class TestMirroredReadout:
         assert {0.25 * t, 0.5 * t, 0.75 * t} <= set(phase)
         log = march_log(monkeypatch)
         traj = propagate_driven(spec, css(n), times)
-        assert [steps for _, _, steps in log] == [quarter, quarter]
+        assert [steps for _, _, steps in log] == [quarter]
         for got, t_end in zip(traj.states[1:], times[1:]):
             want = hopped(spec, css(n), 0.0, t_end)
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
@@ -852,7 +856,8 @@ class TestMirroredReadout:
     def test_off_grid_start_marches_half_a_period(self, monkeypatch, n):
         # from a start off the multiples of T/2, one column marches to the
         # next one (0.13 T on); from there W_T comes from a quarter period,
-        # and the sample 3.27 T on, past T/4, is mirrored below T/4
+        # and the sample 3.27 T on, past T/4, is read off a checkpoint below
+        # T/4, mirrored
         omega = 128 * np.pi
         spec = driven_spec(n, omega, ratio=0.4)
         t = period_of(omega)
@@ -861,11 +866,94 @@ class TestMirroredReadout:
         t_end = t_start + 3.4 * t
         log = march_log(monkeypatch)
         got = driven_state_at(spec, css(n), t_start, t_end)
-        (cols, span, _), (width, _, steps), (_, _, readout) = log
+        (cols, span, _), (width, _, steps) = log
         assert cols == 1 and 0.12 * t < span <= 0.13 * t
-        assert width > 1 and steps == quarter and readout < quarter  # a band
+        assert width > 1 and steps == quarter  # a band
         want = hopped(spec, css(n), t_start, t_end)
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
+
+
+def force_stride(monkeypatch, spec, n, samples, stride):
+    """Set CHECKPOINT_STATES so that a run of `samples` times keeps W(t_m) at
+    every `stride`-th knot of the quarter march (and at q)."""
+    quarter = StepControl().quarter_steps(spec, n)
+    bound = evolve._band_estimate(spec, n, np.pi / 2 / spec.drive.frequency_omega)
+    monkeypatch.setattr(evolve, "CHECKPOINT_STATES", -(-quarter * (2 * bound + 1) // stride))
+    assert evolve._checkpoint_stride(spec, n, quarter, samples) == stride
+
+
+class TestCheckpoints:
+    """Stage 1's quarter march keeps W(t_m) at every c-th knot and at q, and
+    every sample is read off the nearest one and caught up by column steps."""
+
+    # in periods: knot j of half period k on and off a checkpoint, below T/4
+    # and mirrored above it, at even and odd k, and exactly T/4 of an odd k
+    PHASES = np.array([0.0, 0.3, 1.125, 1.75, 2.4, 3.8, 4.0 + 3 / 64])
+
+    def test_driven_curve_makes_one_band_march(self, monkeypatch):
+        # the bench's driven-curve problem: 134 band steps to T/4 and no
+        # second march, the samples read off every third knot
+        spec = driven_spec(100, 2000.0)
+        times = np.linspace(0, 0.3, 400)
+        assert evolve._checkpoint_stride(spec, 100, 134, len(times)) == 3
+        log = march_log(monkeypatch)
+        propagate_driven(spec, css(100), times)
+        assert [(width, steps) for width, _, steps in log] == [(33, 134)]
+
+    @pytest.mark.parametrize("n,omega", [(6, 128 * np.pi), (7, 128 * np.pi),
+                                         (40, 2800.0), (100, 2000.0)])
+    def test_strides_match_chain_and_every_knot(self, monkeypatch, n, omega):
+        # T = 1/64 and h = T/64 at N = 6 and 7, so their knots are exact;
+        # stride 1 reads every sample at its knot, stride q at 0 or T/4
+        spec = driven_spec(n, omega)
+        t = period_of(omega)
+        times = self.PHASES * t
+        off_grid = np.array([0.37, 3.77]) * t  # a lead-in, then the jumps
+        quarter = StepControl().quarter_steps(spec, n)
+        rows = {}
+        for stride in (1, 3, quarter):
+            with monkeypatch.context() as patch:
+                force_stride(patch, spec, n, len(times), stride)
+                log = march_log(patch)
+                traj = propagate_driven(spec, css(n), times)
+                assert [steps for _, _, steps in log] == [quarter]
+                lead = driven_state_at(spec, css(n), *off_grid)
+            rows[stride] = np.vstack([traj.amplitudes, lead.amplitudes])
+        want = [*chained(spec, n, times), hopped(spec, css(n), *off_grid)]
+        for got in rows.values():
+            assert np.max(np.abs(got - rows[1])) <= 1e-13
+            for row, state in zip(got, want):
+                assert abs(np.vdot(row, state.amplitudes)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("samples", [2048, 3000, 5000])
+    def test_many_samples_shrink_the_stride(self, samples):
+        # past CHECKPOINT_STATES the stride falls with S, so that the
+        # samples' catch-up steps no more entries than the march it replaces
+        spec = driven_spec(100, 2000.0)
+        states = 134 * (2 * 16 + 1)
+        stride = evolve._checkpoint_stride(spec, 100, 134, samples)
+        assert stride == -(-states // samples) and samples * (stride - 1) <= states
+
+    def test_catch_up_stays_within_the_march(self, monkeypatch):
+        # 100 samples, checkpoints for 40 states: stride 4 at N = 40; the
+        # whole steps of the catch-up, counted per column, stay within the
+        # entries of the band march they replace
+        spec = driven_spec(40, 2800.0)
+        times = np.linspace(0, 7.3, 100) * period_of(2800.0)
+        monkeypatch.setattr(evolve, "CHECKPOINT_STATES", 40)
+        quarter = StepControl().quarter_steps(spec, 40)
+        stride = evolve._checkpoint_stride(spec, 40, quarter, len(times))
+        assert stride == 4 and len(times) > evolve.CHECKPOINT_STATES
+        log = march_log(monkeypatch)
+        stepped = partial_steps(monkeypatch)
+        traj = propagate_driven(spec, css(40), times)
+        _, partial = evolve._grid_split(times, grid_step(spec, 40))
+        whole = sum(map(len, stepped)) - np.count_nonzero(partial)
+        (width, _, steps), = log
+        assert 0 < whole <= width * steps
+        monkeypatch.undo()
+        every_knot = propagate_driven(spec, css(40), times)
+        assert np.max(np.abs(traj.amplitudes - every_knot.amplitudes)) <= 1e-13
 
 
 class TestCostGuard:
@@ -897,7 +985,7 @@ class TestCostGuard:
         (512, StepControl().refined(2), True),
         (1000, StepControl(), True),
         (2000, StepControl(), True),
-        (2000, StepControl().refined(8), False),
+        (2000, StepControl().refined(16), False),
     ])
     def test_budget_admits_the_paper_scale(self, n, control, admitted):
         # scan-n's driven points: omega = 70 N chi over default_t_max
@@ -913,12 +1001,12 @@ class TestCostGuard:
             with pytest.raises(ValidationError, match="too costly"):
                 evolve._check_cost(*args)
 
-    @pytest.mark.parametrize("n,periods", [(40, 1.5), (1500, 1.5)])
+    @pytest.mark.parametrize("n,periods", [(256, 1.5), (1500, 1.5)])
     def test_costs_the_run_it_decides_on(self, monkeypatch, n, periods):
-        # a whole period to jump, but a lead-in and two quarter marches in
-        # band storage would cost more than one column over 1.5 periods: the
-        # run marches one column, and the budget meets that march's
-        # estimate, (last + 1) (N + 1 + _STEP_ENTRIES) entry steps
+        # a whole period to jump, but the quarter march in band storage
+        # would cost more than one column over 1.5 periods: the run marches
+        # one column, and the budget meets that march's estimate,
+        # (last + 1) (N + 1 + _STEP_ENTRIES) entry steps
         spec = driven_spec(n, 70.0 * n)
         period = period_of(70.0 * n)
         count, _ = evolve._grid_split(np.array([periods * period]), period)
@@ -932,10 +1020,17 @@ class TestCostGuard:
         with pytest.raises(ValidationError, match="too costly"):
             evolve._check_cost(spec, n, last[0], quarter)
         monkeypatch.undo()
-        if n == 40:  # cheap enough to run: one column, no W_T
+        if n == 256:  # cheap enough to run: one column, no W_T
             log = march_log(monkeypatch)
             propagate_driven(spec, css(n), np.linspace(0, periods, 9) * period)
             assert [width for width, _, _ in log] == [1]
+
+    def test_absurd_grid_at_large_n_meets_the_guard(self):
+        # omega = 1e-300 at N = 1000 counts about 2.6e307 steps a quarter
+        # period; the estimate's integer arithmetic used to overflow a float
+        # (OverflowError) before the budget could refuse the run
+        with pytest.raises(ValidationError, match="too costly"):
+            propagate_driven(FullDriven(DriveParams(0.0, 1e-300)), css(1000), [0.0, 0.1])
 
     def test_absurd_span_meets_the_guard(self):
         # 1e10 over a period of 6e-300: the float period count is inf, and
@@ -1046,7 +1141,7 @@ class TestBandStorage:
         flip = np.eye(n + 1)[::-1]
         w_h = (flip @ w_q @ flip).T @ w_q
         w_t = flip @ w_h @ flip @ w_h
-        half, jump = evolve._period_propagator(spec, n, t, quarter)
+        half, jump, _ = evolve._period_propagator(spec, n, t, quarter, 1)
         assert np.max(np.abs(dense(half) - w_h)) <= 1e-14
         assert np.max(np.abs(dense(jump) - w_t)) <= 1e-14
         assert len(jump) < n + 1  # banded, not the whole matrix
@@ -1118,8 +1213,8 @@ class TestBandStorage:
         t = period_of(omega)
         quarter = StepControl().quarter_steps(spec, n)
         held = {}
-        evolve._held_propagator(spec, n, t, quarter, False, held)
-        reflected = evolve._held_propagator(spec, n, t, quarter, True, held)
+        evolve._held_propagator(spec, n, t, quarter, False, held, 1)
+        reflected = evolve._held_propagator(spec, n, t, quarter, True, held, 1)[:2]
         want = np.eye(n + 1, dtype=complex)
         step = evolve._rk4_stepper(spec, n, n + 1)
         marched = evolve._rk4_march(step, want, t / 2, t / 4 / quarter,

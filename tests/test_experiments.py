@@ -8,7 +8,7 @@ import pytest
 from spinsqueeze import (DriveParams, FullDriven, OAT, SweepTable, TATxz,
                          ValidationError, default_t_max, emit, evolve,
                          experiments, fit_scaling, run_n_scaling, run_ratio_scan,
-                         run_time_curve)
+                         run_time_curve, squeezing_curve)
 
 
 class TestRunTimeCurve:
@@ -46,6 +46,17 @@ class TestRunTimeCurve:
     def test_rejects_empty_window(self, t_max, n_samples):
         with pytest.raises(ValidationError, match="need t_max >= 0 and n_samples >= 1"):
             run_time_curve(OAT(), 8, "y", t_max, n_samples)
+
+    @pytest.mark.parametrize("spec,n", [(TATxz(), 10),
+                                        (FullDriven(DriveParams(90.6, 100.0)), 8)],
+                             ids=["static", "driven"])
+    def test_xi_column_is_the_records(self, spec, n):
+        # the column comes straight off the squeezing arrays, no record per
+        # sample, with the records' very values
+        table = run_time_curve(spec, n, "y", 0.3, 40)
+        traj = experiments._run_trajectory(spec, n, "y", table.columns["time"])
+        assert list(table.columns["xi_squared"]) == [
+            record.xi_squared for record in squeezing_curve(traj)]
 
 
 class TestScalingFit:
@@ -215,6 +226,14 @@ class TestUnitsOfChi:
                    - unit.metadata["tat_reference_xi2"]) <= 1e-15
         assert abs(10.0 * fast.metadata["tat_reference_time"]
                    - unit.metadata["tat_reference_time"]) <= 1e-15
+
+    def test_drive_scaled_past_float_range_names_chi(self):
+        # g/chi = omega/chi = 1e310 overflow: the message names chi and the
+        # scaled drive, not an amplitude the caller never gave
+        with pytest.raises(ValidationError,
+                           match=r"^chi=1e-10 scales the drive out of float range: "
+                                 r"g/chi = inf, omega/chi = inf$"):
+            run_ratio_scan(8, "y", [0.5], 1e300, chi=1e-10)
 
 
 class TestDrivenSweepTraffic:
