@@ -926,7 +926,7 @@ def propagate_driven(spec, initial, times, control=None):
     since the previous renormalized state is a failure. The trajectory's
     `advance` is `_driven_states` under the same `control`, which makes its
     rows from t = 0; every call of it shares one held W_h and W_T
-    (`_held_propagator`), so a refinement restart builds none.
+    (`_held_propagator`), so a refinement batch builds none.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze import cli
+from spinsqueeze import cli, experiments
 from spinsqueeze.cli import _parse_n_list, _parse_range, build_parser, main
 
 
@@ -518,6 +519,33 @@ class TestScanRatio:
 
 
 BENCH = Path(__file__).parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name, budget", [
+    ("driven-scan-n", 47), ("driven-ratio", 12), ("static-scan-n", 30)])
+def test_bench_sweep_refines_in_few_advance_calls(tmp_path, capsys, monkeypatch,
+                                                  name, budget):
+    # a perfbench/run.py refining workload's command at pool value 0: each
+    # optimum's golden-section points come in batches of up to 16 times,
+    # one trajectory `advance` call each
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
+    from run import WORKLOADS
+    calls = []
+    optimum = experiments.optimal_squeezing
+
+    def counted(traj):
+        def advance(psi, t_from, times):
+            calls.append(len(times))
+            return traj.advance(psi, t_from, times)
+        return optimum(dataclasses.replace(traj, advance=advance))
+
+    monkeypatch.setattr(experiments, "optimal_squeezing", counted)
+    workload = WORKLOADS[name]
+    code, _, _ = run(capsys, *workload.argv(workload.pool[0], workload.threads),
+                     "--out", str(tmp_path / f"bench.{workload.fmt}"))
+    assert code == 0
+    assert 0 < len(calls) <= budget and max(calls) <= 16
 
 
 def bench_files():

@@ -239,12 +239,14 @@ class TestUnitsOfChi:
 class TestDrivenSweepTraffic:
     def test_sweeps_jump_only_from_t_zero(self, monkeypatch):
         # every driven scan-n and scan-ratio point builds its one-period
-        # propagator W_T once (from t = 0, as every build is), and no
-        # refinement restart (one sample time, from the trajectory's
-        # advance) jumps: no sweep makes a jumping run from a start off the
-        # multiples of T/2, which takes a lead-in
+        # propagator W_T once (from t = 0, as every build is), and every
+        # refinement batch starts at t = 0 too and builds none: no sweep
+        # makes a run from a start off the multiples of T/2, which takes a
+        # lead-in
         built, runs = [], []
+        refining = [False]
         build, states = evolve._period_propagator, evolve._driven_states
+        optimum = experiments.optimal_squeezing
 
         def spy_build(spec, n_atoms, *args):
             built.append(n_atoms)
@@ -253,22 +255,29 @@ class TestDrivenSweepTraffic:
         def spy_states(spec, n_atoms, psi, t_start, times, *args, **kwargs):
             before = len(built)
             rows = states(spec, n_atoms, psi, t_start, times, *args, **kwargs)
-            runs.append((len(times), len(built) - before))
+            runs.append((refining[0], t_start, len(built) - before))
             return rows
+
+        def spy_optimum(traj):
+            refining[0] = True
+            try:
+                return optimum(traj)
+            finally:
+                refining[0] = False
 
         monkeypatch.setattr(evolve, "_period_propagator", spy_build)
         monkeypatch.setattr(evolve, "_driven_states", spy_states)
+        monkeypatch.setattr(experiments, "optimal_squeezing", spy_optimum)
         run_n_scaling([TATxz(), FullDriven(DriveParams(0.906, 1.0))], [4, 5, 6, 7, 8])
         run_ratio_scan(32, "y", [0.2], 1000.0)
         assert built == [4, 5, 6, 7, 8, 32]
-        restarts = [jumped for samples, jumped in runs if samples == 1]
-        assert len(restarts) > 6 and not any(restarts)
+        batches = [(t_start, builds) for refine, t_start, builds in runs if refine]
+        assert len(batches) > 6 and set(batches) == {(0.0, 0)}
 
     def test_refinement_restarts_reuse_the_trajectory_propagator(self, monkeypatch):
-        # at omega = 1e5 each refinement restart spans many periods and
-        # jumps from the multiple of T/2 after its lead-in; the trajectory
-        # holds W_h and W_T from its own run (reflected for an odd half
-        # period), so the whole point builds them once, not 10 times
+        # at omega = 1e5 each refinement batch, read from t = 0, spans many
+        # periods and jumps; the trajectory holds W_h and W_T from its own
+        # run, so the whole point builds them once, not once a batch
         built = []
         build = evolve._period_propagator
 

@@ -27,6 +27,40 @@ def evolved(spec, n, t, axis="+y"):
     return traj.states[-1]
 
 
+def sequential_golden(traj):
+    """(record, visited times) of a plain golden-section search on xi^2
+    between the grid minimum's neighbours, each point one advance call from
+    t = 0, measured by xi_squared."""
+    curve = squeezing_curve(traj)
+    i_min = int(np.argmin([r.xi_squared if not r.degenerate_flag else np.inf
+                           for r in curve]))
+    golden = (np.sqrt(5) - 1) / 2
+    visited = []
+
+    def evaluate(t):
+        visited.append(t)
+        row, = traj.advance(traj.amplitudes[0], 0.0, [t])
+        return xi_squared(DickeState(traj.n_atoms, row), t)
+
+    a, b = traj.times[max(i_min - 1, 0)], traj.times[min(i_min + 1, len(curve) - 1)]
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    r1, r2 = evaluate(x1), evaluate(x2)
+    width = np.inf
+    while squeezing.REFINE_TIME_TOL < b - a < width:
+        width = b - a
+        if r1.xi_squared < r2.xi_squared:
+            b, x2, r2 = x2, x1, r1
+            x1 = b - golden * (b - a)
+            r1 = evaluate(x1)
+        else:
+            a, x1, r1 = x1, x2, r2
+            x2 = a + golden * (b - a)
+            r2 = evaluate(x2)
+    best = min((r for r in (curve[i_min], r1, r2) if not r.degenerate_flag),
+               key=lambda r: r.xi_squared)
+    return best, visited
+
+
 class TestXiSquared:
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_css_baseline(self, n):
@@ -272,8 +306,8 @@ class TestOptimalSqueezing:
     ])
     def test_refined_optimum_matches_propagation_from_zero(
             self, spec, n, t_max, samples, tol):
-        # refinement continues the states it has reached; the state it
-        # measures must be the one a single run from t = 0 reaches
+        # refinement reads its batches off the trajectory's propagator;
+        # the state it measures must be the one a fresh run from t = 0 reaches
         if isinstance(spec, FullDriven):
             def propagate(times):
                 return propagate_driven(spec, css(n), times)
@@ -287,24 +321,51 @@ class TestOptimalSqueezing:
         direct = xi_squared(propagate([0.0, record.time]).states[-1])
         assert direct.xi_squared == pytest.approx(record.xi_squared, abs=tol)
 
-    @pytest.mark.parametrize("n,omega,ratio,budget,time,xi2", [
-        # driven-scan-n's largest point: 89 grid steps (412 restarting each
-        # evaluation from its grid sample)
-        (12, 840.0, 0.906, 120, 0.371874486169454, 0.119751175133829),
-        # driven-ratio: 95 (327)
-        (32, 1000.0, 1.0, 130, 0.205284186348733, 0.0546713715141678),
+    @pytest.mark.parametrize("n,omega,ratio,time,xi2", [
+        # driven-scan-n's largest point
+        (12, 840.0, 0.906, 0.371874486169454, 0.119751175133829),
+        # driven-ratio
+        (32, 1000.0, 1.0, 0.205284186348733, 0.0546713715141678),
     ], ids=["driven-scan-n", "driven-ratio"])
-    def test_refinement_continues_the_nearest_state(self, monkeypatch, n, omega,
-                                                    ratio, budget, time, xi2):
-        # each evaluation marches on from the latest state reached at or
-        # before it, and finds the optimum that restarts from the samples found
+    def test_refinement_marches_no_grid_step(self, monkeypatch, n, omega, ratio,
+                                             time, xi2):
+        # every batch is read from t = 0 off the W_T chain and the
+        # checkpoints that the trajectory holds: no RK4 march
         traj = propagate_driven(FullDriven(DriveParams(ratio * omega, omega)),
                                 css(n), np.linspace(0, default_t_max(n), 200))
         log = march_log(monkeypatch)
         record = optimal_squeezing(traj)
-        assert sum(steps for _, _, steps in log) <= budget
+        assert sum(steps for _, _, steps in log) == 0
         assert record.time == pytest.approx(time, abs=1e-12)
         assert record.xi_squared == pytest.approx(xi2, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["static", "driven"])
+    def test_batched_search_visits_the_sequential_points(self, kind):
+        # a plain golden-section loop, one time per advance call from t = 0,
+        # reaches the batched search's optimum: the same time, bit for bit,
+        # and xi^2 to rounding, with every point it visits among the batches'
+        if kind == "static":
+            problems = [(TATxz(), 12), (OAT(), 600)]
+        else:
+            problems = [(FullDriven(DriveParams(0.906 * 840.0, 840.0)), 12),
+                        (FullDriven(DriveParams(1000.0, 1000.0)), 32)]
+        for spec, n in problems:
+            grid = np.linspace(0, default_t_max(n), 200)
+            if kind == "static":
+                made = propagate_static(spec, css(n), grid)
+            else:
+                made = propagate_driven(spec, css(n), grid)
+            batched = []
+
+            def counted(psi, t_from, times):
+                batched.extend(times)
+                return made.advance(psi, t_from, times)
+
+            record = optimal_squeezing(dataclasses.replace(made, advance=counted))
+            want, visited = sequential_golden(made)
+            assert record.time == want.time
+            assert record.xi_squared == pytest.approx(want.xi_squared, abs=1e-12)
+            assert set(visited) <= set(batched)
 
     def test_records_only_the_candidates(self, monkeypatch):
         # the grid minimum and the two final golden-section points
@@ -324,8 +385,8 @@ class TestOptimalSqueezing:
 
     @pytest.mark.parametrize("kind", ["static", "driven"])
     def test_builds_each_state_once(self, monkeypatch, kind):
-        # no DickeState: each advance continues, as it is, a bracket sample's
-        # row or the row that an earlier advance returned
+        # no DickeState: each advance reads its batch from the trajectory's
+        # first row, as it is, at t = 0
         if kind == "static":
             made = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
                                     np.linspace(0, 0.6, 40))
@@ -350,12 +411,8 @@ class TestOptimalSqueezing:
         monkeypatch.setattr(DickeState, "__post_init__", counting)
         optimal_squeezing(traj)
         assert calls and not built
-        i_min = int(np.argmin([r.xi_squared for r in squeezing_curve(made)]))
-        rows_at = dict(zip(traj.times[i_min - 1:i_min + 2].tolist(),
-                           traj.amplitudes[i_min - 1:i_min + 2]))
         for psi, t_from, times, rows in calls:
-            assert np.shares_memory(psi, rows_at[t_from])
-            rows_at.update(zip(times.tolist(), rows))
+            assert t_from == 0.0 and np.shares_memory(psi, traj.amplitudes[0])
 
     @pytest.mark.parametrize("kind", ["static", "driven"])
     def test_measures_each_state_once(self, monkeypatch, kind):
@@ -388,20 +445,24 @@ class TestOptimalSqueezing:
         # every refined point reports xi^2 = 0, below the grid minimum, with
         # a degenerate mean spin: the pick must leave them out. A real
         # zero-mean state would not do: its mean spin is rounding noise, so
-        # its frame and xi^2 are arbitrary
+        # its frame and xi^2 are arbitrary. The first _squeezing call
+        # measures the grid, every later one a refinement batch
         traj = propagate_static(build_hamiltonian(TATxz(), 10), css(10),
                                 np.linspace(0, 0.6, 40))
         grid_best = min(squeezing_curve(traj), key=lambda r: r.xi_squared)
         real = squeezing._squeezing
+        calls = []
 
         def over_squeezed(n_atoms, psi):
             xi2, mean, length, angle, degenerate = real(n_atoms, psi)
-            if len(psi) == 1:
-                xi2, degenerate = np.zeros(1), np.ones(1, dtype=bool)
+            calls.append(len(psi))
+            if len(calls) > 1:
+                xi2, degenerate = np.zeros(len(psi)), np.ones(len(psi), dtype=bool)
             return xi2, mean, length, angle, degenerate
 
         monkeypatch.setattr(squeezing, "_squeezing", over_squeezed)
         record = optimal_squeezing(traj)
+        assert len(calls) > 1
         assert record.time == grid_best.time
         assert record.xi_squared == grid_best.xi_squared
         assert not record.degenerate_flag
