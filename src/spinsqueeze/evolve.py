@@ -4,9 +4,12 @@ A constant Hamiltonian is eigendecomposed once. A static spec's H never
 couples even to odd indices, so it splits into two index-parity blocks,
 real symmetric tridiagonal, which come straight from its quadratic form's
 bands: no dense (N+1)^2 operator is built for it, and the index
-reversal F (below) halves each block's eigenproblem. A dense Hermitian
-operator is decomposed whole, by one complex eigh, an independent dense
-reference for the banded route.
+reversal F (below) halves each block's eigenproblem. At even N it splits
+each block into an F-even and an F-odd half; a coherent state lies in
+one half of each block and stays there, so only the halves a state holds
+are decomposed and propagated. A dense Hermitian operator is decomposed
+whole, by one complex eigh, an independent dense reference for the
+banded route.
 
 The driven integrator works in the exact rotating frame of the drive term:
 psi(t) = exp(-i theta(t) Jz) phi(t) with theta(t) = (g/omega) sin(omega t),
@@ -49,7 +52,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -187,9 +190,10 @@ def _tridiagonal_eigh(diag, upper):
     return np.linalg.eigh(block)
 
 
-def _persymmetric_eigh(diag, upper):
-    """eigh of a real symmetric tridiagonal block of size m that the index
-    reversal J (i -> m-1-i) maps onto itself, from two half-size eigh.
+def _half_eigh(diag, upper, sign):
+    """(evals, basis) of the J-even (sign +1) or J-odd (-1) half of a real
+    symmetric tridiagonal block of size m that the index reversal J
+    (i -> m-1-i) maps onto itself, from one half-size eigh.
 
     J-even vectors (u_i + u_(m-1-i)) / sqrt 2, and u_h itself at odd
     m = 2h+1, span one invariant half, of size ceil(m/2); J-odd ones
@@ -197,55 +201,56 @@ def _persymmetric_eigh(diag, upper):
     indices each half keeps the block's diagonals, except where they meet
     the middle: at even m the middle coupling e = upper[m/2 - 1] adds +e to
     the even half's last diagonal entry and -e to the odd half's; at odd m
-    the even half's last coupling is sqrt(2) e. Eigenvalues come out in
-    half order, the even half's (ascending) then the odd half's (ascending),
-    their vectors as the columns of one (m, m) array in the same order.
+    the even half's last coupling is sqrt(2) e. The basis is the half's
+    eigenvectors u with their first floor(m/2) rows times sqrt(1/2), and
+    u_h times 1/2: the block's rows of an eigenvector are the basis column
+    added to the block's first rows and, times the sign, to its last rows
+    read backwards (at odd m the middle row gets u_h / 2 twice).
     """
     m = len(diag)
     pairs = m // 2  # rows i < pairs pair with m-1-i; the J-odd half's size
-    even_diag, even_upper = diag[:m - pairs].copy(), upper[:m - pairs - 1].copy()
-    odd_diag = diag[:pairs].copy()
+    size = m - pairs if sign > 0 else pairs
+    half_diag, half_upper = diag[:size].copy(), upper[:size - 1].copy()
     if m % 2 == 0:
-        even_diag[-1] += upper[pairs - 1]
-        odd_diag[-1] -= upper[pairs - 1]
-    elif pairs:
-        even_upper[-1] *= math.sqrt(2.0)
-    halves = [(1.0, *_tridiagonal_eigh(even_diag, even_upper))]
-    if pairs:
-        halves.append((-1.0, *_tridiagonal_eigh(odd_diag, upper[:pairs - 1])))
-    evecs = np.empty((m, m))
-    start = 0
-    for sign, w, u in halves:
-        cols = slice(start, start + len(w))
-        start += len(w)
-        outer = u[:pairs] * math.sqrt(0.5)
-        evecs[:pairs, cols] = outer
-        evecs[m - pairs:, cols] = sign * outer[::-1]
-        if m % 2:  # the middle row: J-odd vectors vanish there
-            evecs[pairs, cols] = u[pairs] if sign > 0 else 0.0
-    return np.concatenate([w for _, w, _ in halves]), evecs
+        half_diag[-1] += sign * upper[pairs - 1]
+    elif sign > 0 and pairs:
+        half_upper[-1] *= math.sqrt(2.0)
+    evals, basis = _tridiagonal_eigh(half_diag, half_upper)
+    basis[:pairs] *= math.sqrt(0.5)
+    basis[pairs:] *= 0.5
+    return evals, basis
 
 
 def _band_blocks(spec, n_atoms):
-    """(rows, evals, evecs) for each index-parity block of a static spec's
-    H, with no dense (N+1)^2 operator.
+    """The sectors (rows, sign, eigh) of a static spec's H, with no dense
+    (N+1)^2 operator: eigh is a cached call with no arguments that gives
+    the sector's (evals, basis), and the basis acts on the state's `rows`.
 
     A quadratic form in J has only the main and +-2 diagonals, so it never
     couples even to odd indices: parity block p is real symmetric
     tridiagonal, with diagonal diag[p::2] and off-diagonal upper[p::2].
     The bands are symmetric under the index reversal F (k -> N-k), and so
-    is H. At even N, F maps each block onto itself, read backwards: each is
-    persymmetric and splits into two half-size eigh. At odd N, F maps block
-    0 onto block 1 read backwards: block 1, taken on its rows from N down,
-    is block 0, and shares its one eigh.
+    is H. At even N, F maps each block of size m onto itself, read
+    backwards: each is persymmetric, and splits into an F-even (sign +1)
+    and an F-odd (-1) half (`_half_eigh`) of size s, whose rows are the
+    block's first s; read on the reversed state F psi, the same rows are
+    the block's last s, backwards. At odd N, F maps block 0 onto block 1
+    read backwards: block 1, taken on its rows from N down, is block 0,
+    and each block is one sector (sign None) of their one shared eigh.
     """
     diag, upper = _quadratic_bands(n_atoms, spec.chi, spec.weights)
     if n_atoms % 2:
-        evals, evecs = _tridiagonal_eigh(diag[0::2], upper[0::2])
-        return [(slice(0, None, 2), evals, evecs),
-                (slice(n_atoms, None, -2), evals, evecs)]
-    return [(slice(parity, None, 2), *_persymmetric_eigh(diag[parity::2], upper[parity::2]))
-            for parity in (0, 1)]
+        shared = cache(partial(_tridiagonal_eigh, diag[0::2], upper[0::2]))
+        return [(slice(0, None, 2), None, shared), (slice(n_atoms, None, -2), None, shared)]
+    sectors = []
+    for parity in (0, 1):
+        bands = diag[parity::2], upper[parity::2]
+        m = len(bands[0])
+        for sign, size in ((1.0, m - m // 2), (-1.0, m // 2)):
+            if size:  # no F-odd half at m = 1
+                sectors.append((slice(parity, parity + 2 * size, 2), sign,
+                                cache(partial(_half_eigh, *bands, sign))))
+    return sectors
 
 
 def _apply(matrix, vectors):
@@ -254,33 +259,61 @@ def _apply(matrix, vectors):
     A real matrix acts on the (d, 2T) float view, one real product.
     """
     vectors = np.ascontiguousarray(vectors)
-    if np.isrealobj(matrix):
+    if matrix.dtype.kind != "c":
         return (matrix @ vectors.view(float)).view(complex)
     return matrix @ vectors
 
 
-def _static_states(blocks, psi, t_from, times):
+def _static_states(sectors, psi, t_from, times):
     """Rows exp(-i H dt)|psi> for each dt = t - t_from of `times`, as
     V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from.
 
-    Two products per block make every row. Times that break `_check_span`,
-    or a span whose largest phase |lambda| (t - t_from) is not a finite
+    A sector (`_band_blocks`) of sign None takes psi on its rows as it is.
+    A reversal half of sign +-1 takes psi + sign F psi on its rows, the
+    block's first s rows x_i + sign x_(m-1-i): a state exactly in the other
+    half gives exact zeros there, and H never moves it out, so that half is
+    neither decomposed nor propagated. Each other sector is decomposed the
+    first time a call needs it (its eigh is cached), and makes its rows
+    with one product of its basis, added to the output on its rows and,
+    for a half, times its sign on the same rows of the reversed output: a
+    state in one reversal half keeps its F-symmetry bit for bit. Times
+    that break `_check_span`, or a span whose largest phase
+    |lambda| (t - t_from) over the sectors propagated is not a finite
     float, raise ValidationError, and a row whose norm drifts beyond
     spin_core.NORM_TOL (NaN too) IntegrationError.
     """
     times = _check_span(t_from, times)
-    if len(times):
-        top = float(max(np.abs(evals).max() for _, evals, _ in blocks))
-        # Python floats overflow to inf without a numpy warning
-        if not math.isfinite(top * (float(times[-1]) - float(t_from))):
-            raise ValidationError(
-                f"the phase exp(-i lambda t) overflows at t = {times[-1]:g} "
-                f"from t = {t_from:g} (largest |lambda| {top:g})")
-    out = np.empty((len(times), len(psi)), dtype=complex)
-    for rows, evals, evecs in blocks:
-        coeffs = _apply(evecs.conj().T, psi[rows, None])
-        phased = np.exp(np.multiply.outer(-1j * evals, np.subtract(times, t_from))) * coeffs
-        out[:, rows] = _apply(evecs, phased).T
+    out = np.zeros((len(times), len(psi)), dtype=complex)
+    if not len(times):
+        return out
+    mirror = psi[::-1]
+    held = []
+    for rows, sign, eigh in sectors:
+        if sign is None:
+            part = psi[rows]
+        else:
+            part = (np.add if sign > 0 else np.subtract)(psi[rows], mirror[rows])
+            if not np.count_nonzero(part):  # NaN counts as held
+                continue
+        held.append((rows, sign, part, *eigh()))
+    # each eigh gives its evals ascending
+    top = max((float(max(-evals[0], evals[-1])) for *_, evals, _ in held), default=0.0)
+    # Python floats overflow to inf without a numpy warning
+    if not math.isfinite(top * (float(times[-1]) - float(t_from))):
+        raise ValidationError(
+            f"the phase exp(-i lambda t) overflows at t = {times[-1]:g} "
+            f"from t = {t_from:g} (largest |lambda| {top:g})")
+    turns = -1j * np.subtract(times, t_from)
+    flipped = out[:, ::-1]
+    for rows, sign, part, evals, basis in held:
+        coeffs = _apply(basis.conj().T, part[:, None])
+        phased = np.exp(np.multiply.outer(evals, turns)) * coeffs
+        made = _apply(basis, phased).T
+        view = out[:, rows]
+        view += made
+        if sign is not None:
+            view = flipped[:, rows]
+            (np.add if sign > 0 else np.subtract)(view, made, out=view)
     norms = np.linalg.norm(out, axis=1)
     drift = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(drift <= spin_core.NORM_TOL))
@@ -296,8 +329,9 @@ def propagate_static(hamiltonian, initial, times):
     `hamiltonian` is a static HamiltonianSpec, decomposed on its parity
     blocks from its bands (`_band_blocks`), or a Hermitian
     CollectiveOperator, decomposed whole as one complex block. The
-    trajectory's `advance` is `_static_states` on those blocks, which makes
-    its rows from t = 0.
+    trajectory's `advance` is `_static_states` on those sectors, which
+    makes its rows from t = 0; a block's half is decomposed the first time
+    a call's state holds it, and held for every later call.
     """
     times = _check_times(times)
     if not isinstance(initial, DickeState):
@@ -305,7 +339,7 @@ def propagate_static(hamiltonian, initial, times):
     if isinstance(hamiltonian, FullDriven):
         raise ValidationError("a FullDriven spec needs propagate_driven")
     if isinstance(hamiltonian, HamiltonianSpec):
-        blocks = _band_blocks(hamiltonian, initial.n_atoms)
+        sectors = _band_blocks(hamiltonian, initial.n_atoms)
     else:
         if not isinstance(hamiltonian, CollectiveOperator):
             raise ValidationError(
@@ -314,8 +348,8 @@ def propagate_static(hamiltonian, initial, times):
             raise ValidationError("Hamiltonian and initial state disagree on N")
         if not hamiltonian.is_hermitian():
             raise ValidationError("static propagation requires a Hermitian Hamiltonian")
-        blocks = [(slice(None), *np.linalg.eigh(hamiltonian.matrix))]
-    advance = partial(_static_states, blocks)
+        sectors = [(slice(None), None, cache(partial(np.linalg.eigh, hamiltonian.matrix)))]
+    advance = partial(_static_states, sectors)
     return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
 
 

@@ -18,10 +18,12 @@ import numpy as np
 from .errors import ValidationError
 
 # The numerical paths build no (N+1)^2 operator. The static path's folded
-# eigh (evolve._band_blocks) holds two 8 MB eigenvector arrays at N = 2000
-# and takes 0.12 s there, 0.18 s at N = 1999 (one BLAS thread, 2-vCPU
-# host); the driven `full` scan point at N = 2000, about 7 s, is the
-# costlier one. Refuse larger sizes loudly.
+# eigh (evolve._band_blocks) holds two 2 MB half-size eigenvector arrays
+# for a coherent state at N = 2000 (four for a general state) and takes
+# 0.06 s there; at N = 1999 both blocks share one 8 MB array, made in
+# 0.12-0.14 s (one BLAS thread, 2-vCPU host). The driven `full` scan
+# point at N = 2000, about 7 s, is the costlier one. Refuse larger sizes
+# loudly.
 N_ATOMS_MAX = 2000
 
 NORM_TOL = 1e-10  # every stored state's unit norm (evolve.NORM_TOL: RK4 drift allowance)
@@ -177,6 +179,11 @@ def coherent_spin_state(n_atoms, direction):
 
     Amplitude at index k is 2^(-J) sqrt(C(2J, k)) for +x, with an extra i^k
     phase for +y. Binomials go through log-space so large N stays finite.
+    The state is exactly as symmetric under the index reversal k -> N-k as
+    the one it describes, amplitude N-k = i^N (-1)^k times amplitude k for
+    +y and equal to it for +x, bit for bit: ln k! + ln (N-k)! is summed
+    before it is subtracted (addition commutes exactly), and i^k is read
+    from the exact table of its four values.
     """
     n = _check_n_atoms(n_atoms)
     axis = direction.removeprefix("+") if isinstance(direction, str) else None
@@ -185,11 +192,10 @@ def coherent_spin_state(n_atoms, direction):
     j = n / 2
     k = np.arange(n + 1)
     ln_fact = np.array([math.lgamma(i + 1) for i in k])  # ln k!
-    ln_amp = 0.5 * (ln_fact[n] - ln_fact - ln_fact[::-1]) - j * math.log(2.0)
-    amp = np.exp(ln_amp).astype(complex)
-    if axis == "y":
-        amp *= 1j ** k
+    amp = np.exp(0.5 * (ln_fact[n] - (ln_fact + ln_fact[::-1])) - j * math.log(2.0))
     amp /= np.linalg.norm(amp)  # remove rounding residue, keeps 1e-10 invariant
+    if axis == "y":
+        amp = amp * np.array([1, 1j, -1, -1j])[k % 4]  # i^k
     return DickeState(n, amp)
 
 

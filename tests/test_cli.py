@@ -548,6 +548,32 @@ def test_bench_sweep_refines_in_few_advance_calls(tmp_path, capsys, monkeypatch,
     assert 0 < len(calls) <= budget and max(calls) <= 16
 
 
+@pytest.mark.parametrize("name, count", [("static-scan-n", 30), ("driven-ratio", 2)])
+def test_bench_static_points_decompose_only_occupied_halves(tmp_path, capsys, monkeypatch,
+                                                            name, count):
+    # a perfbench/run.py workload's command at pool value 0: every static
+    # point is at even N from a coherent state, which holds one reversal half
+    # of each parity block, so it makes two half-size eigh (static-scan-n's
+    # 15 points; driven-ratio's one TAT reference point, its driven points
+    # none), not four
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
+    from run import WORKLOADS
+    calls = []
+    real = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    workload = WORKLOADS[name]
+    code, _, _ = run(capsys, *workload.argv(workload.pool[0], workload.threads),
+                     "--out", str(tmp_path / f"bench.{workload.fmt}"))
+    assert code == 0
+    assert len(calls) == count
+
+
 def bench_files():
     return sorted((str(p), p.stat().st_mtime_ns) for p in BENCH.rglob("*"))
 

@@ -21,6 +21,19 @@ def css(n, axis="+y"):
     return coherent_spin_state(n, axis)
 
 
+def eigh_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.eigh call from now on."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 class TestPropagateStatic:
     def test_zero_hamiltonian_is_identity(self):
         n = 6
@@ -124,19 +137,69 @@ class TestPropagateStatic:
         ids=["oat", "tat-xz", "tat-yz", "mixed+0.5", "mixed-0.3"])
     def test_folded_blocks_decompose_their_rows(self, spec, n):
         # the reversal fold (two half-size eigh per block at even N, one eigh
-        # for both at odd N) against a dense eigh of each block, taken on the
-        # rows it names; the fold keeps its halves' order, so evals are
-        # compared sorted
+        # for both at odd N) against a dense eigh of each block: each
+        # sector's basis, laid out on the state's rows (on its rows, and for
+        # a half times its sign on the same rows of the reversed state),
+        # gives eigenpairs of its parity block, and the block's sectors
+        # together give all of them; the fold keeps its halves' order, so
+        # evals are compared sorted
         h = build_hamiltonian(spec, n).matrix.real
-        blocks = evolve._band_blocks(spec, n)
-        covered = np.concatenate([np.arange(n + 1)[rows] for rows, _, _ in blocks])
-        assert np.array_equal(np.sort(covered), np.arange(n + 1))
-        for rows, evals, evecs in blocks:
-            block = h[rows][:, rows]
+        sectors = evolve._band_blocks(spec, n)
+        for parity in (0, 1):
+            block = h[parity::2, parity::2]
             scale = np.linalg.norm(block, 2)
+            laid_out = []
+            for rows, sign, eigh in sectors:
+                if rows.start % 2 != parity:
+                    continue
+                evals, basis = eigh()
+                evecs = np.zeros((n + 1, len(evals)))
+                evecs[rows] += basis
+                if sign is not None:
+                    evecs[::-1][rows] += sign * basis
+                assert not evecs[1 - parity::2].any()
+                evecs = evecs[parity::2]
+                assert np.max(np.abs(block @ evecs - evecs * evals)) <= 1e-12 * scale
+                laid_out.append((evals, evecs))
+            evals = np.concatenate([w for w, _ in laid_out])
+            evecs = np.hstack([v for _, v in laid_out])
             assert np.max(np.abs(np.sort(evals) - np.linalg.eigvalsh(block))) <= 1e-12 * scale
-            assert np.max(np.abs(block @ evecs - evecs * evals)) <= 1e-12 * scale
             assert np.max(np.abs(evecs.T @ evecs - np.eye(len(evals)))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 40, 600])
+    @pytest.mark.parametrize("axis", ["+x", "+y"])
+    def test_even_n_decomposes_only_the_occupied_halves(self, monkeypatch, axis, n):
+        # a coherent state lies in one reversal half of each parity block and
+        # stays there: a trajectory and its refinement make one half-size
+        # eigh per block, and a general state then decomposes the missing
+        # halves once (one at N = 2, whose one-row block has no odd half)
+        spec = TATxz()
+        times = np.linspace(0.0, default_t_max(n), 40)
+        row = np.random.default_rng(n).normal(size=(n + 1, 2)) @ [1.0, 1j]
+        row /= np.linalg.norm(row)
+        want = propagate_static(build_hamiltonian(spec, n), css(n, axis),
+                                times).advance(row, 0.0, times)
+        calls = eigh_calls(monkeypatch)
+        traj = propagate_static(spec, css(n, axis), times)
+        optimal_squeezing(traj)
+        assert len(calls) == 2
+        rows = traj.advance(row, 0.0, times)
+        assert len(calls) == (3 if n == 2 else 4)
+        assert np.max(np.abs(rows - want)) <= 1e-12
+        traj.advance(row[::-1], 0.0, times[:3])
+        assert len(calls) == (3 if n == 2 else 4)
+
+    @pytest.mark.parametrize("n", [5, 41, 601])
+    def test_odd_n_decomposes_once(self, monkeypatch, n):
+        # both parity blocks share one eigh, whatever the state
+        times = np.linspace(0.0, default_t_max(n), 40)
+        row = np.random.default_rng(n).normal(size=(n + 1, 2)) @ [1.0, 1j]
+        row /= np.linalg.norm(row)
+        calls = eigh_calls(monkeypatch)
+        traj = propagate_static(TATxz(), css(n), times)
+        optimal_squeezing(traj)
+        traj.advance(row, 0.0, times)
+        assert len(calls) == 1
 
     def test_rejects_driven_spec(self):
         with pytest.raises(ValidationError, match="propagate_driven"):

@@ -144,6 +144,25 @@ class TestCoherentSpinState:
             var = symmetrized_covariance(t_op, t_op, state)
             assert var == pytest.approx(n / 4, abs=1e-10)
 
+    @pytest.mark.parametrize("axis", ["+x", "+y"])
+    def test_reversal_symmetry_is_exact(self, axis):
+        # amplitude N-k is s_k times amplitude k, s_k = i^N (-1)^k for +y and
+        # 1 for +x, bit for bit; the +y amplitudes are real at even k and
+        # imaginary at odd k, exactly. The phases from 1j ** k were off past
+        # k = 100, and ln N! - ln k! - ln (N-k)! rounded by subtraction order
+        units = np.array([1, 1j, -1, -1j])
+        broken = []
+        for n in [*range(1, 70), 99, 100, 101, 600, 601, 1999, 2000]:
+            k = np.arange(n + 1)
+            amps = coherent_spin_state(n, axis).amplitudes
+            sign = units[n % 4] * (-1) ** k if axis == "+y" else np.ones(n + 1)
+            exact = np.array_equal(amps[::-1], sign * amps)
+            if axis == "+y":
+                exact &= not (amps.imag[0::2].any() or amps.real[1::2].any())
+            if not exact:
+                broken.append(n)
+        assert broken == []
+
 
 class TestMoments:
     def test_jz_on_css_y_vanishes(self):
