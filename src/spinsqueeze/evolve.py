@@ -29,23 +29,24 @@ A jumping run starts on a multiple of T/2: one from any other start
 first marches its one state there, a lead-in of less than half a period.
 From there A is also mirror-symmetric about the quarter period and
 A^T = F A F, so W_h = (F W_q F)^T W_q from a quarter period's W_q,
-marched from t = 0 only: from an odd multiple of T/2 the pair is read
-reflected, F W F. A sample's grid steps, over the 2q of a half period,
-give its half period k and phase tau < T/2: it is F^k W(tau) r_k,
-r_k = (F W_h)^k applied to the start. The quarter march that builds W_q
-keeps W(t_m) at every c-th knot, c set so that these checkpoints hold
-about CHECKPOINT_STATES states, and the second quarter is mirrored onto
-the first, since W(T/2 - tau) = F conj(W(tau)) F W_h: each sample is
-read out at the checkpoint at or below its knot (or the mirrored knot)
-and takes its last whole steps, fewer than c, as a batched column; no
-second march is made. Over less than a period W is banded to machine
-precision, so every propagator is held by its 2b+1 diagonals, b set by
-the march itself: O(bN) memory and work, not O(N^2). A run jumps when
-it spans a whole period and its estimated work, counted in stored
-entries stepped, is lower that way; otherwise the march carries the one
-start itself. A run whose estimated work is over budget is refused
-before any step. States are mapped back to the lab frame at every
-sample point, so trajectories always contain genuine psi(t).
+marched from t = 0 only, once per trajectory: from an odd multiple of
+T/2 the pair is read reflected, F W F. A sample's grid steps, over the
+2q of a half period, give its half period k and phase tau < T/2: it is
+F^k W(tau) r_k, r_k = (F W_h)^k applied to the start. The quarter march
+that builds W_q keeps W(t_m) at every c-th knot, c set so that these
+checkpoints hold about CHECKPOINT_STATES states and priced with the rest
+of the run's work, and the second quarter is mirrored onto the first,
+since W(T/2 - tau) = F conj(W(tau)) F W_h: each sample is read out at
+the checkpoint at or below its knot (or the mirrored knot) and takes its
+last whole steps, fewer than c, as a batched column; no second march is
+made. Over less than a period W is banded to machine precision, so every
+propagator is held by its 2b+1 diagonals, b set by the march itself:
+O(bN) memory and work, not O(N^2). A run jumps when it spans a whole
+period and its estimated work, counted in stored entries stepped, is
+lower that way; otherwise the march carries the one start itself. A run
+whose estimated work is over budget is refused before any step. States
+are mapped back to the lab frame at every sample point, so trajectories
+always contain genuine psi(t).
 """
 
 import cmath
@@ -687,17 +688,18 @@ _WORK_MAX = 1e9
 
 # The quarter march keeps a checkpoint W(t_m) at every c-th knot, c set so
 # that the checkpoints hold about max(CHECKPOINT_STATES, S) states of N+1
-# entries for a run of S samples (`_checkpoint_stride`): 16.8 MB at
+# entries for a run of S samples (`_check_cost`): 16.8 MB at
 # N = 512, 32.8 MB at 1000 and 65.6 MB at 2000. c is 3 on the driven-curve
 # problem (N = 100) and 1, every knot, at N <= 32.
 CHECKPOINT_STATES = 2048
 
 
 def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=False):
-    """Whether the run jumps its whole periods, given the grid step `last` of
-    its last sample (q = `quarter` steps per quarter period), its number of
-    `samples`, whether its start is off the multiples of T/2 (`lead_in`)
-    and whether its W_h and W_T are held already (`built`).
+    """The pair (jumps, c): whether the run jumps its whole periods, and the
+    stride c of its quarter march's checkpoints, given the grid step `last`
+    of its last sample (q = `quarter` steps per quarter period), its number
+    of `samples`, whether its start is off the multiples of T/2 (`lead_in`)
+    and whether its W_h, W_T and checkpoints are held already (`built`).
 
     The run's work is estimated both ways, in entry steps, and it jumps if
     it spans a whole period and jumping is estimated cheaper. Without jumps
@@ -708,7 +710,11 @@ def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=Fa
     `_band_estimate`, which also bounds what it marches, and makes the
     products; then come one jump per whole period, one readout per sample
     and each sample's catch-up, at most c - 1 steps on one column for the
-    checkpoint stride c. A run whose work would exceed _WORK_MAX is
+    checkpoint stride c = max(1, ceil(q (2b+1) / max(CHECKPOINT_STATES, S)))
+    of a run of S samples: the checkpoints then hold at most about
+    max(CHECKPOINT_STATES, S) (N+1) entries, and the catch-up steps no more
+    entries than the march. c is a float, inf where q (2b+1) overflows one
+    (such a run does not jump). A run whose work would exceed _WORK_MAX is
     refused, with its estimate. An absurd span makes the float `last` inf,
     which fails the budget.
     """
@@ -720,7 +726,8 @@ def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=Fa
     plain = (last + 1) * column
     lead = 2 * quarter - 1 if lead_in else 0.0
     march, products = (0.0, 0.0) if built else (quarter, b)
-    catch_up = samples * (_checkpoint_stride(spec, n_atoms, quarter, samples) - 1)
+    stride = max(1.0, np.ceil(quarter * (2 * b + 1) / max(CHECKPOINT_STATES, samples)))
+    catch_up = samples * (stride - 1)
     jumping = ((lead + catch_up) * column + (march + products) * band
                + (periods + samples) * band / 8)
     jumps = bool(periods >= 1 and jumping < plain)
@@ -734,19 +741,7 @@ def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=Fa
             f"{steps:.3g} RK4 steps and {periods:.3g} period jumps, over the "
             f"budget of {_WORK_MAX:.0e} (N = {n_atoms}, q = {quarter:g} steps "
             "per quarter period)")
-    return jumps
-
-
-def _checkpoint_stride(spec, n_atoms, quarter, samples):
-    """The knots c between the quarter march's checkpoints, for a run of
-    `samples` times: c = max(1, ceil(q (2b+1) / max(CHECKPOINT_STATES, S))),
-    b from `_band_estimate`. The checkpoints then hold at most about
-    max(CHECKPOINT_STATES, S) (N+1) entries, and the S samples' catch-up,
-    at most c - 1 column steps each, steps no more entries than the march.
-    A float, inf where q (2b+1) overflows one."""
-    b = _band_estimate(spec, n_atoms, math.pi / 2 / spec.drive.frequency_omega)
-    ratio = float(quarter) * (2 * b + 1) / max(CHECKPOINT_STATES, samples)
-    return max(1.0, float(math.ceil(ratio)) if math.isfinite(ratio) else ratio)
+    return jumps, stride
 
 
 def _period_propagator(spec, n_atoms, period, quarter, stride):
@@ -759,9 +754,11 @@ def _period_propagator(spec, n_atoms, period, quarter, stride):
     theta(t + T/2) = -theta(t), so W_T = F W_h F W_h; and A(T/2 - t) = A(t)
     with A^T = F A F, so W_h = (F W_q F)^T W_q. The checkpoints are
     (marks, bands): W(t_m) at the knots m = 0, c, 2c, ... below q and at
-    q, for the stride c. Stage 3 of `_driven_states` reads every sample off
-    them, with the same two symmetries: the first indexes every sample by
-    its half period, the second mirrors the second quarter onto the first.
+    q, for the stride c that `_check_cost` priced. `_driven_states` builds
+    this set once for a trajectory and reads every sample off it, with the
+    same two symmetries: the first indexes every sample by its half period
+    (from an odd multiple of T/2 the set is read as F W F), the second
+    mirrors the second quarter onto the first.
     """
     h = period / 4 / quarter
     marks = np.append(np.arange(0, quarter, stride), quarter)
@@ -785,21 +782,6 @@ def _period_propagator(spec, n_atoms, period, quarter, stride):
     return half, jump, (marks, bands)
 
 
-def _held_propagator(spec, n_atoms, period, quarter, odd, held, stride):
-    """W_h, W_T and the checkpoints from a multiple of T/2, odd or even,
-    built once from t = 0 (`_period_propagator`, at the stride of the run
-    that builds them) into the dict `held` for every start of one grid.
-    A(t + T) = A(t), and A(t + T/2) = F A(t) F, so those from an odd
-    multiple of T/2 are F W F of those from 0.
-    """
-    if quarter not in held:
-        held[quarter] = _period_propagator(spec, n_atoms, period, quarter, stride)
-    half, jump, (marks, bands) = held[quarter]
-    if odd:
-        half, jump, bands = _reflected(half), _reflected(jump), [*map(_reflected, bands)]
-    return half, jump, (marks, bands)
-
-
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
                    held=None):
     """Lab-frame states at `times` as rows (T, N+1), from the state row psi
@@ -812,12 +794,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     knots q and 2q. One rule (`_grid_split`) splits each sample's elapsed
     time t - t_start once into whole grid steps K and a remainder
     rho in [0, h). `_check_cost` decides from the last K whether the run
-    jumps, after refusing one whose estimated work exceeds the budget;
-    `jumps` hands that one decision to the two parts of a run split below,
-    and `held`, a dict (a fresh one for None), holds W_h, W_T and the
-    checkpoints across a trajectory's calls.
+    jumps, and at which checkpoint stride c, after refusing one whose
+    estimated work exceeds the budget; `jumps` hands that one decision to
+    the two parts of a run split below, and `held`, a dict (a fresh one for
+    None), holds the trajectory's one set of W_h, W_T and checkpoints,
+    built when a run first jumps, across its calls.
     A run that does not jump marches its one start phi over the grid, and
-    reads each sample out at its knot K. A run that jumps from a start off
+    reads each sample out at its knot K, through the readout below as
+    half period 0 with no sample mirrored. A run that jumps from a start off
     the multiples of T/2 first marches phi to the next one, t_half, as a
     run that does not jump (its samples before t_half are read off this
     lead-in), and goes on from t_half. A run that jumps from a multiple of
@@ -828,9 +812,11 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     F^k W(tau) r_k. It is made in three stages:
     1. build W_h and W_T = F W_h F W_h in band storage from t = 0
        (`_period_propagator`), from a quarter period whose march keeps
-       W(t_m) at every c-th knot m and at q (`_checkpoint_stride`), or
-       take them from `held`, reflected from an odd multiple of T/2
-       (`_held_propagator`);
+       W(t_m) at every c-th knot m and at q, into `held` when the
+       trajectory first jumps (after its lead-in, which marches first),
+       at the stride c that run priced; they are read from `held` as
+       they are from an even multiple of T/2, and reflected, F W F, from
+       an odd one;
     2. reach each even column r_2n = v_n = W_T v_(n-1) by one band
        product (`_band_matvec`), keep those that samples need, and make
        the odd ones r_(2n+1) = F W_h v_n from them in one batched product
@@ -868,27 +854,31 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     knot, partial = _grid_split(times - t_start, h)
     halves, offset = _grid_split(np.array([t_start]), period / 2)
     if jumps is None:
-        jumps = _check_cost(spec, n_atoms, knot[-1], quarter, len(times),
-                            offset[0] > 0.0, quarter in held)
+        jumps, stride = _check_cost(spec, n_atoms, knot[-1], quarter, len(times),
+                                    offset[0] > 0.0, bool(held))
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     knot = knot.astype(int)
+    lead_in = jumps and offset[0] > 0.0
+    if lead_in:  # one column marched to t_half, the next multiple of T/2
+        t_half = (halves[0] + 1) * (period / 2)
+        lead = times < t_half
+        head = _driven_states(spec, n_atoms, psi, t_start,
+                              np.append(times[lead], t_half), control, False)
+    if jumps and not held:  # the trajectory's one set, at the stride priced
+        held["set"] = _period_propagator(spec, n_atoms, period, quarter, int(stride))
+    if lead_in:  # then on from t_half, as this run decided
+        rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
+                              control, True, held)
+        return np.vstack([head[:-1], rest])
     if jumps:
-        if offset[0] > 0.0:  # the lead-in, then on from t_half
-            t_half = (halves[0] + 1) * (period / 2)
-            lead = times < t_half
-            head = _driven_states(spec, n_atoms, psi, t_start,
-                                  np.append(times[lead], t_half), control, False)
-            rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
-                                  control, True, held)
-            return np.vstack([head[:-1], rest])
         # half period k and knot j < 2q; a mirrored sample (j > q) stops at
         # knot 2q - j
         count, knot = np.divmod(knot, 2 * quarter)
         mirror = knot > quarter
         stop = np.where(mirror, 2 * quarter - knot, knot)
-        stride = int(_checkpoint_stride(spec, n_atoms, quarter, len(times)))
-        half, jump, (marks, bands) = _held_propagator(
-            spec, n_atoms, period, quarter, halves[0] % 2 == 1, held, stride)
+        half, jump, (marks, bands) = held["set"]
+        if halves[0] % 2 == 1:  # from an odd multiple of T/2: F W F
+            half, jump, bands = _reflected(half), _reflected(jump), [*map(_reflected, bands)]
         # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
         needed, cols = np.unique(count + mirror, return_inverse=True)
         starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
@@ -906,21 +896,20 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
         # each sample is read out at the largest checkpoint m <= its stop
         slot = np.searchsorted(marks, stop, side="right") - 1
         reached = marks[slot]
-    else:  # the one start is marched itself
+    else:  # the one start is marched itself, in half period 0, none mirrored
         slot = reached = stop = knot
         starts = block = phi[:, None]
-        cols = np.zeros(len(times), dtype=int)
+        cols = count = np.zeros(len(times), dtype=int)
+        mirror = np.zeros(len(times), dtype=bool)
     states = starts[:, cols]  # a copy; right already at slot 0
-    if jumps:  # each sample's readout source: r_k, or conj(r_(k+1)) if mirrored
-        states[:, mirror] = states[:, mirror].conj()
+    # each sample's readout source: r_k, or conj(r_(k+1)) if mirrored
+    states[:, mirror] = states[:, mirror].conj()
     # samples grouped by slot: sorted order, cut where each slot > 0 begins
     order = np.argsort(slot, kind="stable")
     rises = np.flatnonzero(np.diff(slot[order], prepend=0))
     groups = slot[order][rises].tolist()
-    if jumps:
-        blocks = [bands[i] for i in groups]
-    else:
-        blocks = _rk4_march(_rk4_stepper(spec, n_atoms, 1), block, t_start, h, groups)
+    blocks = ([bands[i] for i in groups] if jumps else
+              _rk4_march(_rk4_stepper(spec, n_atoms, 1), block, t_start, h, groups))
     bounds = [*rises.tolist(), len(order)]
     for lo, hi, block in zip(bounds, bounds[1:], blocks):
         hit = order[lo:hi]
@@ -941,15 +930,14 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     for done in range(int(ahead.max())):
         moving = np.flatnonzero(ahead > done)
         step_columns(moving, t_start + (reached[moving] + done) * h, np.full(len(moving), h))
-    if jumps:  # mirrored: W(t_j) r_k = F conj(W(t_(2q-j)) conj(r_(k+1)))
-        states[:, mirror] = states[::-1, mirror].conj()
+    # mirrored: W(t_j) r_k = F conj(W(t_(2q-j)) conj(r_(k+1)))
+    states[:, mirror] = states[::-1, mirror].conj()
     off_knot = np.flatnonzero(partial > 0)
     step_columns(off_knot, t_start + knot[off_knot] * h, partial[off_knot])
     moved = np.flatnonzero((ahead > 0) | (partial > 0))
     states[:, moved] = _normalize(states[:, moved], times[moved], n_atoms, h)
-    if jumps:  # F^k W(tau) r_k
-        odd = count % 2 == 1
-        states[:, odd] = states[::-1, odd]
+    odd = count % 2 == 1  # F^k W(tau) r_k
+    states[:, odd] = states[::-1, odd]
     return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
 
 
@@ -959,8 +947,9 @@ def propagate_driven(spec, initial, times, control=None):
     States are renormalized at each sample point; drift beyond NORM_TOL
     since the previous renormalized state is a failure. The trajectory's
     `advance` is `_driven_states` under the same `control`, which makes its
-    rows from t = 0; every call of it shares one held W_h and W_T
-    (`_held_propagator`), so a refinement batch builds none.
+    rows from t = 0; every call of it shares the one set of W_h, W_T and
+    checkpoints that its first jumping call builds, at the stride that
+    call priced, so a refinement batch builds none.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
@@ -977,7 +966,9 @@ def driven_state_at(spec, initial, t_start, t_end, control=None):
     The drive phase is tied to absolute time, so this is exactly the segment
     [t_start, t_end] of the full evolution: the one row that a driven
     trajectory's `advance` gives from `initial.amplitudes` at t_start, bit
-    for bit, since both build W_h and W_T from t = 0 (`_held_propagator`).
+    for bit, since both build W_h, W_T and the checkpoints from t = 0
+    (`_period_propagator`) and read them reflected from an odd multiple of
+    T/2.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("driven_state_at requires a FullDriven spec")

@@ -146,15 +146,13 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
         raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
     if t_max < 0 or n_samples < 1:
         raise ValidationError("need t_max >= 0 and n_samples >= 1")
-    size = n_samples * (_check_n_atoms(n_atoms) + 1) * 16
+    rows = 1 if t_max == 0 else n_samples  # the rows the curve will hold
+    size = rows * (_check_n_atoms(n_atoms) + 1) * 16
     if size > CURVE_BYTES_MAX:
         raise ValidationError(
-            f"{n_samples} samples at N = {n_atoms} would hold {size:.3g} bytes "
+            f"{rows} samples at N = {n_atoms} would hold {size:.3g} bytes "
             f"of amplitudes, over the limit of {CURVE_BYTES_MAX} bytes")
-    if n_samples == 1 or t_max == 0:
-        times = np.array([0.0])
-    else:
-        times = np.linspace(0.0, t_max, n_samples)
+    times = np.linspace(0.0, t_max, rows)
     traj = _run_trajectory(spec, n_atoms, initial_axis, times, control)
     xi2 = _squeezing(traj.n_atoms, traj.amplitudes)[0]  # no record per sample
     metadata = {

@@ -411,12 +411,18 @@ def march_log(monkeypatch):
     return log
 
 
-def jumps_to(spec, n, elapsed, control=None):
-    """_check_cost's decision for a run whose last sample is `elapsed` after its start."""
+def priced(spec, n, elapsed, samples=1, control=None):
+    """_check_cost's (jumps, stride) for a run of `samples` times whose last
+    is `elapsed` after its start."""
     quarter = (control or StepControl()).quarter_steps(spec, n)
     h = period_of(spec.drive.frequency_omega) / 4 / quarter
     last, _ = evolve._grid_split(np.array([elapsed]), h)
-    return evolve._check_cost(spec, n, last[0], quarter)
+    return evolve._check_cost(spec, n, last[0], quarter, samples)
+
+
+def jumps_to(spec, n, elapsed, control=None):
+    """_check_cost's decision for a run whose last sample is `elapsed` after its start."""
+    return priced(spec, n, elapsed, control=control)[0]
 
 
 def period_of(omega):
@@ -615,8 +621,9 @@ class TestPeriodJumps:
     def test_symmetric_period_propagator_matches_direct_march(
             self, monkeypatch, n, omega, periods):
         # W_T = F W_h F W_h, with W_h from a quarter period, as a run from a
-        # whole period and one from an odd half period (reflected) read it,
-        # against the dense identity marched over the whole period from there
+        # whole period and one from an odd half period (reflected, F W F)
+        # read the set built from 0, against the dense identity marched over
+        # the whole period from there
         spec = driven_spec(n, omega)
         t = period_of(omega)
         quarter = StepControl().quarter_steps(spec, n)
@@ -626,8 +633,9 @@ class TestPeriodJumps:
                                    [4 * quarter]):
             pass
         log = march_log(monkeypatch)
-        _, jump, _ = evolve._held_propagator(spec, n, t, quarter, periods % 1 == 0.5,
-                                             {}, 1)
+        _, jump, _ = evolve._period_propagator(spec, n, t, quarter, 1)
+        if periods % 1 == 0.5:
+            jump = evolve._reflected(jump)
         assert len(log) == 1 and log[0][1] == pytest.approx(t / 4)
         assert np.max(np.abs(dense(jump) - block)) <= 1e-10
 
@@ -906,7 +914,7 @@ class TestMirroredReadout:
             times = np.array([end - ulps * np.spacing(end)
                               for end in ends for ulps in (12, 5, 2, 1, 0)])
             last, _ = evolve._grid_split(times - t_start, grid_step(spec, n))
-            assert evolve._check_cost(spec, n, last[-1], quarter)
+            assert evolve._check_cost(spec, n, last[-1], quarter)[0]
             got = evolve._driven_states(spec, n, css(n).amplitudes, t_start,
                                         times, None)
             state, now = css(n), t_start
@@ -936,13 +944,13 @@ class TestMirroredReadout:
         assert abs(np.vdot(got.amplitudes, want.amplitudes)) >= 1 - 1e-10
 
 
-def force_stride(monkeypatch, spec, n, samples, stride):
-    """Set CHECKPOINT_STATES so that a run of `samples` times keeps W(t_m) at
+def force_stride(monkeypatch, spec, n, times, stride):
+    """Set CHECKPOINT_STATES so that a run of `times` from 0 keeps W(t_m) at
     every `stride`-th knot of the quarter march (and at q)."""
     quarter = StepControl().quarter_steps(spec, n)
     bound = evolve._band_estimate(spec, n, np.pi / 2 / spec.drive.frequency_omega)
     monkeypatch.setattr(evolve, "CHECKPOINT_STATES", -(-quarter * (2 * bound + 1) // stride))
-    assert evolve._checkpoint_stride(spec, n, quarter, samples) == stride
+    assert priced(spec, n, times[-1], len(times))[1] == stride
 
 
 class TestCheckpoints:
@@ -958,7 +966,7 @@ class TestCheckpoints:
         # second march, the samples read off every third knot
         spec = driven_spec(100, 2000.0)
         times = np.linspace(0, 0.3, 400)
-        assert evolve._checkpoint_stride(spec, 100, 134, len(times)) == 3
+        assert priced(spec, 100, times[-1], len(times)) == (True, 3)
         log = march_log(monkeypatch)
         propagate_driven(spec, css(100), times)
         assert [(width, steps) for width, _, steps in log] == [(33, 134)]
@@ -976,7 +984,7 @@ class TestCheckpoints:
         rows = {}
         for stride in (1, 3, quarter):
             with monkeypatch.context() as patch:
-                force_stride(patch, spec, n, len(times), stride)
+                force_stride(patch, spec, n, times, stride)
                 log = march_log(patch)
                 traj = propagate_driven(spec, css(n), times)
                 assert [steps for _, _, steps in log] == [quarter]
@@ -994,7 +1002,7 @@ class TestCheckpoints:
         # samples' catch-up steps no more entries than the march it replaces
         spec = driven_spec(100, 2000.0)
         states = 134 * (2 * 16 + 1)
-        stride = evolve._checkpoint_stride(spec, 100, 134, samples)
+        stride = priced(spec, 100, 0.3, samples)[1]
         assert stride == -(-states // samples) and samples * (stride - 1) <= states
 
     def test_catch_up_stays_within_the_march(self, monkeypatch):
@@ -1004,9 +1012,8 @@ class TestCheckpoints:
         spec = driven_spec(40, 2800.0)
         times = np.linspace(0, 7.3, 100) * period_of(2800.0)
         monkeypatch.setattr(evolve, "CHECKPOINT_STATES", 40)
-        quarter = StepControl().quarter_steps(spec, 40)
-        stride = evolve._checkpoint_stride(spec, 40, quarter, len(times))
-        assert stride == 4 and len(times) > evolve.CHECKPOINT_STATES
+        assert priced(spec, 40, times[-1], len(times)) == (True, 4)
+        assert len(times) > evolve.CHECKPOINT_STATES
         log = march_log(monkeypatch)
         stepped = partial_steps(monkeypatch)
         traj = propagate_driven(spec, css(40), times)
@@ -1059,7 +1066,7 @@ class TestCostGuard:
                                      period_of(omega) / 4 / quarter)
         args = (spec, n, last[0], quarter)
         if admitted:
-            assert evolve._check_cost(*args)
+            assert evolve._check_cost(*args)[0]
         else:
             with pytest.raises(ValidationError, match="too costly"):
                 evolve._check_cost(*args)
@@ -1078,7 +1085,7 @@ class TestCostGuard:
         last, _ = evolve._grid_split(np.array([periods * period]), period / 4 / quarter)
         plain = (last[0] + 1) * (n + 1 + evolve._STEP_ENTRIES)
         monkeypatch.setattr(evolve, "_WORK_MAX", plain)
-        assert not evolve._check_cost(spec, n, last[0], quarter)
+        assert not evolve._check_cost(spec, n, last[0], quarter)[0]
         monkeypatch.setattr(evolve, "_WORK_MAX", plain - 1)
         with pytest.raises(ValidationError, match="too costly"):
             evolve._check_cost(spec, n, last[0], quarter)
@@ -1268,16 +1275,15 @@ class TestBandStorage:
         assert np.allclose(evolve._band_apply(y, v), dense(y) @ v, rtol=0, atol=1e-12)
 
     def test_odd_half_period_start_reflects_the_held_propagator(self):
-        # A(t + T/2) = F A(t) F: from T/2 on, W_h and W_T are F W F of those
-        # from 0, which a trajectory holds; the dense identity marched from
-        # T/2 agrees with them to rounding
+        # A(t + T/2) = F A(t) F: from T/2 on, W_h and W_T are F W F of the
+        # set from 0, which a trajectory holds; the dense identity marched
+        # from T/2 agrees with them to rounding
         n, omega = 40, 2800.0
         spec = driven_spec(n, omega)
         t = period_of(omega)
         quarter = StepControl().quarter_steps(spec, n)
-        held = {}
-        evolve._held_propagator(spec, n, t, quarter, False, held, 1)
-        reflected = evolve._held_propagator(spec, n, t, quarter, True, held, 1)[:2]
+        half, jump, _ = evolve._period_propagator(spec, n, t, quarter, 1)
+        reflected = [evolve._reflected(half), evolve._reflected(jump)]
         want = np.eye(n + 1, dtype=complex)
         step = evolve._rk4_stepper(spec, n, n + 1)
         marched = evolve._rk4_march(step, want, t / 2, t / 4 / quarter,
@@ -1380,6 +1386,33 @@ class TestAdvance:
             state = driven_state_at(spec, DickeState(n, traj.amplitudes[k]),
                                     t_start, t_end)
             assert np.array_equal(state.amplitudes, row)
+
+    def test_trajectory_builds_one_set_at_its_priced_stride(self, monkeypatch):
+        # the trajectory's own run builds W_h, W_T and the checkpoints once,
+        # at the stride its budget priced (forced to 3 here); an advance from
+        # 3T/2, on an odd multiple of T/2, so no lead-in, reads that set
+        # reflected and builds none, and gives driven_state_at's row there
+        n, omega = 40, 2800.0
+        spec = driven_spec(n, omega, ratio=0.4)
+        t = period_of(omega)
+        times = np.sort(np.r_[np.linspace(0, 4.6, 24) * t, 3 * (t / 2)])
+        force_stride(monkeypatch, spec, n, times, 3)
+        strides = []
+        build = evolve._period_propagator
+
+        def spy(*args):
+            strides.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr(evolve, "_period_propagator", spy)
+        traj = propagate_driven(spec, css(n), times)
+        assert strides == [priced(spec, n, times[-1], len(times))[1]] == [3]
+        k, = np.flatnonzero(times == 3 * (t / 2))
+        t_end = times[k] + 2.3 * t
+        row, = traj.advance(traj.amplitudes[k], times[k], np.array([t_end]))
+        assert strides == [3]
+        state = driven_state_at(spec, DickeState(n, traj.amplitudes[k]), times[k], t_end)
+        assert np.array_equal(state.amplitudes, row)
 
 
 class TestTrajectory:

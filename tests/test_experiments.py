@@ -22,6 +22,14 @@ class TestRunTimeCurve:
         assert table.n_rows() == 1
         assert table.columns["xi_squared"][0] == pytest.approx(1, abs=1e-9)
 
+    def test_byte_limit_counts_the_rows_made(self):
+        # t_max = 0 makes one row whatever n_samples says; 100 000 rows at
+        # N = 2000 would hold 3.2e9 bytes, and are refused over a span
+        table = run_time_curve(OAT(), 2000, "y", 0.0, 100_000)
+        assert table.n_rows() == 1 and table.metadata["n_samples"] == 100_000
+        with pytest.raises(ValidationError, match="100000 samples at N = 2000"):
+            run_time_curve(OAT(), 2000, "y", 0.5, 100_000)
+
     def test_driven_metadata_carries_rwa(self):
         spec = FullDriven(DriveParams(0.906 * 300, 300.0))
         table = run_time_curve(spec, 10, "y", 0.1, 5)
