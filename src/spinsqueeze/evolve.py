@@ -47,8 +47,13 @@ lower that way; otherwise the march carries the one start itself. A run
 whose estimated work is over budget is refused before any step. States
 are mapped back to the lab frame at every sample point, so trajectories
 always contain genuine psi(t).
+
+Both row functions plan a run once over all its sample times and then make
+its rows in chunks (`spin_core._chunked`), which a reducer can take one at
+a time: a sweep keeps only what it reduces them to.
 """
 
+import bisect
 import cmath
 import math
 import numbers
@@ -265,9 +270,10 @@ def _apply(matrix, vectors):
     return matrix @ vectors
 
 
-def _static_states(sectors, psi, t_from, times):
+def _static_states(sectors, psi, t_from, times, reduce=None):
     """Rows exp(-i H dt)|psi> for each dt = t - t_from of `times`, as
-    V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from.
+    V exp(-i Lambda dt) V^dag |psi>, with psi the state at t_from; with a
+    `reduce`, what spin_core._chunked makes of them, chunk by chunk.
 
     A sector (`_band_blocks`) of sign None takes psi on its rows as it is.
     A reversal half of sign +-1 takes psi + sign F psi on its rows, the
@@ -275,20 +281,17 @@ def _static_states(sectors, psi, t_from, times):
     half gives exact zeros there, and H never moves it out, so that half is
     neither decomposed nor propagated. Each other sector is decomposed the
     first time a call needs it (its eigh is cached), and makes its rows
-    with one product of its basis, added to the output on its rows and,
-    for a half, times its sign on the same rows of the reversed output: a
-    state in one reversal half keeps its F-symmetry bit for bit. Times
-    that break `_check_span`, or a span whose largest phase
+    with one product of its basis per chunk, added to the output on its
+    rows and, for a half, times its sign on the same rows of the reversed
+    output: a state in one reversal half keeps its F-symmetry bit for bit.
+    Times that break `_check_span`, or a span whose largest phase
     |lambda| (t - t_from) over the sectors propagated is not a finite
     float, raise ValidationError, and a row whose norm drifts beyond
     spin_core.NORM_TOL (NaN too) IntegrationError.
     """
     times = _check_span(t_from, times)
-    out = np.zeros((len(times), len(psi)), dtype=complex)
-    if not len(times):
-        return out
     mirror = psi[::-1]
-    held = []
+    sources = []
     for rows, sign, eigh in sectors:
         if sign is None:
             part = psi[rows]
@@ -296,35 +299,42 @@ def _static_states(sectors, psi, t_from, times):
             part = (np.add if sign > 0 else np.subtract)(psi[rows], mirror[rows])
             if not np.count_nonzero(part):  # NaN counts as held
                 continue
-        held.append((rows, sign, part, *eigh()))
+        evals, basis = eigh()
+        # V^dag psi; a real V is not copied to conjugate it
+        adjoint = (basis.conj() if basis.dtype.kind == "c" else basis).T
+        sources.append((rows, sign, evals, basis, _apply(adjoint, part[:, None])))
     # each eigh gives its evals ascending
-    top = max((float(max(-evals[0], evals[-1])) for *_, evals, _ in held), default=0.0)
+    top = max((float(max(-evals[0], evals[-1])) for _, _, evals, *_ in sources), default=0.0)
     # Python floats overflow to inf without a numpy warning
-    if not math.isfinite(top * (float(times[-1]) - float(t_from))):
+    if len(times) and not math.isfinite(top * (float(times[-1]) - float(t_from))):
         raise ValidationError(
             f"the phase exp(-i lambda t) overflows at t = {times[-1]:g} "
             f"from t = {t_from:g} (largest |lambda| {top:g})")
-    turns = -1j * np.subtract(times, t_from)
-    flipped = out[:, ::-1]
-    for rows, sign, part, evals, basis in held:
-        coeffs = _apply(basis.conj().T, part[:, None])
-        phased = np.exp(np.multiply.outer(evals, turns)) * coeffs
-        made = _apply(basis, phased).T
-        view = out[:, rows]
-        view += made
-        if sign is not None:
-            view = flipped[:, rows]
-            (np.add if sign > 0 else np.subtract)(view, made, out=view)
-    norms = np.linalg.norm(out, axis=1)
-    drift = np.abs(norms - 1.0)
-    bad = np.flatnonzero(~(drift <= spin_core.NORM_TOL))
-    if len(bad):
-        raise IntegrationError(f"static propagation lost norm: drift {drift[bad[0]]:g}")
-    out /= norms[:, None]
-    return out
+
+    def make(lo, hi):
+        turns = -1j * np.subtract(times[lo:hi], t_from)
+        out = np.zeros((hi - lo, len(psi)), dtype=complex)
+        flipped = out[:, ::-1]
+        for rows, sign, evals, basis, coeffs in sources:
+            made = _apply(basis, np.exp(np.multiply.outer(evals, turns)) * coeffs).T
+            view = out[:, rows]
+            view += made
+            if sign is not None:
+                view = flipped[:, rows]
+                (np.add if sign > 0 else np.subtract)(view, made, out=view)
+        made = None  # then the norms' temporaries are all that is held beside `out`
+        norms = np.linalg.norm(out, axis=1)
+        drift = np.abs(norms - 1.0)
+        bad = np.flatnonzero(~(drift <= spin_core.NORM_TOL))
+        if len(bad):
+            raise IntegrationError(f"static propagation lost norm: drift {drift[bad[0]]:g}")
+        out /= norms[:, None]
+        return out
+
+    return spin_core._chunked(len(times), len(psi) - 1, make, reduce)
 
 
-def propagate_static(hamiltonian, initial, times):
+def propagate_static(hamiltonian, initial, times, reduce=None):
     """Exact evolution under a constant Hamiltonian via one eigendecomposition.
 
     `hamiltonian` is a static HamiltonianSpec, decomposed on its parity
@@ -332,7 +342,8 @@ def propagate_static(hamiltonian, initial, times):
     CollectiveOperator, decomposed whole as one complex block. The
     trajectory's `advance` is `_static_states` on those sectors, which
     makes its rows from t = 0; a block's half is decomposed the first time
-    a call's state holds it, and held for every later call.
+    a call's state holds it, and held for every later call. With a
+    `reduce`, the run keeps no rows and is a ReducedRun.
     """
     times = _check_times(times)
     if not isinstance(initial, DickeState):
@@ -350,8 +361,38 @@ def propagate_static(hamiltonian, initial, times):
         if not hamiltonian.is_hermitian():
             raise ValidationError("static propagation requires a Hermitian Hamiltonian")
         sectors = [(slice(None), None, cache(partial(np.linalg.eigh, hamiltonian.matrix)))]
-    advance = partial(_static_states, sectors)
-    return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
+    return _run(partial(_static_states, sectors), initial, times, reduce)
+
+
+@dataclass(frozen=True)
+class ReducedRun:
+    """A propagator's run whose rows went to its `reduce` chunk by chunk
+    and were not kept: `reduced`, what `reduce` made of the rows at `times`
+    (`spin_core._chunked`); `first`, the first of those rows, where a
+    trajectory's refinement starts; and advance(psi, t_from, times), the
+    row function with the same `reduce`."""
+
+    times: np.ndarray
+    reduced: tuple
+    first: np.ndarray
+    advance: Callable
+
+
+def _run(advance, initial, times, reduce):
+    """The Trajectory of row function `advance` from `initial` at `times`,
+    or with a `reduce` the ReducedRun."""
+    if reduce is None:
+        return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
+    first = []
+
+    def keep_first(rows):
+        if not first and len(rows):
+            first.append(rows[0].copy())
+        return reduce(rows)
+
+    reduced = advance(initial.amplitudes, 0.0, times, reduce=keep_first)
+    return ReducedRun(times, reduced, first[0] if first else None,
+                      partial(advance, reduce=reduce))
 
 
 def _rk4_core(spec, diag, band, shift, work):
@@ -690,8 +731,11 @@ _WORK_MAX = 1e9
 # that the checkpoints hold about max(CHECKPOINT_STATES, S) states of N+1
 # entries for a run of S samples (`_check_cost`): 16.8 MB at
 # N = 512, 32.8 MB at 1000 and 65.6 MB at 2000. c is 3 on the driven-curve
-# problem (N = 100) and 1, every knot, at N <= 32.
+# problem (N = 100) and 1, every knot, at N <= 32. However many samples a
+# run has, its checkpoints hold no more than about CHECKPOINT_BYTES_MAX
+# bytes (8384 states at N = 2000); its samples' catch-up gets longer instead.
 CHECKPOINT_STATES = 2048
+CHECKPOINT_BYTES_MAX = 2 ** 28
 
 
 def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=False):
@@ -710,10 +754,11 @@ def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=Fa
     `_band_estimate`, which also bounds what it marches, and makes the
     products; then come one jump per whole period, one readout per sample
     and each sample's catch-up, at most c - 1 steps on one column for the
-    checkpoint stride c = max(1, ceil(q (2b+1) / max(CHECKPOINT_STATES, S)))
-    of a run of S samples: the checkpoints then hold at most about
-    max(CHECKPOINT_STATES, S) (N+1) entries, and the catch-up steps no more
-    entries than the march. c is a float, inf where q (2b+1) overflows one
+    checkpoint stride c = max(1, ceil(q (2b+1) / C)) of a run of S samples,
+    C = max(CHECKPOINT_STATES, S) states, or those CHECKPOINT_BYTES_MAX
+    holds if fewer: the checkpoints then hold at most about C (N+1)
+    entries, and below that cap the catch-up steps no more entries than
+    the march. c is a float, inf where q (2b+1) overflows one
     (such a run does not jump). A run whose work would exceed _WORK_MAX is
     refused, with its estimate. An absurd span makes the float `last` inf,
     which fails the budget.
@@ -726,7 +771,8 @@ def _check_cost(spec, n_atoms, last, quarter, samples=1, lead_in=False, built=Fa
     plain = (last + 1) * column
     lead = 2 * quarter - 1 if lead_in else 0.0
     march, products = (0.0, 0.0) if built else (quarter, b)
-    stride = max(1.0, np.ceil(quarter * (2 * b + 1) / max(CHECKPOINT_STATES, samples)))
+    states = min(max(CHECKPOINT_STATES, samples), CHECKPOINT_BYTES_MAX // (16 * (n_atoms + 1)))
+    stride = max(1.0, np.ceil(quarter * (2 * b + 1) / states))
     catch_up = samples * (stride - 1)
     jumping = ((lead + catch_up) * column + (march + products) * band
                + (periods + samples) * band / 8)
@@ -782,34 +828,75 @@ def _period_propagator(spec, n_atoms, period, quarter, stride):
     return half, jump, (marks, bands)
 
 
+def _chain_columns(held, start, phi, jump, targets):
+    """Columns v_n = W_T v_(n-1) of the period chain from v_0 = phi, one per
+    n of the increasing `targets`, as (N+1, len(targets)).
+
+    held["chain"] keeps columns of the chain, keyed by n, with the start
+    (t_start, psi) they were chained from: a call from that start picks
+    each column up from the nearest one at or below it, held or made for
+    the target before, and a call from any other start begins a new chain
+    there. Each step is one band product (`_band_matvec`) and one
+    normalization, as from v_0, so a column has the same bits however far
+    back it was picked up. Of each call's targets (a chunk of samples, or a
+    refinement batch) the first and the last are kept: 141 columns
+    (4.5 MB) for 4456 samples over 1114 periods at N = 2000, in chunks of
+    32, where one a period would be 36 MB.
+    """
+    (t_from, psi), columns = held.get("chain", ((None, None), None))
+    if not (t_from == start[0] and np.array_equal(psi, start[1])):
+        columns = {0: phi}
+        held["chain"] = ((start[0], start[1].copy()), columns)
+    known = sorted(columns)
+    period_jump = _band_matvec(jump)
+    out = np.empty((len(phi), len(targets)), dtype=complex)
+    n, vector = -1, None  # the last column made here
+    for col, target in enumerate(targets):
+        base = known[bisect.bisect_right(known, target) - 1]
+        if base > n:
+            n, vector = base, columns[base]
+        for _ in range(target - n):
+            vector = period_jump(vector)
+            vector /= np.linalg.norm(vector)
+        n = target
+        out[:, col] = vector
+        if col in (0, len(targets) - 1):
+            columns[target] = vector
+    return out
+
+
 def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
-                   held=None):
+                   held=None, reduce=None):
     """Lab-frame states at `times` as rows (T, N+1), from the state row psi
-    at t_start; times that break `_check_span` raise ValidationError.
+    at t_start, or with a `reduce` what spin_core._chunked makes of them;
+    times that break `_check_span` raise ValidationError.
 
     The rotating-frame generator A has period T = 2 pi / omega, and the
     index reversal F (k -> N - k) maps each half period onto the one before:
     A(t + T/2) = F A(t) F. Every march steps on one grid from t_start,
     h = (T/4) / control.quarter_steps = (T/4) / q, so T/4 and T/2 are the
-    knots q and 2q. One rule (`_grid_split`) splits each sample's elapsed
-    time t - t_start once into whole grid steps K and a remainder
-    rho in [0, h). `_check_cost` decides from the last K whether the run
-    jumps, and at which checkpoint stride c, after refusing one whose
-    estimated work exceeds the budget; `jumps` hands that one decision to
-    the two parts of a run split below, and `held`, a dict (a fresh one for
-    None), holds the trajectory's one set of W_h, W_T and checkpoints,
-    built when a run first jumps, across its calls.
+    knots q and 2q. The run is planned once over all its samples: one rule
+    (`_grid_split`) splits each sample's elapsed time t - t_start into
+    whole grid steps K and a remainder rho in [0, h), and `_check_cost`
+    decides from the last K and the sample count whether the run jumps,
+    and at which checkpoint stride c, after refusing one whose estimated
+    work exceeds the budget; `jumps` hands that one decision to the two
+    parts of a run split below, and `held`, a dict (a fresh one for None),
+    holds the trajectory's one set of W_h, W_T and checkpoints, built when
+    a run first jumps, and its period chain, across its calls. Then the
+    samples are read out in chunks (`spin_core._chunked`), in order.
     A run that does not jump marches its one start phi over the grid, and
     reads each sample out at its knot K, through the readout below as
-    half period 0 with no sample mirrored. A run that jumps from a start off
-    the multiples of T/2 first marches phi to the next one, t_half, as a
-    run that does not jump (its samples before t_half are read off this
-    lead-in), and goes on from t_half. A run that jumps from a multiple of
-    T/2 divides each K by 2q into whole half periods k and a knot j < 2q,
-    so the sample's phase is tau = j h + rho in [0, T/2). With W(tau) the
-    propagator from t_start and W_h = W(T/2), half period k starts from
-    r_k = (F W_h)^k phi in the reflected frame, and the sample is
-    F^k W(tau) r_k. It is made in three stages:
+    half period 0 with no sample mirrored; the march goes on from chunk to
+    chunk. A run that jumps from a start off the multiples of T/2 first
+    marches phi to the next one, t_half, as a run that does not jump (its
+    samples before t_half are read off this lead-in, and handed to a
+    `reduce` as one chunk), and goes on from t_half. A run that jumps from
+    a multiple of T/2 divides each K by 2q into whole half periods k and a
+    knot j < 2q, so the sample's phase is tau = j h + rho in [0, T/2). With
+    W(tau) the propagator from t_start and W_h = W(T/2), half period k
+    starts from r_k = (F W_h)^k phi in the reflected frame, and the sample
+    is F^k W(tau) r_k. It is made in three stages:
     1. build W_h and W_T = F W_h F W_h in band storage from t = 0
        (`_period_propagator`), from a quarter period whose march keeps
        W(t_m) at every c-th knot m and at q, into `held` when the
@@ -817,12 +904,12 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
        at the stride c that run priced; they are read from `held` as
        they are from an even multiple of T/2, and reflected, F W F, from
        an odd one;
-    2. reach each even column r_2n = v_n = W_T v_(n-1) by one band
-       product (`_band_matvec`), keep those that samples need, and make
+    2. for each chunk, take the even columns r_2n = v_n = W_T v_(n-1) that
+       its samples need off the held chain (`_chain_columns`), and make
        the odd ones r_(2n+1) = F W_h v_n from them in one batched product
        (`_band_apply`);
     3. read each sample out at the largest checkpoint m at or below its
-       stop, one band product per checkpoint over all of its samples:
+       stop, one band product per checkpoint over the chunk's samples:
        W(t_m) r_k for j <= q (stop j); for j > q (stop 2q - j),
        W(t_m) conj(r_(k+1)), since A(T/2 - t) = A(t) and A^T = F A F give
        W(t_j) = F conj(W(t_(2q-j))) F W_h. A sample with odd k is
@@ -835,7 +922,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     6e-12 apart at N = 40). The steps are batched, a drive phase per
     column, in chunks of 4096 // (N+1) columns (at least one), so at small
     N one chunk takes a whole sweep point. Each column steps on its own,
-    so the chunking moves no bit.
+    so the batching moves no bit.
     Drift beyond NORM_TOL since the last renormalized state raises
     IntegrationError: a state read out at a knot or a checkpoint is
     renormalized (the marched start with it), and so is each sample after
@@ -843,7 +930,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     """
     times = _check_span(t_start, times)  # _check_cost reads the last time
     if not len(times):
-        return np.empty((0, n_atoms + 1), dtype=complex)
+        return spin_core._chunked(0, n_atoms, None, reduce)
     omega = spec.drive.frequency_omega
     r = spec.drive.ratio
     mz = _jz_diagonal(n_atoms)
@@ -855,7 +942,7 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
     halves, offset = _grid_split(np.array([t_start]), period / 2)
     if jumps is None:
         jumps, stride = _check_cost(spec, n_atoms, knot[-1], quarter, len(times),
-                                    offset[0] > 0.0, bool(held))
+                                    offset[0] > 0.0, "set" in held)
     phi = np.exp(1j * (r * math.sin(omega * t_start)) * mz) * psi
     knot = knot.astype(int)
     lead_in = jumps and offset[0] > 0.0
@@ -864,12 +951,15 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
         lead = times < t_half
         head = _driven_states(spec, n_atoms, psi, t_start,
                               np.append(times[lead], t_half), control, False)
-    if jumps and not held:  # the trajectory's one set, at the stride priced
+    if jumps and "set" not in held:  # the trajectory's one set, at the stride priced
         held["set"] = _period_propagator(spec, n_atoms, period, quarter, int(stride))
     if lead_in:  # then on from t_half, as this run decided
         rest = _driven_states(spec, n_atoms, head[-1], t_half, times[~lead],
-                              control, True, held)
-        return np.vstack([head[:-1], rest])
+                              control, True, held, reduce)
+        if reduce is None:
+            return np.vstack([head[:-1], rest])
+        first = reduce(head[:-1])
+        return tuple(np.concatenate(pair) for pair in zip(first, rest))
     if jumps:
         # half period k and knot j < 2q; a mirrored sample (j > q) stops at
         # knot 2q - j
@@ -879,69 +969,75 @@ def _driven_states(spec, n_atoms, psi, t_start, times, control, jumps=None,
         half, jump, (marks, bands) = held["set"]
         if halves[0] % 2 == 1:  # from an odd multiple of T/2: F W F
             half, jump, bands = _reflected(half), _reflected(jump), [*map(_reflected, bands)]
-        # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
-        needed, cols = np.unique(count + mirror, return_inverse=True)
-        starts = np.empty((n_atoms + 1, len(needed)), dtype=complex)
-        period_jump = _band_matvec(jump)
-        n = 0  # phi holds v_n
-        for col, target in enumerate((needed // 2).tolist()):
-            for _ in range(target - n):
-                phi = period_jump(phi)
-                phi /= np.linalg.norm(phi)
-            n = target
-            starts[:, col] = phi
-        odd = needed % 2 == 1
-        later = _band_apply(half, starts[:, odd])[::-1]
-        starts[:, odd] = later / np.linalg.norm(later, axis=0)
         # each sample is read out at the largest checkpoint m <= its stop
         slot = np.searchsorted(marks, stop, side="right") - 1
         reached = marks[slot]
     else:  # the one start is marched itself, in half period 0, none mirrored
         slot = reached = stop = knot
-        starts = block = phi[:, None]
-        cols = count = np.zeros(len(times), dtype=int)
+        count = np.zeros(len(times), dtype=int)
         mirror = np.zeros(len(times), dtype=bool)
-    states = starts[:, cols]  # a copy; right already at slot 0
-    # each sample's readout source: r_k, or conj(r_(k+1)) if mirrored
-    states[:, mirror] = states[:, mirror].conj()
-    # samples grouped by slot: sorted order, cut where each slot > 0 begins
-    order = np.argsort(slot, kind="stable")
-    rises = np.flatnonzero(np.diff(slot[order], prepend=0))
-    groups = slot[order][rises].tolist()
-    blocks = ([bands[i] for i in groups] if jumps else
-              _rk4_march(_rk4_stepper(spec, n_atoms, 1), block, t_start, h, groups))
-    bounds = [*rises.tolist(), len(order)]
-    for lo, hi, block in zip(bounds, bounds[1:], blocks):
-        hit = order[lo:hi]
-        if jumps:  # W(t_m) r_k; if mirrored, W(t_m) conj(r_(k+1))
-            block = _band_apply(block, states[:, hit])
-        states[:, hit] = _normalize(block, times[hit] - partial[hit], n_atoms, h)
-    # the catch-up: columns batched in chunks on work arrays of their own,
-    # each stepping at its own drive phase
+        march = _rk4_march(_rk4_stepper(spec, n_atoms, 1), phi[:, None], t_start, h,
+                           np.unique(knot[knot > 0]).tolist())
+        at_knot, marched = 0, None  # the knot the march holds, and its state
     width = max(1, min(len(times), _CHUNK_ENTRIES // (n_atoms + 1)))
-    step = _rk4_stepper(spec, n_atoms, width)
 
-    def step_columns(moving, t, dt):  # one RK4 step of each column in `moving`
-        for lo in range(0, len(moving), width):
-            hit = moving[lo:lo + width]
-            states[:, hit] = step(states[:, hit], t[lo:lo + width], dt[lo:lo + width])
+    def read(lo, hi):  # the rows of samples lo:hi
+        nonlocal at_knot, marched
+        when, rho, k, j, flip = (times[lo:hi], partial[lo:hi], count[lo:hi], knot[lo:hi],
+                                 mirror[lo:hi])
+        at, base, ahead = slot[lo:hi], reached[lo:hi], stop[lo:hi] - reached[lo:hi]
+        if jumps:  # columns r_(k+m): r_2n = v_n off the chain, r_(2n+1) = F W_h v_n
+            needed, cols = np.unique(k + flip, return_inverse=True)
+            starts = _chain_columns(held, (t_start, psi), phi, jump, (needed // 2).tolist())
+            odd = needed % 2 == 1
+            later = _band_apply(half, starts[:, odd])[::-1]
+            starts[:, odd] = later / np.linalg.norm(later, axis=0)
+        else:
+            starts, cols = phi[:, None], np.zeros(hi - lo, dtype=int)
+        states = starts[:, cols]  # a copy; right already at slot 0
+        # each sample's readout source: r_k, or conj(r_(k+1)) if mirrored
+        states[:, flip] = states[:, flip].conj()
+        # samples grouped by slot: sorted order, cut where each slot > 0 begins
+        order = np.argsort(at, kind="stable")
+        rises = np.flatnonzero(np.diff(at[order], prepend=0))
+        bounds = [*rises.tolist(), len(order)]
+        for first, end, group in zip(bounds, bounds[1:], at[order][rises].tolist()):
+            hit = order[first:end]
+            if jumps:  # W(t_m) r_k; if mirrored, W(t_m) conj(r_(k+1))
+                states[:, hit] = _normalize(_band_apply(bands[group], states[:, hit]),
+                                            when[hit] - rho[hit], n_atoms, h)
+                continue
+            if group != at_knot:  # the march's next knot, renormalized once
+                at_knot, marched = group, _normalize(next(march), when[hit] - rho[hit],
+                                                     n_atoms, h)
+            states[:, hit] = marched
+        # the catch-up: columns batched in chunks on work arrays of their own
+        # (made once the readout's are freed), each at its own drive phase
+        step = _rk4_stepper(spec, n_atoms, width)
 
-    ahead = stop - reached  # whole steps from the checkpoint to the stop
-    for done in range(int(ahead.max())):
-        moving = np.flatnonzero(ahead > done)
-        step_columns(moving, t_start + (reached[moving] + done) * h, np.full(len(moving), h))
-    # mirrored: W(t_j) r_k = F conj(W(t_(2q-j)) conj(r_(k+1)))
-    states[:, mirror] = states[::-1, mirror].conj()
-    off_knot = np.flatnonzero(partial > 0)
-    step_columns(off_knot, t_start + knot[off_knot] * h, partial[off_knot])
-    moved = np.flatnonzero((ahead > 0) | (partial > 0))
-    states[:, moved] = _normalize(states[:, moved], times[moved], n_atoms, h)
-    odd = count % 2 == 1  # F^k W(tau) r_k
-    states[:, odd] = states[::-1, odd]
-    return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * times)), mz)) * states.T
+        def step_columns(moving, t, dt):  # one RK4 step of each column in `moving`
+            for first in range(0, len(moving), width):
+                hit = moving[first:first + width]
+                states[:, hit] = step(states[:, hit], t[first:first + width],
+                                      dt[first:first + width])
+
+        for done in range(int(ahead.max())):  # whole steps from the checkpoint to the stop
+            moving = np.flatnonzero(ahead > done)
+            step_columns(moving, t_start + (base[moving] + done) * h, np.full(len(moving), h))
+        # mirrored: W(t_j) r_k = F conj(W(t_(2q-j)) conj(r_(k+1)))
+        states[:, flip] = states[::-1, flip].conj()
+        off_knot = np.flatnonzero(rho > 0)
+        step_columns(off_knot, t_start + j[off_knot] * h, rho[off_knot])
+        moved = np.flatnonzero((ahead > 0) | (rho > 0))
+        states[:, moved] = _normalize(states[:, moved], when[moved], n_atoms, h)
+        odd = k % 2 == 1  # F^k W(tau) r_k
+        states[:, odd] = states[::-1, odd]
+        return np.exp(np.multiply.outer(-1j * (r * np.sin(omega * when)), mz)) * states.T
+
+    return spin_core._chunked(len(times), n_atoms, read, reduce)
 
 
-def propagate_driven(spec, initial, times, control=None):
+def propagate_driven(spec, initial, times, control=None, reduce=None):
     """Integrate the time-dependent driven Hamiltonian with fixed-step RK4.
 
     States are renormalized at each sample point; drift beyond NORM_TOL
@@ -949,7 +1045,9 @@ def propagate_driven(spec, initial, times, control=None):
     `advance` is `_driven_states` under the same `control`, which makes its
     rows from t = 0; every call of it shares the one set of W_h, W_T and
     checkpoints that its first jumping call builds, at the stride that
-    call priced, so a refinement batch builds none.
+    call priced, so a refinement batch builds none, and the period chain's
+    held columns (`_chain_columns`), which a batch picks its columns up
+    from. With a `reduce`, the run keeps no rows and is a ReducedRun.
     """
     if not isinstance(spec, FullDriven):
         raise ValidationError("propagate_driven requires a FullDriven spec")
@@ -957,7 +1055,7 @@ def propagate_driven(spec, initial, times, control=None):
         raise ValidationError("propagate_driven expects a DickeState")
     times = _check_times(times)
     advance = partial(_driven_states, spec, initial.n_atoms, control=control, held={})
-    return Trajectory(times, advance(initial.amplitudes, 0.0, times), advance)
+    return _run(advance, initial, times, reduce)
 
 
 def driven_state_at(spec, initial, t_start, t_end, control=None):

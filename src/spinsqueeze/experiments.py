@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Tuple
 
 import numpy as np
@@ -28,10 +29,11 @@ from .squeezing import _squeezing, optimal_squeezing
 SCALING_OMEGA_PER_ATOM = 70.0
 GRID_SAMPLES = 200  # uniform samples per optimum search, then golden section
 
-# A time curve holds its (samples, N+1) complex amplitudes at once, and the
-# propagators a few arrays of that size more; a curve whose amplitudes
-# alone would pass this many bytes is refused before anything is allocated.
-CURVE_BYTES_MAX = 2 ** 28
+# A time curve holds no rows, but about 130 bytes a sample of its plan and
+# xi^2 (traced at N = 4, static and driven); one of more samples than this,
+# about 1.1 GB, is refused before its grid is built. It is the most that the
+# old 256 MiB limit on a curve's amplitudes admitted, at N = 1.
+CURVE_SAMPLES_MAX = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -130,36 +132,42 @@ def _template_metadata(template):
     return _spec_metadata(template)
 
 
-def _run_trajectory(spec, n_atoms, axis, times, control=None):
+def _squeezing_run(spec, n_atoms, axis, times, control=None):
+    """The ReducedRun from the coherent state along `axis`: its rows are
+    reduced to their `_squeezing` arrays chunk by chunk, so no sweep holds
+    a trajectory's rows."""
     initial = coherent_spin_state(n_atoms, axis)
+    reduce = partial(_squeezing, n_atoms)
     if isinstance(spec, FullDriven):
-        return propagate_driven(spec, initial, times, control)
-    return propagate_static(spec, initial, times)
+        return propagate_driven(spec, initial, times, control, reduce=reduce)
+    return propagate_static(spec, initial, times, reduce=reduce)
 
 
 def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
                    control=None):
-    """xi^2(t) on a uniform grid; columns time, xi_squared."""
+    """xi^2(t) on a uniform grid; columns time, xi_squared.
+
+    The grid has `n_samples` times, or the one time 0 at t_max = 0, and the
+    metadata's n_samples counts the times the grid has; more than
+    CURVE_SAMPLES_MAX are refused. Only the xi^2 of each chunk of rows is
+    kept (`_squeezing_run`), so a long curve holds no more rows than a short one.
+    """
     if not math.isfinite(t_max):
         raise ValidationError(f"t_max must be finite, got {t_max!r}")
     if not isinstance(n_samples, numbers.Integral):
         raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
     if t_max < 0 or n_samples < 1:
         raise ValidationError("need t_max >= 0 and n_samples >= 1")
-    rows = 1 if t_max == 0 else n_samples  # the rows the curve will hold
-    size = rows * (_check_n_atoms(n_atoms) + 1) * 16
-    if size > CURVE_BYTES_MAX:
+    rows = 1 if t_max == 0 else n_samples  # the rows the curve will make
+    if rows > CURVE_SAMPLES_MAX:
         raise ValidationError(
-            f"{rows} samples at N = {n_atoms} would hold {size:.3g} bytes "
-            f"of amplitudes, over the limit of {CURVE_BYTES_MAX} bytes")
-    times = np.linspace(0.0, t_max, rows)
-    traj = _run_trajectory(spec, n_atoms, initial_axis, times, control)
-    xi2 = _squeezing(traj.n_atoms, traj.amplitudes)[0]  # no record per sample
+            f"{rows} samples are over the limit of {CURVE_SAMPLES_MAX} for a curve")
+    run = _squeezing_run(spec, n_atoms, initial_axis, np.linspace(0.0, t_max, rows), control)
     metadata = {
         "n_atoms": int(n_atoms),
         "initial_axis": initial_axis.lstrip("+"),
         "t_max": float(t_max),
-        "n_samples": int(n_samples),
+        "n_samples": len(run.times),
         **_spec_metadata(spec),
     }
     if isinstance(spec, FullDriven):
@@ -168,7 +176,7 @@ def run_time_curve(spec, n_atoms, initial_axis, t_max, n_samples,
         metadata["rwa_valid"] = diag.is_valid
     return SweepTable(
         "time_curve",
-        {"time": traj.times, "xi_squared": xi2.tolist()},
+        {"time": run.times, "xi_squared": run.reduced[0].tolist()},  # no records
         metadata,
     )
 
@@ -208,7 +216,7 @@ def _optimal_point(spec, n_atoms, axis):
     else:
         unit = replace(spec, chi=1.0)
     times = np.linspace(0.0, default_t_max(n_atoms), GRID_SAMPLES)
-    record = optimal_squeezing(_run_trajectory(unit, n_atoms, axis, times))
+    record = optimal_squeezing(_squeezing_run(unit, n_atoms, axis, times))
     return record.xi_squared, record.time / chi
 
 

@@ -41,6 +41,37 @@ def _check_n_atoms(n_atoms):
     return int(n_atoms)
 
 
+# The row functions (evolve._static_states, evolve._driven_states) make a
+# run's rows in chunks of at most this many bytes of amplitudes, one row at
+# least, and a reducer (squeezing._squeezing) reduces them chunk by chunk,
+# so a sweep never holds more than one chunk of rows: 109 rows at N = 600,
+# 32 at N = 2000. Half of it ran the static scan at N = 250..2000 2-4%
+# slower in-process (best of three, four alternating rounds, 2-vCPU host).
+ROW_CHUNK_BYTES = 2 ** 20
+
+
+def _chunked(n_rows, n_atoms, make, reduce=None):
+    """Rows 0..n_rows-1 of N+1 amplitudes each, made chunk by chunk.
+
+    make(lo, hi) gives rows lo:hi, called in order on chunks of at most
+    ROW_CHUNK_BYTES of amplitudes. With no `reduce`, the rows come back as
+    one array (n_rows, N+1). With one, each chunk goes to reduce(rows),
+    which gives a tuple of arrays with one entry per row, and the call
+    gives their concatenations: no more than one chunk of rows is held.
+    No rows call no make, and reduce an empty chunk.
+    """
+    step = max(1, ROW_CHUNK_BYTES // (16 * (n_atoms + 1)))
+    bounds = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    if reduce is None:
+        out = np.empty((n_rows, n_atoms + 1), dtype=complex)
+        for lo, hi in bounds:
+            out[lo:hi] = make(lo, hi)
+        return out
+    parts = ([reduce(make(lo, hi)) for lo, hi in bounds]
+             or [reduce(np.empty((0, n_atoms + 1), dtype=complex))])
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _frozen(array):
     out = np.array(array)
     out.flags.writeable = False

@@ -5,18 +5,22 @@ the mean spin. The 2x2 transverse covariance matrix gives the minimum in
 closed form; the minimizing direction comes from its eigenvector.
 
 Six band sums of |psi|^2 and the bands of J (`spin_core._bands`) hold the
-mean spin and every second moment: each is an O(N) reduction, made for all
-samples of a trajectory at once. The covariance is read from them in the
-frame of the mean spin's own polar angles, with no 3-vector frame built.
+mean spin and every second moment: each is an O(N) reduction, made for a
+chunk of rows at once (`spin_core._chunked`), which is how the sweeps
+reduce a run's rows without holding them. The covariance is read from
+them in the frame of the mean spin's own polar angles, with no 3-vector
+frame built.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import DickeState, _bands, _jz_diagonal
+from .evolve import ReducedRun
+from .spin_core import DickeState, _bands, _chunked, _jz_diagonal
 
 # Below this fraction of the maximal spin length J the mean-spin direction
 # is numerically meaningless (over-squeezed regime); results get flagged
@@ -61,13 +65,28 @@ def _moments(n_atoms, psi):
       s, the shared diagonal: <Jx^2>, <Jy^2> = s +- 2 Re w;
       w, the sum over Jx^2's +2 band (<J+^2> / 4): <JxJy + JyJx> = 4 Im w;
       p = <J+ (2 Jz + 1)> = <JxJz + JzJx> + i <JyJz + JzJy>.
-    Each sum is one matrix-vector product.
+    Each sum is one matrix-vector product. A sweep's rows come a chunk at
+    a time, and the temporaries here are most of what it holds: the hops
+    conj(psi_k) psi_(k+d) are made one d at a time, in place, over the
+    rows laid end to end, since a ufunc buffers a 2-d strided operand
+    (128 KB at N = 2000). The products straddling two rows are not read.
     """
     jp_band, jpz_band, side, upper, m2 = _bands(n_atoms)
     prob = psi.real ** 2 + psi.imag ** 2
-    hop1 = psi[:, :-1].conj() * psi[:, 1:]
-    return (hop1 @ jp_band, prob @ _jz_diagonal(n_atoms), prob @ m2, prob @ side,
-            (psi[:, :-2].conj() * psi[:, 2:]) @ upper, hop1 @ jpz_band)
+    jz, jz2, s = prob @ _jz_diagonal(n_atoms), prob @ m2, prob @ side
+    del prob
+    flat = np.ascontiguousarray(psi).reshape(-1)
+
+    def hops(d):
+        out = np.empty_like(flat)
+        np.conjugate(flat[:-d], out=out[:-d])
+        out[:-d] *= flat[d:]
+        return out.reshape(psi.shape)[:, :-d]
+
+    hop1 = hops(1)
+    jp, p = hop1 @ jp_band, hop1 @ jpz_band
+    del hop1
+    return jp, jz, jz2, s, hops(2) @ upper, p
 
 
 def _squeezing(n_atoms, psi):
@@ -137,9 +156,17 @@ def xi_squared(state, time=0.0):
     return record
 
 
+def _reduced(n_atoms, rows):
+    """The `_squeezing` arrays of `rows` (T, N+1), reduced in the chunks that
+    a row function hands its reducer (`spin_core._chunked`), so they have
+    the bits of a sweep's chunk-by-chunk reduction."""
+    return _chunked(len(rows), n_atoms, lambda lo, hi: rows[lo:hi],
+                    partial(_squeezing, n_atoms))
+
+
 def squeezing_curve(traj):
     """Squeezing records for every sample of a trajectory."""
-    return _records(traj.times, _squeezing(traj.n_atoms, traj.amplitudes))
+    return _records(traj.times, _reduced(traj.n_atoms, traj.amplitudes))
 
 
 def _golden_update(a, b, x1, x2, left):
@@ -168,43 +195,51 @@ def optimal_squeezing(traj):
 
     The points are evaluated in batches, each one `advance` call from the
     trajectory's first row at t = 0 (the eigenbasis, or the held W_T chain
-    and checkpoints of a driven run) and one `_squeezing` call: the point
-    the search needs now, and every point its next LOOKAHEAD updates could
-    need, over both outcomes of each comparison (15 points, 16 in the first
-    batch, which needs two). The search then replays the same update rule
-    (`_golden_update`) on the batch's xi^2, so it visits the points a
-    one-point-at-a-time search visits, in the same order; no DickeState is
-    built. It compares bare xi^2; degenerate (over-squeezed) states are
-    excluded only from the picks, and records are built only for the grid
-    minimum and the two final candidates. If every sample is degenerate
-    the trajectory has no usable optimum.
+    and checkpoints of a driven run) and one `_squeezing` reduction: the
+    point the search needs now, and every point its next LOOKAHEAD updates
+    could need, over both outcomes of each comparison (15 points, 16 in
+    the first batch, which needs two). The search then replays the same
+    update rule (`_golden_update`) on the batch's xi^2, so it visits the
+    points a one-point-at-a-time search visits, in the same order; no
+    DickeState is built. It compares bare xi^2; degenerate (over-squeezed)
+    states are excluded only from the picks, and records are built only
+    for the grid minimum and the two final candidates. If every sample is
+    degenerate the trajectory has no usable optimum. Rows are reduced in
+    a row function's chunks (`_reduced`), so the record has the bits of a
+    sweep's: a sweep holds no trajectory, and passes the ReducedRun that a
+    propagator with reduce=partial(_squeezing, N) gives.
     """
     if len(traj.times) < 3:
         raise ValidationError("optimal_squeezing needs at least 3 samples")
-    n_atoms = traj.n_atoms
-    grid = _squeezing(n_atoms, traj.amplitudes)
+    times = traj.times
+    if isinstance(traj, ReducedRun):
+        grid, psi, squeezed = traj.reduced, traj.first, traj.advance
+    else:
+        n_atoms, advance = traj.n_atoms, traj.advance
+        grid, psi = _reduced(n_atoms, traj.amplitudes), traj.amplitudes[0]
+        squeezed = None if advance is None else (
+            lambda psi, t_from, points: _reduced(n_atoms, advance(psi, t_from, points)))
     xi2, degenerate = grid[0], grid[-1]
     usable = np.flatnonzero(~degenerate)
     if not len(usable):
         raise ValidationError("over-squeezed trajectory: mean spin degenerate everywhere")
-    if traj.advance is None:
+    if squeezed is None:  # a hand-built trajectory
         raise ValidationError(
             "trajectory carries no propagator to refine with; build it with "
             "propagate_static or propagate_driven")
     i_min = usable[np.argmin(xi2[usable])]
-    lo, hi = max(i_min - 1, 0), min(i_min + 1, len(traj.times) - 1)
+    lo, hi = max(i_min - 1, 0), min(i_min + 1, len(times) - 1)
     found = {}  # time -> the `_squeezing` arrays of its one row
 
     def evaluate(bracket, *points):
         if not all(t in found for t in points):
-            times = sorted({*points, *_lookahead(bracket, LOOKAHEAD)})
-            rows = traj.advance(traj.amplitudes[0], 0.0, times)
-            arrays = _squeezing(n_atoms, rows)
+            batch = sorted({*points, *_lookahead(bracket, LOOKAHEAD)})
+            arrays = squeezed(psi, 0.0, batch)
             found.update((t, [col[i:i + 1] for col in arrays])
-                         for i, t in enumerate(times))
+                         for i, t in enumerate(batch))
         return [found[t] for t in points]
 
-    a, b = traj.times[lo], traj.times[hi]
+    a, b = times[lo], times[hi]
     bracket = (a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
     r1, r2 = evaluate(bracket, *bracket[2:])
     # once ulp(t) nears the tolerance the bracket can stop shrinking: stop too
@@ -219,6 +254,6 @@ def optimal_squeezing(traj):
             r1, (r2,) = r2, evaluate(bracket, bracket[3])
     # min keeps the first of equal xi^2: the grid minimum, then x1, then x2
     candidates = [_records([t], arrays)[0] for t, arrays in (
-        (traj.times[i_min], [col[i_min:i_min + 1] for col in grid]),
+        (times[i_min], [col[i_min:i_min + 1] for col in grid]),
         (bracket[2], r1), (bracket[3], r2))]
     return min((r for r in candidates if not r.degenerate_flag), key=lambda r: r.xi_squared)

@@ -284,13 +284,13 @@ class TestEvolve:
         assert not (tmp_path / "x.csv").exists()
 
     def test_absurd_sample_count_is_refused(self, tmp_path, capsys):
-        # 1e13 rows of 5 amplitudes: refused before the time grid is built
+        # 1e13 samples: refused before the time grid is built
         code, out, err = run(capsys, "evolve", "--hamiltonian", "oat",
                              "--n", "4", "--tmax", "1", "--samples", "10000000000000",
                              "--out", str(tmp_path / "x.csv"))
         assert code == 1 and out == ""
-        assert err.startswith("error: 10000000000000 samples at N = 4")
-        assert err.count("\n") == 1 and "limit of 268435456 bytes" in err
+        assert err.startswith("error: 10000000000000 samples are over the limit")
+        assert err.count("\n") == 1 and "limit of 8388608" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_physics_error_is_exit_1(self, tmp_path, capsys):

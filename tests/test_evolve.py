@@ -1005,6 +1005,12 @@ class TestCheckpoints:
         stride = priced(spec, 100, 0.3, samples)[1]
         assert stride == -(-states // samples) and samples * (stride - 1) <= states
 
+    def test_checkpoints_stay_under_their_byte_cap(self, monkeypatch):
+        # a cap of 1000 states at N = 100: the stride stops falling with S
+        monkeypatch.setattr(evolve, "CHECKPOINT_BYTES_MAX", 1000 * 101 * 16)
+        spec = driven_spec(100, 2000.0)
+        assert [priced(spec, 100, 0.3, s)[1] for s in (400, 2048, 10 ** 6)] == [5, 5, 5]
+
     def test_catch_up_stays_within_the_march(self, monkeypatch):
         # 100 samples, checkpoints for 40 states: stride 4 at N = 40; the
         # whole steps of the catch-up, counted per column, stay within the

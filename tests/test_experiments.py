@@ -10,6 +10,8 @@ from spinsqueeze import (DriveParams, FullDriven, OAT, SweepTable, TATxz,
                          experiments, fit_scaling, run_n_scaling, run_ratio_scan,
                          run_time_curve, squeezing_curve)
 
+from test_readout import public_trajectory
+
 
 class TestRunTimeCurve:
     def test_tat_curve_minimum(self):
@@ -22,13 +24,17 @@ class TestRunTimeCurve:
         assert table.n_rows() == 1
         assert table.columns["xi_squared"][0] == pytest.approx(1, abs=1e-9)
 
-    def test_byte_limit_counts_the_rows_made(self):
-        # t_max = 0 makes one row whatever n_samples says; 100 000 rows at
-        # N = 2000 would hold 3.2e9 bytes, and are refused over a span
-        table = run_time_curve(OAT(), 2000, "y", 0.0, 100_000)
-        assert table.n_rows() == 1 and table.metadata["n_samples"] == 100_000
-        with pytest.raises(ValidationError, match="100000 samples at N = 2000"):
-            run_time_curve(OAT(), 2000, "y", 0.5, 100_000)
+    def test_metadata_counts_the_rows_made(self):
+        # t_max = 0 makes one row whatever n_samples says, and the metadata
+        # records that one; the sample limit counts it too, and refuses a
+        # grid over it before building it
+        table = run_time_curve(OAT(), 2000, "y", 0.0, 100_000_000)
+        assert table.n_rows() == 1 and table.metadata["n_samples"] == 1
+        table = run_time_curve(OAT(), 8, "y", 0.5, 7)
+        assert table.n_rows() == 7 and table.metadata["n_samples"] == 7
+        too_many = experiments.CURVE_SAMPLES_MAX + 1
+        with pytest.raises(ValidationError, match=f"{too_many} samples are over the limit"):
+            run_time_curve(OAT(), 2000, "y", 0.5, too_many)
 
     def test_driven_metadata_carries_rwa(self):
         spec = FullDriven(DriveParams(0.906 * 300, 300.0))
@@ -62,7 +68,7 @@ class TestRunTimeCurve:
         # the column comes straight off the squeezing arrays, no record per
         # sample, with the records' very values
         table = run_time_curve(spec, n, "y", 0.3, 40)
-        traj = experiments._run_trajectory(spec, n, "y", table.columns["time"])
+        traj = public_trajectory(spec, n, table.columns["time"])
         assert list(table.columns["xi_squared"]) == [
             record.xi_squared for record in squeezing_curve(traj)]
 
